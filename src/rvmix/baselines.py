@@ -143,13 +143,26 @@ def _mm_step(KtK, KtV, K, J, alpha1, alpha2, L, eps):
         raise NumericError(f"majorized normal equations are singular: {exc}") from exc
 
 
-def mm_solve(data, penalty, eps_lqa=1e-8, max_iter=200, tol=1e-6, return_trace=False):
+@dataclass(frozen=True)
+class MMInfo:
+    """How an mm_solve run ended: steps taken and whether the relative-change
+    test was met (False means it stopped at max_iter)."""
+
+    iterations: int
+    converged: bool
+
+
+def mm_solve(data, penalty, eps_lqa=1e-8, max_iter=200, tol=1e-6, return_trace=False,
+             return_info=False):
     """Majorization-minimization solver for the L1-bearing penalties.
 
     Iterates reweighted quadratic solves until the relative change of J
     drops below tol; entries with |J| <= eps_lqa are truncated to exact
     zeros afterwards.  Raises NumericError if the (smoothed) objective
     ever increases beyond roundoff.
+
+    Returns J, or a tuple of J followed by the objective trace
+    (return_trace) and an MMInfo (return_info), in that order.
     """
     if eps_lqa <= 0:
         raise DomainError("eps_lqa must be positive")
@@ -159,6 +172,7 @@ def mm_solve(data, penalty, eps_lqa=1e-8, max_iter=200, tol=1e-6, return_trace=F
     KtV = K.T @ data.V
     J = np.zeros((data.n_sources, data.n_times))
     trace = [mm_objective(data, J, penalty, eps_lqa)]
+    converged = False
     for _ in range(max_iter):
         J_new = _mm_step(KtK, KtV, K, J, alpha1, alpha2, L, eps_lqa)
         obj = mm_objective(data, J_new, penalty, eps_lqa)
@@ -172,12 +186,16 @@ def mm_solve(data, penalty, eps_lqa=1e-8, max_iter=200, tol=1e-6, return_trace=F
         step = float(np.max(np.abs(J_new - J)))
         J = J_new
         if scale == 0.0 or step <= tol * scale:
+            converged = True
             break
     J = J.copy()
     J[np.abs(J) <= eps_lqa] = 0.0
+    out = (J,)
     if return_trace:
-        return J, np.asarray(trace)
-    return J
+        out += (np.asarray(trace),)
+    if return_info:
+        out += (MMInfo(iterations=len(trace) - 1, converged=converged),)
+    return out if len(out) > 1 else J
 
 
 def _df_diagonal(K, J, alpha1, alpha2, eps):

@@ -147,6 +147,12 @@ def _grid(cfg, flag_grid):
     return vals
 
 
+def _at_grid_edge(lam, grid):
+    """True when GCV picked the smallest or largest lambda of its grid: the
+    optimum may lie outside it."""
+    return lam in (min(grid), max(grid))
+
+
 def _solve_payload(method, data, cfg, flag_grid):
     """Run one solver; returns (J, files, manifest_extras)."""
     extras = {}
@@ -191,7 +197,9 @@ def _solve_payload(method, data, cfg, flag_grid):
                 raise ConfigError(f"{method} needs lam or lambda_grid")
             lam, curve = gcv_select(data, family, grid)
             files["gcv_curve.csv"] = curve
+            extras["selected_at_grid_edge"] = _at_grid_edge(lam, grid)
         J = ridge_solve(data, lam, L)
+        converged = True
     else:
         kind = METHOD_PENALTY[method]
         mu_mix = cfg.get("mu_mix")
@@ -205,12 +213,15 @@ def _solve_payload(method, data, cfg, flag_grid):
             lam, curve = gcv_select(data, family, grid, eps_lqa=eps,
                                     max_iter=cfg.get("max_iter", 200))
             files["gcv_curve.csv"] = curve
+            extras["selected_at_grid_edge"] = _at_grid_edge(lam, grid)
         from dataclasses import replace
 
-        J = mm_solve(data, replace(family, lam=lam), eps_lqa=eps,
-                     max_iter=cfg.get("max_iter", 200))
+        J, info = mm_solve(data, replace(family, lam=lam), eps_lqa=eps,
+                           max_iter=cfg.get("max_iter", 200), return_info=True)
+        converged = info.converged
+        extras["iterations"] = info.iterations
     files["mu.mxio"] = J
-    extras.update(selected_lambda=float(lam), converged=True)
+    extras.update(selected_lambda=float(lam), converged=converged)
     return J, files, extras
 
 

@@ -10,8 +10,10 @@ Coefficients are never pruned: a coordinate whose variance factor falls
 to numerical zero keeps participating and may grow back later.
 """
 
-import numpy as np
+import math
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .errors import DegenerateStateError, DomainError, NumericError
 from .objective import neg_log_posterior_enet
@@ -115,22 +117,23 @@ def update_lambda_bar_enet(mu_i, sigma_ii, alpha1, k):
     eta = -1/4 + sqrt(1/16 + (mu^2 + sigma) * alpha1 * k), written in the
     cancellation-free form eta = c / (1/4 + sqrt(1/16 + c)), and returns
     eta / (k + eta) capped just below 1.  k = 0 is the untruncated
-    Gaussian limit and returns the cap directly.  Accepts scalars or
-    arrays (broadcast elementwise).
+    Gaussian limit and returns the cap directly.  mu_i, sigma_ii and k
+    are scalars or arrays broadcast elementwise, so the mixed-norm solver
+    passes its per-coordinate truncations alpha * delta**2 as one array;
+    entries with k == 0 get the cap.
     """
     mu_arr = np.asarray(mu_i, dtype=float)
     sig = np.asarray(sigma_ii, dtype=float)
+    kk = np.asarray(k, dtype=float)
     if np.any(sig < 0):
         raise DomainError("sigma_ii must be nonnegative")
-    if alpha1 <= 0 or k < 0:
+    if alpha1 <= 0 or np.any(kk < 0):
         raise DomainError("alpha1 must be positive and k nonnegative")
-    if k == 0.0:
-        out = np.full(np.broadcast(mu_arr, sig).shape, LAMBDA_BAR_CAP)
-        return float(out) if out.ndim == 0 else out
-    c = (mu_arr * mu_arr + sig) * alpha1 * k
+    c = (mu_arr * mu_arr + sig) * alpha1 * kk
     eta = c / (0.25 + np.sqrt(0.0625 + c))
-    lam_bar = np.where(eta > 0.0, eta / (k + eta), 0.0)
-    out = np.minimum(lam_bar, LAMBDA_BAR_CAP)
+    # eta > 0 implies k > 0, so the division never meets 0/0
+    lam_bar = np.divide(eta, kk + eta, out=np.zeros_like(eta), where=eta > 0.0)
+    out = np.where(kk == 0.0, LAMBDA_BAR_CAP, np.minimum(lam_bar, LAMBDA_BAR_CAP))
     return float(out) if out.ndim == 0 else out
 
 
@@ -149,30 +152,40 @@ def update_alpha1(mu_col, sigma_diag_col, lambda_bar_col):
     return 0.5 * lb.shape[0] / denom
 
 
-def k_gradient(k, lambda_bar_col, tau, nu):
-    """Derivative of the objective along the truncation coefficient."""
+def _k_gradient_terms(lambda_bar_col, tau, nu):
+    """The k-free parts of k_gradient: (sum(1/(1-lb)) + nu, tau - S/2, S)."""
     lb = np.asarray(lambda_bar_col, dtype=float)
     s = lb.shape[0]
-    return (
-        float(np.sum(1.0 / (1.0 - lb)))
-        + nu
-        - (tau - 0.5 * s) / k
-        - s * gamma_half_hazard(k)
-    )
+    return float(np.sum(1.0 / (1.0 - lb))) + nu, tau - 0.5 * s, s
+
+
+def k_gradient(k, lambda_bar_col, tau, nu, terms=None):
+    """Derivative of the objective along the truncation coefficient k > 0.
+
+    terms : optional _k_gradient_terms(lambda_bar_col, tau, nu).  The root
+        search passes it, so each of its evaluations is a few float
+        operations and one hazard; the value is the same to the bit.
+    """
+    lead, tau_term, s = terms or _k_gradient_terms(lambda_bar_col, tau, nu)
+    if not 0.0 < k < math.inf:
+        raise DomainError(f"k must be positive and finite, got {k!r}")
+    return lead - tau_term / k - s * gamma_half_hazard(k)
 
 
 def update_k(lambda_bar_col, tau, nu):
     """Truncation coefficient as the root of its gradient on (0, inf).
 
     Bracketed search expanding from [1e-10, 1e10]; with tau = S the
-    gradient has a single sign change.  Raises RootFindError (with the
+    gradient has a single sign change.  The k-free parts of k_gradient
+    are computed once per root.  Raises RootFindError (with the
     offending state in the message) when no bracket is found.
     """
     lb = np.asarray(lambda_bar_col, dtype=float)
     if np.any(lb < 0) or np.any(lb >= 1):
         raise DomainError("lambda_bar must lie in [0, 1)")
-    ctx = f"sum 1/(1-lb)={np.sum(1.0 / (1.0 - lb)):.6e}, tau={tau}, nu={nu}"
-    return bracketed_root(lambda k: k_gradient(k, lb, tau, nu), context=ctx)
+    terms = _k_gradient_terms(lb, tau, nu)
+    ctx = f"sum 1/(1-lb) + nu={terms[0]:.6e}, tau={tau}, nu={nu}"
+    return bracketed_root(lambda k: k_gradient(k, lb, tau, nu, terms), context=ctx)
 
 
 def update_beta_enet(v_col, K, mu_col, sigma_diag_col, lambda_bar_col, alpha1, mode="learned"):
@@ -247,7 +260,7 @@ def _solve_enet_column(data, svd, v, config, tau, nu, tol_objective):
             op = "objective"
             obj = neg_log_posterior_enet(
                 col_data, svd, mu.reshape(-1, 1), lam_bar.reshape(-1, 1),
-                alpha1, k, beta, tau, nu,
+                alpha1, k, beta, tau, nu, logdet_terms=(post.logdet_term,),
             ).total
         except NumericError as exc:
             raise NumericError(f"iteration {it + 1}, {op}: {exc}") from exc

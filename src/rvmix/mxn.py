@@ -24,7 +24,7 @@ from .enet import (
     update_lambda_bar_enet,
 )
 from .errors import DomainError, NumericError, RootFindError
-from .objective import _mxn_hyperprior_column, aux_objective_mxn, w_inverse_apply
+from .objective import _mxn_hyperprior_column, aux_objective_mxn
 from .posterior import ProblemData, posterior_moments, svd_decompose
 from .rootfind import bracketed_root
 from .special import gamma_half_hazard
@@ -51,20 +51,14 @@ class MxnHyperState:
 
 def update_lambda_bar_mxn(mu_i, sigma_ii, alpha, delta_i):
     """Variance-factor update: the elastic-net rule at scale alpha and
-    truncation alpha * delta**2."""
+    truncation alpha * delta**2, applied to a whole column (or a scalar)
+    in one array call.  Coordinates with zero coupling get the cap."""
     if alpha <= 0:
         raise DomainError("alpha must be positive")
     d = np.asarray(delta_i, dtype=float)
     if np.any(d < 0):
         raise DomainError("delta must be nonnegative")
-    mu_arr = np.asarray(mu_i, dtype=float)
-    sig = np.asarray(sigma_ii, dtype=float)
-    if np.ndim(d) == 0:
-        return update_lambda_bar_enet(mu_arr, sig, alpha, alpha * float(d) ** 2)
-    out = np.empty_like(d)
-    for i in range(d.shape[0]):
-        out[i] = update_lambda_bar_enet(mu_arr[i], sig[i], alpha, alpha * d[i] ** 2)
-    return out
+    return update_lambda_bar_enet(mu_i, sigma_ii, alpha, alpha * d**2)
 
 
 def update_delta(mu_col):
@@ -76,8 +70,13 @@ def update_delta(mu_col):
     return np.sum(a) - a
 
 
-def alpha_gradient(alpha, mu, sigma_diag, lam_bar, delta):
-    """Derivative of the objective along the global scale, moments frozen."""
+def _alpha_gradient_terms(mu, sigma_diag, lam_bar, delta):
+    """The alpha-free parts of alpha_gradient over the whole map.
+
+    Returns (frozen, st, dp2): frozen = sum m2s/lb + sum d^2/(1-lb)
+    + sum_t ||W^-1 d_t||_1^2, st = S*T, and dp2 the squared positive
+    couplings that enter the hazard term.
+    """
     mu = np.atleast_2d(mu)
     sig = np.atleast_2d(sigma_diag)
     lb = np.atleast_2d(lam_bar)
@@ -87,14 +86,28 @@ def alpha_gradient(alpha, mu, sigma_diag, lam_bar, delta):
     alive = lb > 0.0
     if np.any(~alive & (m2s > 0.0)):
         raise DomainError("zero lambda_bar with nonzero moments is inconsistent")
-    total = float(np.sum(m2s[alive] / lb[alive]))
-    total += float(np.sum(d * d / (1.0 - lb)))
-    for t in range(t_count):
-        total += float(np.sum(np.abs(w_inverse_apply(d[:, t])))) ** 2
-    total -= s * t_count / (2.0 * alpha)
-    pos = d > 0.0
-    if np.any(pos):
-        dp2 = d[pos] ** 2
+    if s < 2:
+        raise DomainError("coupling algebra requires at least two sources")
+    frozen = float(np.sum(m2s[alive] / lb[alive]))
+    frozen += float(np.sum(d * d / (1.0 - lb)))
+    # W^-1 d_t = sum(d_t)/(S-1) - d_t (see w_inverse_apply), all columns at once
+    wd_l1 = np.sum(np.abs(np.sum(d, axis=0) / (s - 1) - d), axis=0)
+    frozen += float(np.sum(wd_l1 * wd_l1))
+    return frozen, s * t_count, d[d > 0.0] ** 2
+
+
+def alpha_gradient(alpha, mu, sigma_diag, lam_bar, delta, terms=None):
+    """Derivative of the objective along the global scale, moments frozen.
+
+    terms : optional _alpha_gradient_terms(mu, sigma_diag, lam_bar, delta).
+        The root search passes it, so each of its evaluations computes
+        only -S*T/(2 alpha) and the hazard term.
+    Raises DomainError for fewer than two sources, where the coupling
+    algebra is undefined.
+    """
+    frozen, st, dp2 = terms or _alpha_gradient_terms(mu, sigma_diag, lam_bar, delta)
+    total = frozen - st / (2.0 * alpha)
+    if dp2.size:
         total -= float(np.sum(dp2 * gamma_half_hazard(alpha * dp2)))
     return total
 
@@ -102,12 +115,15 @@ def alpha_gradient(alpha, mu, sigma_diag, lam_bar, delta):
 def update_alpha_mxn(mu, sigma_diag, lam_bar, delta):
     """Global scale as the root of its gradient over the whole map.
 
-    Bracketed search expanding from [1e-10, 1e10]; if no sign change is
+    Bracketed search expanding from [1e-10, 1e10] on alpha_gradient, with
+    its frozen-moment terms computed once per root.  If no sign change is
     found, falls back to minimizing the frozen-moments objective on a log
     grid (with a warning).
     """
+    terms = _alpha_gradient_terms(mu, sigma_diag, lam_bar, delta)
+
     def f(a):
-        return alpha_gradient(a, mu, sigma_diag, lam_bar, delta)
+        return alpha_gradient(a, mu, sigma_diag, lam_bar, delta, terms)
 
     try:
         return bracketed_root(f, context="global scale update")
@@ -121,6 +137,11 @@ def update_alpha_mxn(mu, sigma_diag, lam_bar, delta):
             RuntimeWarning,
         )
         return float(best)
+    finally:
+        # scipy's brentq wraps f in a self-referencing closure, so f and the
+        # arrays it reaches outlive this call until the next garbage
+        # collection; drop the hoisted terms now
+        terms = None
 
 
 def solve_mxn(data, config=None, svd=None):

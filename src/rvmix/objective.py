@@ -100,15 +100,20 @@ def _combined_logdet(svd, lam, beta):
     )
 
 
-def _quadratic_terms(data, svd, mu, lam_bar, scale, beta, t):
-    """data_fit, logdet, prior_quadratic for column t; scale = 2*alpha."""
+def _quadratic_terms(data, svd, mu, lam_bar, scale, beta, t, logdet_term=None):
+    """data_fit, logdet, prior_quadratic for column t; scale = 2*alpha.
+
+    logdet_term, when given, is column t's combined determinant at these
+    (lam, beta), as posterior_moments returns it, and replaces the
+    factorization _combined_logdet would repeat."""
     lb = lam_bar[:, t]
-    lam = lb / scale
     v = data.V[:, t]
     m = mu[:, t]
     resid = v - data.K @ m
     data_fit = float(resid @ resid) / (2.0 * beta)
-    logdet = 0.5 * _combined_logdet(svd, lam, beta) + 0.5 * data.n_sensors * np.log(beta)
+    if logdet_term is None:
+        logdet_term = _combined_logdet(svd, lb / scale, beta)
+    logdet = 0.5 * logdet_term + 0.5 * data.n_sensors * np.log(beta)
     alive = lb > 0.0
     prior_quad = 0.5 * scale * float(np.sum(m[alive] ** 2 / lb[alive]))
     return data_fit, logdet, prior_quad
@@ -125,7 +130,8 @@ def _enet_hyperprior_column(lam_bar_col, alpha1, k, tau, nu):
     return s * gamma_half_log_tail(k) + gamma_part + nu * k - tau * np.log(k)
 
 
-def neg_log_posterior_enet(data, svd, mu, lambda_bar, alpha1, k, beta, tau, nu):
+def neg_log_posterior_enet(data, svd, mu, lambda_bar, alpha1, k, beta, tau, nu,
+                           logdet_terms=None):
     """Hyperparameter negative log-posterior, Normal/Laplace (elastic-net) branch.
 
     Parameters
@@ -137,6 +143,10 @@ def neg_log_posterior_enet(data, svd, mu, lambda_bar, alpha1, k, beta, tau, nu):
     alpha1, k, beta : scalars or (T,) vectors (variance scale, truncation
         coefficient, noise variance per column)
     tau, nu : Gamma prior parameters of the truncation coefficient
+    logdet_terms : optional length-T sequence of the PosteriorMoments
+        logdet_term of each column at lambda_bar / (2 alpha1) and beta;
+        the solver passes them so the objective does not factor the
+        inner system a second time.  None computes them here.
     """
     lb = _check_lambda_bar(lambda_bar)
     t_count = data.n_times
@@ -147,9 +157,13 @@ def neg_log_posterior_enet(data, svd, mu, lambda_bar, alpha1, k, beta, tau, nu):
         raise DomainError("alpha1 and beta must be positive, k nonnegative")
     mu = np.asarray(mu, dtype=float)
 
+    if logdet_terms is not None and len(logdet_terms) != t_count:
+        raise DomainError(f"logdet_terms must have length {t_count}")
+
     data_fit = logdet = prior_quad = hyper = 0.0
     for t in range(t_count):
-        df, ld, pq = _quadratic_terms(data, svd, mu, lb, 2.0 * a1[t], bv[t], t)
+        ld_t = None if logdet_terms is None else logdet_terms[t]
+        df, ld, pq = _quadratic_terms(data, svd, mu, lb, 2.0 * a1[t], bv[t], t, ld_t)
         data_fit += df
         logdet += ld
         prior_quad += pq

@@ -7,6 +7,7 @@ Normal/Laplace normalization are written in cancellation-free form via
 hyperparameter root searches rely on.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,6 +17,7 @@ from scipy import special as sp
 from .errors import DomainError, NumericError
 
 SQRT_PI = np.sqrt(np.pi)
+_SQRT_PI_FLOAT = float(SQRT_PI)
 
 
 @dataclass(frozen=True)
@@ -78,7 +80,14 @@ def gamma_half_hazard(k):
     exp(-k)/erfc(sqrt(k)) cancellation and stays accurate for k up to 1e8
     and beyond.  Diverges like 1/sqrt(pi*k) as k -> 0+ and tends to 1 from
     above as k -> inf.
+
+    A float in (0, inf) takes a scalar path with the same floating-point
+    operations and no array round trip: the root searches call this tens
+    of times per root.
     """
+    if isinstance(k, float) and 0.0 < k < math.inf:
+        root = math.sqrt(k)
+        return 1.0 / (_SQRT_PI_FLOAT * root * float(sp.erfcx(root)))
     arr = _as_float_array(k, "k", allow_zero=False)
     root = np.sqrt(arr)
     out = 1.0 / (SQRT_PI * root * sp.erfcx(root))
@@ -142,7 +151,7 @@ def scale_mixture_density(x, alpha1, k, quad=QuadratureSpec()):
         g = kk + u * u
         if g <= 0.0:
             return 0.0
-        lam = (1.0 - kk / g) / (2.0 * a1)
+        lam = u * u / (2.0 * a1 * g)  # (1 - k/g)/(2 alpha1) without the cancellation
         if lam <= 0.0:
             return 0.0
         tga = np.exp(-u * u) * inv_erfcx / (np.sqrt(g) * SQRT_PI)
@@ -150,7 +159,22 @@ def scale_mixture_density(x, alpha1, k, quad=QuadratureSpec()):
         return gauss * tga * 2.0 * u
 
     upper = np.sqrt(quad.domain_cap - kk)
-    val, abserr = integrate.quad(integrand, 0.0, upper, limit=max(quad.node_count, 64), epsabs=1e-13, epsrel=1e-12)
+    # The integrand changes on scales far below the O(1) decay of exp(-u**2):
+    # the variance factor 1 - k/gamma rises from 0 around u = sqrt(k), and the
+    # Gaussian factor switches on where that variance reaches x**2.  Bisecting
+    # [0, upper] does not resolve features that narrow (the rule stalls on
+    # roundoff and misses their mass), so the interval is split at both scales
+    # and at every decade from the smaller one up to 1.  Below u = 1e-15 the
+    # integrand, which is bounded, holds no mass that matters.
+    scales = [np.sqrt(kk)]
+    r = 2.0 * a1 * xx * xx
+    if r < 1.0:
+        scales.append(np.sqrt(r * kk / (1.0 - r)))
+    smallest = min((b for b in scales if b > 0.0), default=1.0)
+    scales += list(10.0 ** np.arange(np.floor(np.log10(max(smallest, 1e-15))), 0.0))
+    points = sorted({b for b in scales if 1e-15 < b < upper}) or None
+    val, abserr = integrate.quad(integrand, 0.0, upper, points=points,
+                                 limit=max(quad.node_count, 64), epsabs=1e-13, epsrel=1e-12)
     if not np.isfinite(val):
         raise NumericError("scale mixture quadrature produced a non-finite value")
     return val

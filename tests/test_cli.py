@@ -148,6 +148,32 @@ class TestSolveCommand:
         curve = np.loadtxt(out / "gcv_curve.csv", delimiter=",", ndmin=2)
         assert curve.shape == (3, 2)
 
+    def test_mm_capped_run_reports_not_converged(self, sim_dir, tmp_path):
+        out = tmp_path / "capped"
+        code = main(["solve", "--method", "lasso-mm", "--K", str(sim_dir / "K.mxio"),
+                     "--V", str(sim_dir / "V.mxio"), "--lam", "1", "--max-iter", "5",
+                     "--out", str(out)])
+        assert code == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["converged"] is False
+        assert manifest["iterations"] == 5
+
+    def test_gcv_edge_flag(self, sim_dir, tmp_path):
+        # the ridge GCV curve of this simulation has its minimum near 1e-5
+        edges = {}
+        for name, grid in (("low", "1,10"), ("high", "1e-9,1e-8"), ("wide", "1e-8,1e-5,1e-2")):
+            out = tmp_path / name
+            assert main(["solve", "--method", "ridge", "--K", str(sim_dir / "K.mxio"),
+                         "--V", str(sim_dir / "V.mxio"), "--lambda-grid", grid,
+                         "--out", str(out)]) == 0
+            edges[name] = json.loads((out / "manifest.json").read_text())
+        assert edges["low"]["selected_lambda"] == 1.0
+        assert edges["high"]["selected_lambda"] == 1e-8
+        assert edges["low"]["selected_at_grid_edge"] is True
+        assert edges["high"]["selected_at_grid_edge"] is True
+        assert edges["wide"]["selected_lambda"] == 1e-5
+        assert edges["wide"]["selected_at_grid_edge"] is False
+
     def test_mxn_rvm_single_column(self, sim_dir, tmp_path):
         # spatial-only mode: a one-column observation matrix
         V = read_matrix(sim_dir / "V.mxio")[:, [0]]
@@ -260,6 +286,21 @@ class TestSweepCommand:
         assert {r["arm"] for r in rows} == {"enet-learned", "ridge-fixed"}
         assert all(r["error"] == "" for r in rows)
         assert all(float(r["AUC"]) > 50.0 for r in rows)
+
+    def test_capped_mm_arm_not_converged_in_csv(self, tmp_path):
+        spec = tmp_path / "sweep.cfg"
+        spec.write_text(
+            "s = 48\nn = 12\nt = 8\npeak_snr_db = 42\nc_sigma_space = 2.0\nseeds = 0\n"
+            "arm = capped | method=lasso-mm lam=1 max_iter=5\n"
+            "arm = ridge-fixed | method=ridge lam=1.0\n"
+        )
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--spec", str(spec), "--out", str(out)]) == 0
+        with open(out / "sweep.csv", newline="") as fh:
+            rows = {r["arm"]: r for r in csv.DictReader(fh)}
+        assert rows["capped"]["error"] == ""
+        assert rows["capped"]["converged"] == "False"
+        assert rows["ridge-fixed"]["converged"] == "True"
 
     def test_empty_spec_exit_2(self, tmp_path):
         spec = tmp_path / "sweep.cfg"

@@ -5,6 +5,7 @@ import pytest
 from scipy import optimize
 
 from rvmix.enet import (
+    LAMBDA_BAR_CAP,
     SolverConfig,
     k_gradient,
     solve_enet,
@@ -16,6 +17,7 @@ from rvmix.enet import (
 from rvmix.errors import DegenerateStateError, DomainError
 from rvmix.objective import aux_objective_enet, neg_log_posterior_enet
 from rvmix.posterior import ProblemData, posterior_moments, svd_decompose
+from rvmix.rootfind import bracketed_root
 
 
 def golden_min(f, lo, hi):
@@ -86,6 +88,23 @@ class TestUpdateLambdaBar:
         with pytest.raises(DomainError):
             update_lambda_bar_enet(0.0, -1e-3, 1.0, 1.0)
 
+    def test_array_k_matches_scalar_rule(self):
+        # one array call equals the scalar rule entry by entry, including
+        # k == 0 entries (the cap) and exact-zero moments (zero)
+        rng = np.random.default_rng(11)
+        mu = rng.standard_normal(40) * (rng.random(40) < 0.5)
+        sig = rng.uniform(0.0, 0.2, 40) * (rng.random(40) < 0.7)
+        k = rng.uniform(0.0, 5.0, 40) * (rng.random(40) < 0.7)
+        mu[:3], sig[:3], k[:3] = 0.0, 0.0, [0.0, 1.0, 1e-300]
+        out = update_lambda_bar_enet(mu, sig, 0.8, k)
+        for i in range(40):
+            assert out[i] == update_lambda_bar_enet(float(mu[i]), float(sig[i]), 0.8, float(k[i]))
+        assert out[0] == LAMBDA_BAR_CAP and out[1] == 0.0 and out[2] == 0.0
+
+    def test_array_k_rejects_negative_entry(self):
+        with pytest.raises(DomainError):
+            update_lambda_bar_enet(np.ones(3), np.ones(3), 1.0, np.array([1.0, -1e-12, 1.0]))
+
 
 class TestUpdateAlpha1:
     def test_two_coordinate_identity(self):
@@ -151,6 +170,31 @@ class TestUpdateK:
 
         xstar, _ = golden_min(f, 1e-4, 1e2)
         assert k == pytest.approx(xstar, rel=1e-6)
+
+    def test_hoisted_search_is_bit_identical(self):
+        # update_k hoists the k-free terms and takes the hazard's scalar
+        # path; its root must be exactly the one the same bracketed search
+        # finds on the gradient written out in full, with an array hazard
+        from rvmix.special import gamma_half_hazard
+
+        def full_gradient(k, lb, tau, nu):
+            s = lb.shape[0]
+            return (float(np.sum(1.0 / (1.0 - lb))) + nu - (tau - 0.5 * s) / k
+                    - s * gamma_half_hazard(np.array(k)))
+
+        rng = np.random.default_rng(12)
+        for s in (3, 40, 200):
+            lb = rng.uniform(0.0, 0.999, s) * (rng.random(s) < 0.8)
+            tau, nu = float(s), 0.01 * s
+            want = bracketed_root(lambda k: full_gradient(k, lb, tau, nu))
+            assert update_k(lb, tau, nu) == want
+            assert bracketed_root(lambda k: k_gradient(k, lb, tau, nu)) == want
+
+    def test_gradient_rejects_nonpositive_k(self):
+        lb = np.full(4, 0.3)
+        for bad in (0.0, -1.0, np.inf, np.nan):
+            with pytest.raises(DomainError):
+                k_gradient(bad, lb, 4.0, 0.04)
 
     def test_denser_solution_smaller_root(self):
         sparse_lb = np.full(12, 0.05)

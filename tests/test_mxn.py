@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import integrate, optimize
 
-from rvmix.enet import SolverConfig, update_lambda_bar_enet
+from rvmix.enet import LAMBDA_BAR_CAP, SolverConfig, update_lambda_bar_enet
 from rvmix.errors import DomainError
 from rvmix.metrics import mixed_norm
 from rvmix.mxn import (
@@ -16,6 +16,7 @@ from rvmix.mxn import (
 )
 from rvmix.objective import aux_objective_mxn, w_inverse_apply
 from rvmix.posterior import ProblemData
+from rvmix.special import gamma_half_hazard
 
 
 class TestCouplingAlgebra:
@@ -92,7 +93,58 @@ class TestLambdaBarMxn:
             assert f(got) <= res.fun + 1e-10 * max(abs(res.fun), 1.0)
 
 
+    def test_column_call_matches_per_element_rule(self):
+        # the whole-column call equals the elastic-net rule applied per
+        # coordinate at k = alpha * delta**2, zero couplings and moments included
+        rng = np.random.default_rng(13)
+        s, alpha = 30, 0.7
+        mu = rng.standard_normal(s) * (rng.random(s) < 0.5)
+        sig = rng.uniform(0.0, 0.1, s) * (rng.random(s) < 0.7)
+        delta = rng.uniform(0.0, 3.0, s) * (rng.random(s) < 0.7)
+        out = update_lambda_bar_mxn(mu, sig, alpha, delta)
+        for i in range(s):
+            k = alpha * (float(delta[i]) * float(delta[i]))
+            assert out[i] == update_lambda_bar_enet(float(mu[i]), float(sig[i]), alpha, k)
+        assert np.all(out[delta == 0.0] == LAMBDA_BAR_CAP)
+        assert np.all(out[(mu == 0.0) & (sig == 0.0) & (delta > 0.0)] == 0.0)
+
+
+def per_column_alpha_gradient(alpha, mu, sig, lb, d):
+    """The frozen-moments alpha gradient written column by column."""
+    s, t_count = lb.shape
+    alive = lb > 0.0
+    total = float(np.sum((mu * mu + sig)[alive] / lb[alive]))
+    total += float(np.sum(d * d / (1.0 - lb)))
+    for t in range(t_count):
+        total += float(np.sum(np.abs(w_inverse_apply(d[:, t])))) ** 2
+    total -= s * t_count / (2.0 * alpha)
+    for t in range(t_count):
+        for i in range(s):
+            if d[i, t] > 0.0:
+                dp2 = d[i, t] ** 2
+                total -= dp2 * gamma_half_hazard(alpha * dp2)
+    return total
+
+
 class TestAlphaUpdate:
+    def test_gradient_matches_per_column_formula(self):
+        rng = np.random.default_rng(14)
+        s, t = 40, 7
+        mu = rng.standard_normal((s, t)) * (rng.random((s, t)) < 0.4)
+        sig = rng.uniform(0.0, 0.2, (s, t))
+        lb = rng.uniform(0.01, 0.95, (s, t))
+        d = rng.uniform(0.0, 2.0, (s, t)) * (rng.random((s, t)) < 0.8)
+        for alpha in (1e-6, 0.3, 2.0, 1e5):
+            want = per_column_alpha_gradient(alpha, mu, sig, lb, d)
+            assert alpha_gradient(alpha, mu, sig, lb, d) == pytest.approx(want, rel=1e-12)
+
+    def test_single_source_rejected(self):
+        one = np.full((1, 3), 0.5)
+        with pytest.raises(DomainError):
+            alpha_gradient(1.0, one, one, one, one)
+        with pytest.raises(DomainError):
+            update_alpha_mxn(one, one, one, one)
+
     def test_closed_form_special_case(self):
         # all couplings zero, flat lambda_bar: root = S*T*lb0 / (2 sum m2s)
         rng = np.random.default_rng(2)

@@ -13,7 +13,7 @@ from rvmix.objective import (
     neg_log_posterior_mxn,
     w_inverse_apply,
 )
-from rvmix.posterior import ProblemData, svd_decompose
+from rvmix.posterior import ProblemData, posterior_moments, svd_decompose
 
 
 def make_data(K, V):
@@ -125,6 +125,27 @@ class TestEnetObjective:
         lhs = 2 * (out.prior_quadratic + out.data_fit)
         rhs = float(v @ np.linalg.solve(beta * np.eye(5) + (K * lam) @ K.T, v))
         assert lhs == pytest.approx(rhs, rel=1e-10)
+
+
+    def test_reused_logdet_matches_recomputed(self):
+        # the solver hands in each column's posterior logdet_term instead
+        # of letting the objective factor the inner system again
+        rng = np.random.default_rng(15)
+        K = rng.standard_normal((6, 14))
+        V = rng.standard_normal((6, 3))
+        lam_bar = rng.uniform(0.0, 0.95, size=(14, 3))
+        alpha1 = np.array([0.8, 1.3, 2.0])
+        beta = np.array([1.0, 0.5, 2.0])
+        data, svd = make_data(K, V)
+        posts = [posterior_moments(svd, lam_bar[:, t] / (2 * alpha1[t]), beta[t], V[:, t])
+                 for t in range(3)]
+        mu = np.column_stack([p.mu for p in posts])
+        args = (data, svd, mu, lam_bar, alpha1, 1.5, beta, 14.0, 0.14)
+        want = neg_log_posterior_enet(*args)
+        got = neg_log_posterior_enet(*args, logdet_terms=[p.logdet_term for p in posts])
+        assert got == want
+        with pytest.raises(DomainError):
+            neg_log_posterior_enet(*args, logdet_terms=[posts[0].logdet_term])
 
 
 class TestMxnObjective:

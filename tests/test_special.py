@@ -176,6 +176,8 @@ class TestScaleMixture:
                     worst = max(worst, abs(mix - ref))
         assert worst <= 1e-6
 
+    # the quadrature must converge cleanly, not merely come out symmetric
+    @pytest.mark.filterwarnings("error::scipy.integrate.IntegrationWarning")
     @given(
         x=st.floats(-4, 4),
         a1=st.floats(0.2, 5.0),
@@ -188,6 +190,22 @@ class TestScaleMixture:
         assert scale_mixture_density(x, a1, k, spec) == pytest.approx(
             scale_mixture_density(-x, a1, k, spec), rel=1e-9, abs=1e-12
         )
+
+    @pytest.mark.filterwarnings("error::scipy.integrate.IntegrationWarning")
+    @pytest.mark.parametrize("x, a1, a2", [
+        (1.0, 5.0, 1e-4),  # sqrt(k) ~ 2e-5: the variance factor steps on that scale
+        (1e-5, 0.2, 5.0),  # the Gaussian factor switches on near u ~ 3e-5
+        (0.1206, 0.856, 3.74e-5),  # both scales, a decade apart
+        (2.0, 1.0, 1e-160),  # sqrt(k) far below any scale that holds mass
+    ])
+    def test_narrow_scales_converge(self, x, a1, a2):
+        # the mixture has features at u ~ sqrt(k) and where the variance
+        # reaches x**2; unsplit, the adaptive rule stalled on roundoff here
+        # and was off by up to 1e-4 relative
+        k = truncation_coefficient(a1, a2)
+        spec = QuadratureSpec(node_count=100, domain_cap=k + 40.0)
+        ref = np.exp(-a1 * x * x - a2 * abs(x) - normal_laplace_log_z(a1, a2))
+        assert scale_mixture_density(x, a1, k, spec) == pytest.approx(ref, rel=1e-10)
 
     def test_truncation_point_consistency(self):
         # k from (alpha1, alpha2) is exactly where the truncated pdf support starts
