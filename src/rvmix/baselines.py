@@ -120,23 +120,85 @@ def mm_objective(data, J, spec, eps_lqa=0.0):
     return val
 
 
-def _mm_step(KtK, KtV, K, J, alpha1, alpha2, L, eps):
-    """One batched majorization step; returns the updated (S, T) matrix."""
-    s, t_count = J.shape
+def _product_table(K):
+    """(N*N, S) table of the products K[a, i] * K[b, i]: for any stack of
+    diagonal weights, every K D_t K' comes out of one product with it."""
+    n, s = K.shape
+    return (K[:, None, :] * K[None, :, :]).reshape(n * n, s)
+
+
+def _weighted_grams(table, inv_d, n):
+    """(T, N, N) stack of K diag(inv_d[:, t]) K', one GEMM on the table."""
+    return (table @ inv_d).T.reshape(inv_d.shape[1], n, n)
+
+
+def _fusion_pattern(L):
+    """Where L'diag(w)L can be nonzero for any w >= 0: the (rows, cols)
+    pattern of |L|'|L|, and the (rows(L), nnz) products L[r, rows]*L[r, cols].
+    A dense L gives the full pattern."""
+    absL = np.abs(L)
+    rows, cols = np.nonzero(absL.T @ absL)
+    return rows, cols, L[:, rows] * L[:, cols]
+
+
+def _fusion_normals(KtK, pattern, w, alpha2):
+    """(T, S, S) stack of K'K + alpha2/2 * L'diag(w[:, t])L."""
+    rows, cols, P = pattern
+    A = np.repeat(KtK[None], w.shape[1], axis=0)
+    A[:, rows, cols] += (0.5 * alpha2) * (w.T @ P)
+    return A
+
+
+@dataclass(frozen=True)
+class _MMSystem:
+    """The parts of a majorization step that do not depend on J, built once
+    per solve: the product table for a diagonal penalty (lasso, enet), K'K
+    and the L'diag(w)L pattern for fusion."""
+
+    K: np.ndarray
+    KtV: np.ndarray
+    alpha1: float
+    alpha2: float
+    eps: float
+    L: np.ndarray | None
+    table: np.ndarray | None = None
+    KtK: np.ndarray | None = None
+    pattern: tuple | None = None
+
+    def weights(self, J):
+        """The majorizer's weights at J: the (S, T) diagonal d of a lasso or
+        enet penalty, or the (rows(L), T) fusion weights w."""
+        if self.L is None:
+            return self.alpha1 + 0.5 * self.alpha2 / (np.abs(J) + self.eps)
+        return 1.0 / (np.abs(self.L @ J) + self.eps)
+
+
+def _mm_system(data, spec, eps):
+    """The _MMSystem of one penalty on one problem."""
+    alpha1, alpha2, L = _penalty_weights(spec, data.n_sources)
+    K = data.K
+    common = dict(K=K, KtV=K.T @ data.V, alpha1=alpha1, alpha2=alpha2, eps=eps, L=L)
     if L is None:
-        # diagonal quadratic part: go through the (N, N) system per column
-        d = alpha1 + 0.5 * alpha2 / (np.abs(J) + eps)  # (S, T)
-        KD = K[None, :, :] / d.T[:, None, :]  # (T, N, S) = K D^{-1}
-        M = KD @ K.T  # (T, N, N)
-        M[:, np.arange(K.shape[0]), np.arange(K.shape[0])] += 1.0
+        return _MMSystem(**common, table=_product_table(K))
+    return _MMSystem(**common, KtK=K.T @ K, pattern=_fusion_pattern(L))
+
+
+def _mm_step(system, J):
+    """One majorization step over all columns; returns the updated (S, T) map."""
+    K, KtV = system.K, system.KtV
+    if system.L is None:
+        # diagonal quadratic part: through the (N, N) systems I + K D_t^{-1} K'
+        n = K.shape[0]
+        d = system.weights(J)
+        M = _weighted_grams(system.table, 1.0 / d, n)  # (T, N, N)
+        M[:, np.arange(n), np.arange(n)] += 1.0
+        # the right-hand side stays a batched product: forming it as
+        # K @ (KtV / d) reorders its sums, and the capped small-lambda maps
+        # amplify that rounding over their steps to ~1e-10 relative
         KtV_d = KtV.T[:, :, None] / d.T[:, :, None]  # (T, S, 1) = D^{-1}K'V
-        inner = np.linalg.solve(M, K[None, :, :] @ KtV_d)  # (T, N, 1)
-        out = KtV_d - np.transpose(KD, (0, 2, 1)) @ inner
-        return out[:, :, 0].T
-    w = 1.0 / (np.abs(L @ J) + eps)  # (rows(L), T)
-    A = np.empty((t_count, s, s))
-    for t in range(t_count):
-        A[t] = KtK + 0.5 * alpha2 * (L.T * w[:, t]) @ L
+        inner = np.linalg.solve(M, K[None, :, :] @ KtV_d)[:, :, 0]  # (T, N)
+        return (KtV - K.T @ inner.T) / d
+    A = _fusion_normals(system.KtK, system.pattern, system.weights(J), system.alpha2)
     try:
         return np.linalg.solve(A, KtV.T[:, :, None])[:, :, 0].T
     except np.linalg.LinAlgError as exc:
@@ -145,11 +207,14 @@ def _mm_step(KtK, KtV, K, J, alpha1, alpha2, L, eps):
 
 @dataclass(frozen=True)
 class MMInfo:
-    """How an mm_solve run ended: steps taken and whether the relative-change
-    test was met (False means it stopped at max_iter)."""
+    """How an mm_solve run ended: steps taken, whether the relative-change
+    test was met (False means it stopped at max_iter), and the relative
+    change max|J_new - J| / max|J_new| of the last step (0 for an all-zero
+    map, None when no step was taken)."""
 
     iterations: int
     converged: bool
+    final_step: float | None
 
 
 def mm_solve(data, penalty, eps_lqa=1e-8, max_iter=200, tol=1e-6, return_trace=False,
@@ -166,15 +231,13 @@ def mm_solve(data, penalty, eps_lqa=1e-8, max_iter=200, tol=1e-6, return_trace=F
     """
     if eps_lqa <= 0:
         raise DomainError("eps_lqa must be positive")
-    alpha1, alpha2, L = _penalty_weights(penalty, data.n_sources)
-    K = data.K
-    KtK = K.T @ K
-    KtV = K.T @ data.V
+    system = _mm_system(data, penalty, eps_lqa)
     J = np.zeros((data.n_sources, data.n_times))
     trace = [mm_objective(data, J, penalty, eps_lqa)]
     converged = False
+    final_step = None
     for _ in range(max_iter):
-        J_new = _mm_step(KtK, KtV, K, J, alpha1, alpha2, L, eps_lqa)
+        J_new = _mm_step(system, J)
         obj = mm_objective(data, J_new, penalty, eps_lqa)
         if obj > trace[-1] + 1e-10 * max(abs(trace[-1]), 1.0):
             raise NumericError(
@@ -184,6 +247,7 @@ def mm_solve(data, penalty, eps_lqa=1e-8, max_iter=200, tol=1e-6, return_trace=F
         trace.append(obj)
         scale = float(np.max(np.abs(J_new)))
         step = float(np.max(np.abs(J_new - J)))
+        final_step = step / scale if scale > 0.0 else 0.0
         J = J_new
         if scale == 0.0 or step <= tol * scale:
             converged = True
@@ -194,19 +258,22 @@ def mm_solve(data, penalty, eps_lqa=1e-8, max_iter=200, tol=1e-6, return_trace=F
     if return_trace:
         out += (np.asarray(trace),)
     if return_info:
-        out += (MMInfo(iterations=len(trace) - 1, converged=converged),)
+        out += (MMInfo(iterations=len(trace) - 1, converged=converged, final_step=final_step),)
     return out if len(out) > 1 else J
 
 
-def _df_diagonal(K, J, alpha1, alpha2, eps):
-    """Per-column effective degrees of freedom through the (N, N) system."""
-    d = alpha1 + 0.5 * alpha2 / (np.abs(J) + eps)
-    KD = K[None, :, :] / d.T[:, None, :]
-    M = KD @ K.T
-    eye = np.eye(K.shape[0])
-    return np.array([
-        float(np.trace(np.linalg.solve(eye + M[t], M[t]))) for t in range(J.shape[1])
-    ])
+def _df_columns(system, J):
+    """Per-column effective degrees of freedom trace(K A_t^{-1} K') of the
+    majorized problem at J, A_t the step's normal matrix."""
+    K = system.K
+    if system.L is None:
+        # trace(K (K'K + D_t)^{-1} K') = trace((I + M_t)^{-1} M_t), M_t = K D_t^{-1} K'
+        n = K.shape[0]
+        M = _weighted_grams(system.table, 1.0 / system.weights(J), n)
+        return np.trace(np.linalg.solve(M + np.eye(n), M), axis1=1, axis2=2)
+    A = _fusion_normals(system.KtK, system.pattern, system.weights(J), system.alpha2)
+    X = np.linalg.solve(A, np.broadcast_to(K.T, (J.shape[1],) + K.T.shape))  # (T, S, N)
+    return np.sum(K.T * X, axis=(1, 2))
 
 
 def gcv_select(data, penalty_family, lambda_grid, eps_lqa=1e-8, max_iter=200):
@@ -235,16 +302,7 @@ def gcv_select(data, penalty_family, lambda_grid, eps_lqa=1e-8, max_iter=200):
             df = np.full(t_count, float(np.trace(hat)))
         else:
             J = mm_solve(data, spec, eps_lqa=eps_lqa, max_iter=max_iter)
-            alpha1, alpha2, L = _penalty_weights(spec, data.n_sources)
-            if L is None:
-                df = _df_diagonal(data.K, J, alpha1, alpha2, eps_lqa)
-            else:
-                w = 1.0 / (np.abs(L @ J) + eps_lqa)
-                df = np.empty(t_count)
-                for t in range(t_count):
-                    A = data.K.T @ data.K + 0.5 * alpha2 * (L.T * w[:, t]) @ L
-                    hat = data.K @ np.linalg.solve(A, data.K.T)
-                    df[t] = float(np.trace(hat))
+            df = _df_columns(_mm_system(data, spec, eps_lqa), J)
         df_mean = float(np.mean(df))
         if df_mean >= n:
             curve.append((lam, np.inf))

@@ -20,7 +20,7 @@ import numpy as np
 
 from .baselines import PenaltySpec, gcv_select, mm_solve, ridge_solve, ring_laplacian
 from .enet import SolverConfig, solve_enet
-from .errors import ConfigError, NumericError, RvmixError
+from .errors import ConfigError, ContainerError, NumericError, RvmixError
 from .metrics import MM_ZERO_TOL_REL, RVM_ZERO_TOL_REL, EvalReport, evaluate
 from .mxio import coerce, parse_config_file, read_matrix, write_matrix
 from .mxn import solve_mxn
@@ -219,7 +219,7 @@ def _solve_payload(method, data, cfg, flag_grid):
         J, info = mm_solve(data, replace(family, lam=lam), eps_lqa=eps,
                            max_iter=cfg.get("max_iter", 200), return_info=True)
         converged = info.converged
-        extras["iterations"] = info.iterations
+        extras.update(iterations=info.iterations, final_step=info.final_step)
     files["mu.mxio"] = J
     extras.update(selected_lambda=float(lam), converged=converged)
     return J, files, extras
@@ -400,6 +400,14 @@ def cmd_sweep(args):
     return OK
 
 
+def _boolean(text):
+    """argparse type for the bool solve keys, with the config file's spellings."""
+    try:
+        return coerce(text, bool)
+    except ConfigError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
+
+
 def build_parser():
     parser = argparse.ArgumentParser(prog="rvmix", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -428,6 +436,10 @@ def build_parser():
     p.add_argument("--epsilon-prior", dest="epsilon_prior", type=float)
     p.add_argument("--tol-mu", dest="tol_mu", type=float)
     p.add_argument("--tol-objective", dest="tol_objective", type=float)
+    p.add_argument("--beta-mode", dest="beta_mode", help="fixed_one | learned")
+    p.add_argument("--learn-k", dest="learn_k", type=_boolean)
+    p.add_argument("--learn-alpha1", dest="learn_alpha1", type=_boolean)
+    p.add_argument("--alpha-init", dest="alpha_init", type=float)
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("eval", help="score a solution against the truth")
@@ -464,7 +476,7 @@ def main(argv=None):
     except NumericError as exc:
         print(f"rvmix: numeric failure: {exc}", file=sys.stderr)
         return NUMERIC
-    except OSError as exc:
+    except (OSError, ContainerError) as exc:
         print(f"rvmix: i/o failure: {exc}", file=sys.stderr)
         return IOERR
     except RvmixError as exc:

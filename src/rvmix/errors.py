@@ -13,6 +13,10 @@ class ConfigError(RvmixError, ValueError):
     """A configuration file, flag set, or source layout is invalid."""
 
 
+class ContainerError(DomainError):
+    """A matrix file is truncated, corrupt, or neither a container nor CSV."""
+
+
 class NumericError(RvmixError, FloatingPointError):
     """A numeric procedure failed (factorization, quadrature, divergence)."""
 

@@ -10,7 +10,7 @@ import struct
 
 import numpy as np
 
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, ContainerError, DomainError
 
 MAGIC = b"MXIO1"
 _HEADER = struct.Struct("<5sQQ")
@@ -27,24 +27,29 @@ def write_matrix(path, arr):
 
 
 def read_matrix(path):
-    """Read a matrix container or, failing the magic check, a CSV file."""
+    """Read a matrix container or, failing the magic check, a CSV file.
+
+    Raises ContainerError for a truncated or corrupt container and for a
+    file that is neither format."""
     with open(path, "rb") as fh:
         head = fh.read(_HEADER.size)
         if head[:5] == MAGIC:
             if len(head) < _HEADER.size:
-                raise DomainError(f"{path}: truncated header")
+                raise ContainerError(f"{path}: truncated header")
             _, rows, cols = _HEADER.unpack(head)
             payload = fh.read()
             want = rows * cols * 8
             if len(payload) != want:
-                raise DomainError(
+                raise ContainerError(
                     f"{path}: payload holds {len(payload)} bytes, expected {want}"
                 )
             return np.frombuffer(payload, dtype="<f8").reshape(rows, cols).copy()
     try:
         out = np.loadtxt(path, delimiter=",", dtype=float, ndmin=2)
     except ValueError as exc:
-        raise DomainError(f"{path}: neither a matrix container nor parseable CSV ({exc})")
+        raise ContainerError(
+            f"{path}: neither a matrix container nor parseable CSV ({exc})"
+        ) from exc
     return out
 
 

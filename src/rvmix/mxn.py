@@ -24,7 +24,7 @@ from .enet import (
     update_lambda_bar_enet,
 )
 from .errors import DomainError, NumericError, RootFindError
-from .objective import _mxn_hyperprior_column, aux_objective_mxn
+from .objective import _as_columns, _mxn_hyperprior_column, aux_objective_mxn
 from .posterior import ProblemData, posterior_moments, svd_decompose
 from .rootfind import bracketed_root
 from .special import gamma_half_hazard
@@ -77,10 +77,10 @@ def _alpha_gradient_terms(mu, sigma_diag, lam_bar, delta):
     + sum_t ||W^-1 d_t||_1^2, st = S*T, and dp2 the squared positive
     couplings that enter the hazard term.
     """
-    mu = np.atleast_2d(mu)
-    sig = np.atleast_2d(sigma_diag)
-    lb = np.atleast_2d(lam_bar)
-    d = np.atleast_2d(delta)
+    mu = _as_columns(mu)
+    sig = _as_columns(sigma_diag)
+    lb = _as_columns(lam_bar)
+    d = _as_columns(delta)
     s, t_count = lb.shape
     m2s = mu * mu + sig
     alive = lb > 0.0
@@ -128,7 +128,7 @@ def update_alpha_mxn(mu, sigma_diag, lam_bar, delta):
     try:
         return bracketed_root(f, context="global scale update")
     except RootFindError:
-        lb = np.clip(np.atleast_2d(lam_bar), 1e-300, 1.0 - 1e-12)
+        lb = np.clip(_as_columns(lam_bar), 1e-300, 1.0 - 1e-12)
         grid = np.logspace(-10, 10, 201)
         vals = [aux_objective_mxn(mu, sigma_diag, lb, delta, a) for a in grid]
         best = grid[int(np.argmin(vals))]

@@ -246,6 +246,12 @@ def aux_objective_enet(mu_col, sigma_diag_col, lam_bar_col, alpha1, k, tau, nu):
     return val
 
 
+def _as_columns(x):
+    """x as a float (S, T) map; a 1-D array of S sources is one column."""
+    a = np.asarray(x, dtype=float)
+    return a[:, None] if a.ndim == 1 else a
+
+
 def aux_objective_mxn(mu, sigma_diag, lam_bar, delta, alpha):
     """Frozen-moments auxiliary over the whole map, mixed-norm branch.
 
@@ -253,15 +259,14 @@ def aux_objective_mxn(mu, sigma_diag, lam_bar, delta, alpha):
     couples all columns, so the auxiliary is evaluated over the full
     spatio-temporal state.
     """
-    lb = np.asarray(lam_bar, dtype=float)
+    lb = _as_columns(lam_bar)
     if np.any(lb <= 0) or np.any(lb >= 1):
         raise DomainError("auxiliary objective needs lambda_bar strictly inside (0, 1)")
     if alpha <= 0:
         raise DomainError("alpha must be positive")
-    mu = np.atleast_2d(np.asarray(mu, dtype=float))
-    sig = np.atleast_2d(np.asarray(sigma_diag, dtype=float))
-    lb = np.atleast_2d(lb)
-    delta = np.atleast_2d(np.asarray(delta, dtype=float))
+    mu = _as_columns(mu)
+    sig = _as_columns(sigma_diag)
+    delta = _as_columns(delta)
     m2s = mu**2 + sig
     s, t_count = lb.shape
     val = (

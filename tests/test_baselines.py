@@ -1,10 +1,16 @@
 """Classical baselines: ridge closed forms, majorization descent, GCV."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from rvmix.baselines import (
     PenaltySpec,
+    _df_columns,
+    _mm_step,
+    _mm_system,
+    _penalty_weights,
     gcv_select,
     mm_objective,
     mm_solve,
@@ -14,6 +20,57 @@ from rvmix.baselines import (
 )
 from rvmix.errors import DomainError
 from rvmix.posterior import ProblemData
+
+
+def oracle_mm_step(KtK, KtV, K, J, alpha1, alpha2, L, eps):
+    """The majorization step as first written: a (T, N, S) temporary for the
+    diagonal penalty, and a per-column dense L'diag(w)L build for fusion."""
+    s, t_count = J.shape
+    if L is None:
+        d = alpha1 + 0.5 * alpha2 / (np.abs(J) + eps)  # (S, T)
+        KD = K[None, :, :] / d.T[:, None, :]  # (T, N, S) = K D^{-1}
+        M = KD @ K.T  # (T, N, N)
+        M[:, np.arange(K.shape[0]), np.arange(K.shape[0])] += 1.0
+        KtV_d = KtV.T[:, :, None] / d.T[:, :, None]  # (T, S, 1) = D^{-1}K'V
+        inner = np.linalg.solve(M, K[None, :, :] @ KtV_d)  # (T, N, 1)
+        out = KtV_d - np.transpose(KD, (0, 2, 1)) @ inner
+        return out[:, :, 0].T
+    w = 1.0 / (np.abs(L @ J) + eps)  # (rows(L), T)
+    A = np.empty((t_count, s, s))
+    for t in range(t_count):
+        A[t] = KtK + 0.5 * alpha2 * (L.T * w[:, t]) @ L
+    return np.linalg.solve(A, KtV.T[:, :, None])[:, :, 0].T
+
+
+def brute_df(data, spec, J, eps):
+    """Per-column trace(K A_t^{-1} K') with A_t the dense majorized normal
+    matrix K'K + diag(alpha1 + alpha2/2 / (|J_t| + eps)), or K'K +
+    alpha2/2 L'diag(1/(|L J_t| + eps))L for fusion."""
+    K = data.K
+    s = K.shape[1]
+    if spec.kind == "lasso_fusion":
+        L = spec.L_operator if spec.L_operator is not None else ring_first_difference(s)
+    df = []
+    for t in range(J.shape[1]):
+        if spec.kind == "lasso_fusion":
+            w = 1.0 / (np.abs(L @ J[:, t]) + eps)
+            A = K.T @ K + 0.5 * spec.lam * L.T @ np.diag(w) @ L
+        else:
+            a1 = spec.lam * spec.mu_mix if spec.kind == "enet" else 0.0
+            a2 = spec.lam - a1
+            A = K.T @ K + np.diag(a1 + 0.5 * a2 / (np.abs(J[:, t]) + eps))
+        df.append(np.trace(K @ np.linalg.inv(A) @ K.T))
+    return np.array(df)
+
+
+STEP_CASES = {
+    "lasso": lambda s: PenaltySpec(kind="lasso", lam=0.7),
+    "enet": lambda s: PenaltySpec(kind="enet", lam=0.7, mu_mix=0.3),
+    "fusion_ring": lambda s: PenaltySpec(kind="lasso_fusion", lam=0.7),
+    "fusion_dense": lambda s: PenaltySpec(
+        kind="lasso_fusion", lam=0.7,
+        L_operator=np.random.default_rng(12).standard_normal((s + 3, s))),
+}
 
 
 def soft_threshold(v, thresh):
@@ -107,17 +164,40 @@ class TestMMSolve:
     def test_plain_objective_descent(self):
         data = make_data(seed=9)
         spec = PenaltySpec(kind="lasso", lam=1.5)
-        K = data.K
-        KtK, KtV = K.T @ K, K.T @ data.V
-        from rvmix.baselines import _mm_step
-
+        system = _mm_system(data, spec, 1e-8)
         J = np.zeros((20, 3))
         prev = mm_objective(data, J, spec, 0.0)
         for _ in range(60):
-            J = _mm_step(KtK, KtV, K, J, 0.0, spec.lam, None, 1e-8)
+            J = _mm_step(system, J)
             cur = mm_objective(data, J, spec, 0.0)
             assert cur <= prev + 1e-10 * max(abs(prev), 1.0)
             prev = cur
+
+    @pytest.mark.parametrize("case", sorted(STEP_CASES))
+    def test_step_matches_per_column_oracle(self, case):
+        data = make_data(seed=13, n=9, s=24, t=5)
+        spec = STEP_CASES[case](24)
+        rng = np.random.default_rng(14)
+        J = rng.standard_normal((24, 5))
+        alpha1, alpha2, L = _penalty_weights(spec, 24)
+        if L is None:
+            # exact zeros too; for fusion they would put 1/eps weights on
+            # L'diag(w)L and leave a condition number near 1e8
+            J[rng.random((24, 5)) < 0.4] = 0.0
+        K = data.K
+        want = oracle_mm_step(K.T @ K, K.T @ data.V, K, J, alpha1, alpha2, L, 1e-8)
+        got = _mm_step(_mm_system(data, spec, 1e-8), J)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_final_step_reported(self):
+        data = make_data(seed=2)
+        spec = PenaltySpec(kind="lasso", lam=0.9)
+        _, done = mm_solve(data, spec, tol=1e-6, return_info=True)
+        assert done.converged and 0.0 <= done.final_step <= 1e-6
+        _, capped = mm_solve(data, spec, max_iter=3, tol=1e-6, return_info=True)
+        assert not capped.converged and capped.final_step > 1e-6
+        _, none = mm_solve(data, spec, max_iter=0, return_info=True)
+        assert none.iterations == 0 and none.final_step is None
 
     def test_enet_limits_match_neighbors(self):
         # mu_mix -> 1 approaches ridge, mu_mix -> 0 approaches lasso
@@ -190,6 +270,31 @@ class TestGCV:
                                 [0.05, 0.5, 5.0], max_iter=100)
         assert lam in (0.05, 0.5, 5.0)
         assert np.all(np.isfinite(curve[:, 1]) | np.isinf(curve[:, 1]))
+
+    @pytest.mark.parametrize("spec", [
+        PenaltySpec(kind="lasso", lam=1.0),
+        PenaltySpec(kind="enet", lam=1.0, mu_mix=0.4),
+        PenaltySpec(kind="lasso_fusion", lam=1.0),
+        PenaltySpec(kind="lasso_fusion", lam=1.0,
+                    L_operator=np.random.default_rng(15).standard_normal((22, 20))),
+    ], ids=["lasso", "enet", "fusion_ring", "fusion_dense"])
+    def test_mm_df_matches_brute_force(self, spec):
+        data = make_data(seed=16, t=4)
+        grid = [0.05, 0.5, 5.0]
+        _, curve = gcv_select(data, spec, grid, max_iter=40)
+        n, t = data.n_sensors, data.n_times
+        # converged fusion maps put weights near 1/eps on L'diag(w)L, so the
+        # dense oracle and the batched solve agree only to that conditioning
+        rtol = 1e-7 if spec.kind == "lasso_fusion" else 1e-12
+        for lam, gcv in curve:
+            lam_spec = replace(spec, lam=lam)
+            J = mm_solve(data, lam_spec, max_iter=40)
+            df = brute_df(data, lam_spec, J, 1e-8)
+            np.testing.assert_allclose(_df_columns(_mm_system(data, lam_spec, 1e-8), J), df,
+                                       rtol=rtol)
+            rss = float(np.sum((data.V - data.K @ J) ** 2))
+            want = (rss / (n * t)) / (1 - np.mean(df) / n) ** 2 if np.mean(df) < n else np.inf
+            np.testing.assert_allclose(gcv, want, rtol=rtol)
 
     def test_empty_grid_rejected(self):
         data = make_data()

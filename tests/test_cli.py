@@ -9,8 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from rvmix.cli import main
-from rvmix.errors import ConfigError, DomainError
+from rvmix.cli import SOLVE_KEYS, build_parser, main
+from rvmix.errors import ConfigError, ContainerError, DomainError
+from rvmix.mxio import MAGIC
 from rvmix.mxio import parse_config_text, read_matrix, write_matrix
 
 
@@ -185,6 +186,43 @@ class TestSolveCommand:
         assert code == 0
         assert read_matrix(out / "mu.mxio").shape == (48, 1)
 
+    @pytest.mark.parametrize("damage", ["header", "payload"])
+    def test_corrupt_container_exit_3(self, sim_dir, tmp_path, damage):
+        bad = tmp_path / "bad.mxio"
+        raw = (sim_dir / "V.mxio").read_bytes()
+        bad.write_bytes(MAGIC + raw[5:12] if damage == "header" else raw[:-8])
+        with pytest.raises(ContainerError):
+            read_matrix(bad)
+        code = main(["solve", "--method", "ridge", "--K", str(sim_dir / "K.mxio"),
+                     "--V", str(bad), "--lam", "1", "--out", str(tmp_path / "o")])
+        assert code == 3
+
+    def test_every_solve_key_has_a_flag(self, tmp_path):
+        sample = {int: "3", float: "0.5", bool: "false", str: "learned"}
+        for key, kind in SOLVE_KEYS.items():
+            args = build_parser().parse_args(
+                ["solve", "--out", str(tmp_path), f"--{key.replace('_', '-')}", sample[kind]])
+            assert isinstance(getattr(args, key), kind), key
+
+    def test_bad_boolean_flag_exit_2(self, sim_dir, tmp_path):
+        code = main(["solve", "--method", "enet-rvm", "--K", str(sim_dir / "K.mxio"),
+                     "--V", str(sim_dir / "V.mxio"), "--learn-k", "maybe",
+                     "--out", str(tmp_path / "o")])
+        assert code == 2
+
+    def test_mm_manifest_final_step_is_reproducible(self, sim_dir, tmp_path):
+        manifests = []
+        for name in ("first", "second"):
+            out = tmp_path / name
+            assert main(["solve", "--method", "enet-mm", "--K", str(sim_dir / "K.mxio"),
+                         "--V", str(sim_dir / "V.mxio"), "--lam", "1", "--mu-mix", "0.2",
+                         "--max-iter", "30", "--out", str(out)]) == 0
+            manifests.append((out / "manifest.json").read_bytes())
+        assert manifests[0] == manifests[1]
+        manifest = json.loads(manifests[0])
+        assert manifest["final_step"] > 0.0
+        assert (manifest["final_step"] <= 1e-6) == manifest["converged"]
+
     def test_unknown_method_exit_2(self, sim_dir, tmp_path):
         code = main(["solve", "--method", "magic", "--K", str(sim_dir / "K.mxio"),
                      "--V", str(sim_dir / "V.mxio"), "--out", str(tmp_path / "o")])
@@ -301,6 +339,25 @@ class TestSweepCommand:
         assert rows["capped"]["error"] == ""
         assert rows["capped"]["converged"] == "False"
         assert rows["ridge-fixed"]["converged"] == "True"
+
+    def test_learned_noise_arm_runs(self, tmp_path):
+        # n = 40: with S >> N the learned noise update's denominator
+        # N - S + 2 alpha1 sum(sigma/lambda_bar) is negative on the first
+        # sweep and the arm fails with exit 4, a solver limit this test
+        # does not cover
+        spec = tmp_path / "sweep.cfg"
+        spec.write_text(
+            "s = 48\nn = 40\nt = 8\npeak_snr_db = 42\nc_sigma_space = 2.0\nseeds = 0\n"
+            "arm = learned | method=enet-rvm beta_mode=learned learn_k=true alpha_init=1.5\n"
+        )
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--spec", str(spec), "--out", str(out)]) == 0
+        with open(out / "sweep.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [r["error"] for r in rows] == [""]
+        manifest = json.loads((out / "runs" / "learned-seed0" / "manifest.json").read_text())
+        assert manifest["config"]["beta_mode"] == "learned"
+        assert manifest["config"]["alpha_init"] == 1.5
 
     def test_empty_spec_exit_2(self, tmp_path):
         spec = tmp_path / "sweep.cfg"

@@ -145,6 +145,19 @@ class TestAlphaUpdate:
         with pytest.raises(DomainError):
             update_alpha_mxn(one, one, one, one)
 
+    def test_one_dimensional_input_is_one_column(self):
+        rng = np.random.default_rng(5)
+        s = 6
+        mu = rng.standard_normal(s) * 0.5
+        sig = rng.uniform(0.01, 0.3, s)
+        lam_bar = rng.uniform(0.05, 0.9, s)
+        delta = update_delta(mu)
+        cols = [x[:, None] for x in (mu, sig, lam_bar, delta)]
+        assert alpha_gradient(0.7, mu, sig, lam_bar, delta) == alpha_gradient(0.7, *cols)
+        assert update_alpha_mxn(mu, sig, lam_bar, delta) == update_alpha_mxn(*cols)
+        assert (aux_objective_mxn(mu, sig, lam_bar, delta, 0.7)
+                == aux_objective_mxn(*cols, 0.7))
+
     def test_closed_form_special_case(self):
         # all couplings zero, flat lambda_bar: root = S*T*lb0 / (2 sum m2s)
         rng = np.random.default_rng(2)
