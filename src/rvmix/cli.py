@@ -85,6 +85,28 @@ def _typed_config(raw, schema, source):
     return out
 
 
+#: the JSON values each schema type accepts; bool is an int to Python
+_JSON_TYPES = {bool: (bool,), int: (int,), float: (int, float), str: (str,)}
+
+
+def _typed_json_config(raw, schema, source):
+    """A manifest's config checked against schema.  JSON values are typed
+    already, so each must have its key's type: a bool only for a bool key,
+    an int (not a bool) for an int key, any number for a float key."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{source}: config must be a JSON object")
+    out = {}
+    for key, value in raw.items():
+        if key not in schema:
+            raise ConfigError(f"{source}: unknown key {key!r}")
+        kind = schema[key]
+        if isinstance(value, bool) != (kind is bool) or not isinstance(value, _JSON_TYPES[kind]):
+            raise ConfigError(f"{source}: key {key!r} must be of type {kind.__name__}, "
+                              f"got {value!r}")
+        out[key] = float(value) if kind is float else value
+    return out
+
+
 def cmd_simulate(args):
     cfg = _typed_config(parse_config_file(args.config), SIM_KEYS, args.config) if args.config else {}
     out = _out_dir(args.out)
@@ -181,6 +203,9 @@ def _solve_payload(method, data, cfg, flag_grid):
                 sol.hyper_trace["delta_l1"],
             ])
             extras["alpha_final"] = float(sol.extras["alpha_final"])
+        if method == "enet-rvm":
+            extras["column_iterations"] = [int(n) for n in sol.extras["column_iterations"]]
+        extras["stop_reason"] = sol.extras["stop_reason"]
         files["hyper_trace.csv"] = hyper
         extras.update(converged=bool(sol.converged), iterations=int(sol.iterations),
                       objective_trace=[float(x) for x in sol.objective_trace])
@@ -229,12 +254,15 @@ def cmd_solve(args):
     if args.replay:
         with open(args.replay, "r", encoding="utf-8") as fh:
             manifest = json.load(fh)
-        if manifest.get("command") != "solve":
+        if not isinstance(manifest, dict) or manifest.get("command") != "solve":
             raise ConfigError(f"{args.replay} is not a solve manifest")
-        args.method = manifest["method"]
-        args.K = manifest["inputs"]["K"]
-        args.V = manifest["inputs"]["V"]
-        cfg = manifest["config"]
+        try:
+            args.method = manifest["method"]
+            args.K = manifest["inputs"]["K"]
+            args.V = manifest["inputs"]["V"]
+        except (KeyError, TypeError) as exc:
+            raise ConfigError(f"{args.replay}: method or inputs missing ({exc!r})") from exc
+        cfg = _typed_json_config(manifest.get("config", {}), SOLVE_KEYS, args.replay)
     else:
         cfg = _typed_config(parse_config_file(args.config), SOLVE_KEYS, args.config) if args.config else {}
         for key in SOLVE_KEYS:

@@ -4,7 +4,9 @@ Per column of the observation matrix the solver alternates posterior
 moments with closed-form coordinate updates of the unit-interval variance
 factors, the variance scale, the truncation coefficient of the Gamma
 mixing density, and (optionally) the noise variance.  Columns are fully
-independent, so solving them in any order gives identical results.
+independent, so solving them in any order, alone or together, gives
+bit-identical results.  The iteration itself (_Iteration) is shared with
+the mixed-norm solver and runs on all live columns at once.
 
 Coefficients are never pruned: a coordinate whose variance factor falls
 to numerical zero keeps participating and may grow back later.
@@ -17,7 +19,7 @@ import numpy as np
 
 from .errors import DegenerateStateError, DomainError, NumericError
 from .objective import neg_log_posterior_enet
-from .posterior import ProblemData, posterior_moments, svd_decompose
+from .posterior import ProblemData, _rowwise, posterior_moments, svd_decompose
 from .rootfind import bracketed_root
 from .special import gamma_half_hazard
 
@@ -117,17 +119,17 @@ def update_lambda_bar_enet(mu_i, sigma_ii, alpha1, k):
     eta = -1/4 + sqrt(1/16 + (mu^2 + sigma) * alpha1 * k), written in the
     cancellation-free form eta = c / (1/4 + sqrt(1/16 + c)), and returns
     eta / (k + eta) capped just below 1.  k = 0 is the untruncated
-    Gaussian limit and returns the cap directly.  mu_i, sigma_ii and k
-    are scalars or arrays broadcast elementwise, so the mixed-norm solver
-    passes its per-coordinate truncations alpha * delta**2 as one array;
-    entries with k == 0 get the cap.
+    Gaussian limit and returns the cap directly.  All arguments are
+    scalars or arrays broadcast elementwise (the mixed-norm solver passes
+    its truncations alpha * delta**2 as one array); entries with k == 0
+    get the cap.
     """
     mu_arr = np.asarray(mu_i, dtype=float)
     sig = np.asarray(sigma_ii, dtype=float)
     kk = np.asarray(k, dtype=float)
     if np.any(sig < 0):
         raise DomainError("sigma_ii must be nonnegative")
-    if alpha1 <= 0 or np.any(kk < 0):
+    if np.any(np.asarray(alpha1) <= 0) or np.any(kk < 0):
         raise DomainError("alpha1 must be positive and k nonnegative")
     c = (mu_arr * mu_arr + sig) * alpha1 * kk
     eta = c / (0.25 + np.sqrt(0.0625 + c))
@@ -138,18 +140,19 @@ def update_lambda_bar_enet(mu_i, sigma_ii, alpha1, k):
 
 
 def update_alpha1(mu_col, sigma_diag_col, lambda_bar_col):
-    """Stationary variance scale (S/2) / sum((mu^2 + sigma)/lambda_bar)."""
+    """Stationary variance scale (S/2) / sum((mu^2 + sigma)/lambda_bar), of
+    one column (S,) or of each row of a (T, S) stack of columns."""
     mu = np.asarray(mu_col, dtype=float)
-    sig = np.asarray(sigma_diag_col, dtype=float)
     lb = np.asarray(lambda_bar_col, dtype=float)
-    m2s = mu * mu + sig
+    m2s = mu * mu + np.asarray(sigma_diag_col, dtype=float)
     alive = lb > 0.0
     if np.any(~alive & (m2s > 0.0)):
         raise DomainError("zero lambda_bar with nonzero moments is inconsistent")
-    denom = float(np.sum(m2s[alive] / lb[alive]))
-    if denom <= 0.0:
+    denom = np.sum(np.divide(m2s, lb, out=np.zeros_like(m2s), where=alive), axis=-1)
+    if np.any(denom <= 0.0):
         raise DegenerateStateError("every coordinate is pruned; variance scale undefined")
-    return 0.5 * lb.shape[0] / denom
+    out = 0.5 * lb.shape[-1] / denom
+    return float(out) if out.ndim == 0 else out
 
 
 def _k_gradient_terms(lambda_bar_col, tau, nu):
@@ -189,121 +192,199 @@ def update_k(lambda_bar_col, tau, nu):
 
 
 def update_beta_enet(v_col, K, mu_col, sigma_diag_col, lambda_bar_col, alpha1, mode="learned"):
-    """Closed-form noise variance; disabled (returns 1.0) under fixed_one."""
+    """Closed-form noise variance; disabled (returns 1.0) under fixed_one.
+
+    For a stack of columns as rows (v (T, N), the others (T, S), alpha1
+    (T,)) it returns (T,), and a NumericError names the row in ``column``.
+    """
     if mode == "fixed_one":
         return 1.0
     v = np.asarray(v_col, dtype=float)
-    mu = np.asarray(mu_col, dtype=float)
     sig = np.asarray(sigma_diag_col, dtype=float)
     lb = np.asarray(lambda_bar_col, dtype=float)
-    resid = v - np.asarray(K, dtype=float) @ mu
-    alive = lb > 0.0
-    n = v.shape[0]
-    denom = n + 2.0 * alpha1 * float(np.sum(sig[alive] / lb[alive])) - lb.shape[0]
-    if denom <= 0.0:
-        raise NumericError(f"noise variance denominator is not positive ({denom:.6e})")
-    beta = float(resid @ resid) / denom
-    return max(beta, 1e-12)
+    resid = v - _rowwise(np.asarray(K, dtype=float), mu_col)
+    ratio = np.divide(sig, lb, out=np.zeros_like(sig), where=lb > 0.0)
+    denom = np.asarray(v.shape[-1] + 2.0 * alpha1 * np.sum(ratio, axis=-1) - lb.shape[-1])
+    bad = np.flatnonzero(denom.ravel() <= 0.0)
+    if bad.size:
+        raise NumericError(f"noise variance denominator is not positive "
+                           f"({denom.ravel()[bad[0]]:.6e})", column=bad[0] if denom.ndim else None)
+    beta = np.maximum(np.sum(resid * resid, axis=-1) / denom, 1e-12)
+    return float(beta) if beta.ndim == 0 else beta
 
 
 def _ridge_mu(svd, v, shrink=1e-2):
-    """Cheap ridge pass used only to seed the hyperparameters."""
+    """Cheap ridge pass used only to seed the hyperparameters; v is one
+    column (N,) or a stack of columns as rows (T, N)."""
     lam_r = shrink * float(np.mean(svd.D**2))
     coef = svd.D / (svd.D**2 + lam_r)
-    return svd.R @ (coef * (svd.Lmat.T @ v))
+    return _rowwise(svd.R, coef * _rowwise(svd.Lmat.T, v))
+
+
+class _Iteration:
+    """The iteration both Bayesian solvers share, on (T, S) state with one
+    contiguous row per column.  A sweep computes the posterior moments and
+    objective of all live columns at once, then the model's refresh, the
+    stop test (per column, or for the whole map) and the model's step.
+    A model sets lam_bar (T, S), beta (T,) and zero_data (T,), the columns
+    that stop after one sweep, and provides scale (twice the variance
+    scale of given rows), objective (their per-column values), record and
+    step.
+    """
+
+    per_column = True
+
+    def __init__(self, data, config, svd):
+        if not isinstance(data, ProblemData):
+            raise DomainError("data must be a ProblemData")
+        self.config = config = config or SolverConfig()
+        self.svd = svd or svd_decompose(data, config.rank_tol)
+        self.tol_objective = (config.tol_objective if config.tol_objective is not None
+                              else self.default_tol_objective)
+        self.K, self.V = data.K, np.ascontiguousarray(data.V.T)
+
+    def refresh(self, rows, mu, sigma):
+        """Model state updated before the stop test: none by default."""
+
+    def stalled(self, rows, mu, prev_mu, obj, prev_obj):
+        """The stop test: max |mu - prev_mu| / max |mu| at most tol_mu and
+        |obj - prev_obj| at most tol_objective * max(|obj|, 1), for each
+        of the rows or, for a whole-map model, for all of them at once."""
+        if self.per_column:
+            mu, prev_mu, obj, prev_obj, axis = mu[rows], prev_mu[rows], obj[rows], prev_obj[rows], 1
+        else:
+            obj, prev_obj, axis = obj.sum(), prev_obj.sum(), None
+        scale = np.max(np.abs(mu), axis=axis)
+        step = np.max(np.abs(mu - prev_mu), axis=axis)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            rel = np.where(step == 0.0, 0.0, step / scale)
+        stop = (rel <= self.config.tol_mu) & (
+            np.abs(obj - prev_obj) <= self.tol_objective * np.maximum(np.abs(obj), 1.0))
+        return np.broadcast_to(stop, rows.shape)
+
+    def run(self):
+        """Iterate to the stop and return the Solution, whose objective
+        trace holds finished columns at their final value.  extras holds
+        the stop_reason of each column and its column_iterations, or for
+        a whole-map model the one stop_reason."""
+        t_count, s = self.lam_bar.shape
+        mu, sigma, objective = np.zeros((t_count, s)), np.zeros((t_count, s)), np.zeros(t_count)
+        iterations = np.zeros(t_count, dtype=int)
+        stop_reason = np.full(t_count, "max_iter", dtype=object)
+        live = np.ones(t_count, dtype=bool)
+        trace = []
+        for it in range(self.config.max_iter):
+            rows = np.flatnonzero(live)
+            prev_mu, prev_obj = mu.copy(), objective.copy()
+            try:
+                live_data = ProblemData(K=self.K, V=self.V[rows].T)
+                lam = self.lam_bar[rows] / self.scale(rows)[:, None]
+                post = posterior_moments(self.svd, lam.T, self.beta[rows], live_data.V)
+                mu[rows], sigma[rows] = post.mu.T, post.sigma_diag.T
+                objective[rows] = self.objective(rows, live_data, post)
+                iterations[rows] += 1
+                self.refresh(rows, mu[rows], sigma[rows])
+                trace.append(objective.copy())
+                self.record()
+
+                if it == 0:
+                    stop, reason = self.zero_data[rows], "zero_data"
+                else:
+                    stop, reason = self.stalled(rows, mu, prev_mu, objective, prev_obj), "tol"
+                stop_reason[rows[stop]] = reason
+                live[rows[stop]] = False
+                rows = rows[~stop]
+                if not rows.size:
+                    break
+                collapsed = rows[self.step(rows, mu[rows], sigma[rows])]
+            except NumericError as exc:
+                where = "" if exc.column is None else f"column {rows[exc.column]}: "
+                raise NumericError(f"{where}iteration {it + 1}, {exc}") from exc
+            mu[collapsed] = sigma[collapsed] = self.lam_bar[collapsed] = 0.0
+            stop_reason[collapsed] = "collapsed"
+            live[collapsed] = False
+        stop_reason = list(stop_reason)
+        return Solution(
+            mu=np.ascontiguousarray(mu.T),
+            sigma_diag=np.ascontiguousarray(sigma.T),
+            lambda_bar=np.ascontiguousarray(self.lam_bar.T),
+            hyper_trace={name: np.array(values) for name, values in self.traces.items()},
+            objective_trace=np.sum(trace, axis=1),
+            iterations=len(trace),
+            converged="max_iter" not in stop_reason,
+            extras={"stop_reason": stop_reason, "column_iterations": iterations}
+            if self.per_column else {"stop_reason": stop_reason[0]},
+        )
 
 
 #: objective-stagnation stop for the per-column solver (relative change)
 ENET_TOL_OBJECTIVE = 1.2e-3
 
 
-def _solve_enet_column(data, svd, v, config, tau, nu, tol_objective):
-    s = svd.n_sources
-    if float(v @ v) == 0.0:
-        post = posterior_moments(svd, np.full(s, 0.25), 1.0, v)
-        lb0 = np.full((s, 1), 0.5)
-        obj = neg_log_posterior_enet(
-            ProblemData(K=data.K, V=v.reshape(-1, 1)), svd,
-            np.zeros((s, 1)), lb0, 1.0, 1.0, 1.0, tau, nu,
-        ).total
-        return {
-            "mu": np.zeros(s), "sigma_diag": post.sigma_diag, "lambda_bar": lb0[:, 0],
-            "objective": [obj], "alpha1": [1.0], "k": [1.0], "beta": [1.0],
-            "converged": True,
-        }
+class _EnetIteration(_Iteration):
+    """Elastic-net model: per-column alpha1, k and beta; each column stops
+    on its own, and an all-zero column after one sweep."""
 
-    if config.fixed_hyper is not None:
-        alpha1 = float(config.fixed_hyper[0])
-        k = config.fixed_k()
-    else:
-        mu_r = _ridge_mu(svd, v)
-        ss = float(np.sum(mu_r**2))
-        alpha1 = s / (2.0 * ss) if ss > 0 else 1.0
-        k = 1.0
-    lam_bar = np.full(s, 0.5)
-    beta = 1.0
+    default_tol_objective = ENET_TOL_OBJECTIVE
 
-    col_data = ProblemData(K=data.K, V=v.reshape(-1, 1))
-    obj_trace, a1_trace, k_trace, b_trace = [], [], [], []
-    prev_mu = None
-    prev_obj = None
-    converged = False
-    mu = np.zeros(s)
-    sigma_diag = np.zeros(s)
+    def __init__(self, data, config, svd):
+        super().__init__(data, config, svd)
+        config, svd = self.config, self.svd
+        t_count, s = data.n_times, data.n_sources
+        self.tau, self.nu = float(s), config.epsilon_prior * s
+        self.zero_data = np.sum(self.V * self.V, axis=1) == 0.0
+        if config.fixed_hyper is not None:
+            self.alpha1 = np.full(t_count, float(config.fixed_hyper[0]))
+            self.k = np.full(t_count, config.fixed_k())
+        else:
+            ss = np.sum(_ridge_mu(svd, self.V) ** 2, axis=1)
+            self.alpha1 = np.divide(s, 2.0 * ss, out=np.ones(t_count), where=ss > 0.0)
+            self.k = np.ones(t_count)
+        self.alpha1[self.zero_data] = self.k[self.zero_data] = 1.0
+        self.lam_bar = np.full((t_count, s), 0.5)
+        self.beta = np.ones(t_count)
+        self.traces = {"alpha1": [], "k": [], "beta": []}
 
-    for it in range(config.max_iter):
-        op = "posterior moments"
+    def scale(self, rows):
+        return 2.0 * self.alpha1[rows]
+
+    def objective(self, rows, data, post):
+        return neg_log_posterior_enet(
+            data, self.svd, post.mu, self.lam_bar[rows].T, self.alpha1[rows], self.k[rows],
+            self.beta[rows], self.tau, self.nu, logdet_terms=post.logdet_term).columns
+
+    def record(self):
+        for name, trace in self.traces.items():
+            trace.append(getattr(self, name).copy())
+
+    def step(self, rows, mu, sigma):
+        """lambda_bar, then alpha1, k and beta of the given columns; returns
+        the mask of columns that collapsed (every coordinate pruned, so the
+        variance scale is undefined)."""
+        cfg = self.config
+        alpha1, k, beta = self.alpha1[rows], self.k[rows], self.beta[rows]
+        lam_bar = update_lambda_bar_enet(mu, sigma, alpha1[:, None], k[:, None])
+        collapsed = np.zeros(rows.size, dtype=bool)
+        if cfg.learn_alpha1:
+            collapsed = ~np.any(lam_bar > 0.0, axis=1)
+            alpha1[~collapsed] = update_alpha1(mu[~collapsed], sigma[~collapsed],
+                                               lam_bar[~collapsed])
+        keep = np.flatnonzero(~collapsed)
+        if cfg.learn_k:
+            for j in keep:
+                try:
+                    k[j] = update_k(lam_bar[j], self.tau, self.nu)
+                except NumericError as exc:
+                    raise NumericError(f"truncation update: {exc}", column=j) from exc
         try:
-            lam = lam_bar / (2.0 * alpha1)
-            post = posterior_moments(svd, lam, beta, v)
-            mu, sigma_diag = post.mu, post.sigma_diag
-            op = "objective"
-            obj = neg_log_posterior_enet(
-                col_data, svd, mu.reshape(-1, 1), lam_bar.reshape(-1, 1),
-                alpha1, k, beta, tau, nu, logdet_terms=(post.logdet_term,),
-            ).total
+            beta[keep] = update_beta_enet(self.V[rows[keep]], self.K, mu[keep], sigma[keep],
+                                          lam_bar[keep], alpha1[keep], mode=cfg.beta_mode)
         except NumericError as exc:
-            raise NumericError(f"iteration {it + 1}, {op}: {exc}") from exc
-        obj_trace.append(obj)
-        a1_trace.append(alpha1)
-        k_trace.append(k)
-        b_trace.append(beta)
-
-        if prev_mu is not None:
-            scale = float(np.max(np.abs(mu)))
-            delta = float(np.max(np.abs(mu - prev_mu)))
-            rel = delta / scale if scale > 0 else (0.0 if delta == 0.0 else np.inf)
-            dobj = abs(obj - prev_obj) <= tol_objective * max(abs(obj), 1.0)
-            if rel <= config.tol_mu and dobj:
-                converged = True
-                break
-        prev_mu, prev_obj = mu, obj
-
-        lam_bar = update_lambda_bar_enet(mu, sigma_diag, alpha1, k)
-        try:
-            if config.learn_alpha1:
-                op = "variance scale update"
-                alpha1 = update_alpha1(mu, sigma_diag, lam_bar)
-            if config.learn_k:
-                op = "truncation update"
-                k = update_k(lam_bar, tau, nu)
-            op = "noise update"
-            beta = update_beta_enet(v, data.K, mu, sigma_diag, lam_bar, alpha1,
-                                    mode=config.beta_mode)
-        except DegenerateStateError:
-            mu = np.zeros(s)
-            sigma_diag = np.zeros(s)
-            lam_bar = np.zeros(s)
-            converged = True
-            break
-        except NumericError as exc:
-            raise NumericError(f"iteration {it + 1}, {op}: {exc}") from exc
-
-    return {
-        "mu": mu, "sigma_diag": sigma_diag, "lambda_bar": lam_bar,
-        "objective": obj_trace, "alpha1": a1_trace, "k": k_trace, "beta": b_trace,
-        "converged": converged,
-    }
+            raise NumericError(str(exc), column=keep[exc.column]) from exc
+        kept = rows[keep]
+        self.lam_bar[kept] = lam_bar[keep]
+        self.alpha1[kept], self.k[kept], self.beta[kept] = alpha1[keep], k[keep], beta[keep]
+        return collapsed
 
 
 def solve_enet(data, config=None, svd=None):
@@ -311,56 +392,13 @@ def solve_enet(data, config=None, svd=None):
 
     Returns a Solution whose objective_trace is the per-iteration total
     over columns (columns that finished early are held at their final
-    value).  Raised numeric errors carry (column, operation) context.
+    value); extras holds each column's iteration count (column_iterations)
+    and stop_reason: "tol", "max_iter", "collapsed" (every coordinate
+    pruned) or "zero_data".  Numeric errors name the column and iteration.
     """
-    config = config or SolverConfig()
-    if not isinstance(data, ProblemData):
-        raise DomainError("data must be a ProblemData")
-    svd = svd or svd_decompose(data, config.rank_tol)
-    s, t_count = data.n_sources, data.n_times
-    tau = float(s)
-    nu = config.epsilon_prior * s
-
-    tol_objective = config.tol_objective if config.tol_objective is not None else ENET_TOL_OBJECTIVE
-    cols = []
-    for t in range(t_count):
-        try:
-            cols.append(_solve_enet_column(data, svd, data.V[:, t], config, tau, nu,
-                                           tol_objective))
-        except NumericError as exc:
-            raise NumericError(f"column {t}: {exc}") from exc
-
-    iters = max(len(c["objective"]) for c in cols)
-
-    def padded(key):
-        out = np.empty((iters, t_count))
-        for t, c in enumerate(cols):
-            seq = c[key]
-            out[: len(seq), t] = seq
-            out[len(seq):, t] = seq[-1]
-        return out
-
-    objective_trace = padded("objective").sum(axis=1)
-    lambda_bar = np.column_stack([c["lambda_bar"] for c in cols])
-    state = EnetHyperState(
-        lambda_bar=lambda_bar,
-        alpha1=np.array([c["alpha1"][-1] for c in cols]),
-        k=np.array([c["k"][-1] for c in cols]),
-        beta=np.array([c["beta"][-1] for c in cols]),
-        tau=tau, nu=nu,
-    )
-    solution = Solution(
-        mu=np.column_stack([c["mu"] for c in cols]),
-        sigma_diag=np.column_stack([c["sigma_diag"] for c in cols]),
-        lambda_bar=lambda_bar,
-        hyper_trace={
-            "alpha1": padded("alpha1"),
-            "k": padded("k"),
-            "beta": padded("beta"),
-        },
-        objective_trace=objective_trace,
-        iterations=iters,
-        converged=all(c["converged"] for c in cols),
-        extras={"tau": tau, "nu": nu, "state": state},
-    )
-    return solution
+    core = _EnetIteration(data, config, svd)
+    sol = core.run()
+    last = {name: trace[-1] for name, trace in sol.hyper_trace.items()}
+    sol.extras.update(tau=core.tau, nu=core.nu, state=EnetHyperState(
+        lambda_bar=sol.lambda_bar, tau=core.tau, nu=core.nu, **last))
+    return sol

@@ -18,7 +18,14 @@ class ContainerError(DomainError):
 
 
 class NumericError(RvmixError, FloatingPointError):
-    """A numeric procedure failed (factorization, quadrature, divergence)."""
+    """A numeric procedure failed (factorization, quadrature, divergence).
+
+    column, when set, is the index of the failing column in a stacked call.
+    """
+
+    def __init__(self, *args, column=None):
+        super().__init__(*args)
+        self.column = column
 
 
 class RankError(NumericError):

@@ -17,15 +17,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .enet import (
-    Solution,
-    SolverConfig,
+    _Iteration,
     _ridge_mu,
     update_beta_enet,
     update_lambda_bar_enet,
 )
-from .errors import DomainError, NumericError, RootFindError
-from .objective import _as_columns, _mxn_hyperprior_column, aux_objective_mxn
-from .posterior import ProblemData, posterior_moments, svd_decompose
+from .errors import DomainError, RootFindError
+from .objective import aux_objective_mxn, neg_log_posterior_mxn, w_inverse_apply
+from .posterior import _rows
 from .rootfind import bracketed_root
 from .special import gamma_half_hazard
 
@@ -62,12 +61,14 @@ def update_lambda_bar_mxn(mu_i, sigma_ii, alpha, delta_i):
 
 
 def update_delta(mu_col):
-    """Coupling magnitudes: delta_i = ||mu||_1 - |mu_i|, computed in O(S)."""
+    """Coupling magnitudes: delta_i = ||mu||_1 - |mu_i|, computed in O(S).
+
+    mu_col is one column (S,) or a stack of columns as rows (T, S)."""
     mu = np.asarray(mu_col, dtype=float)
     if not np.all(np.isfinite(mu)):
         raise DomainError("mu must be finite")
     a = np.abs(mu)
-    return np.sum(a) - a
+    return np.sum(a, axis=-1, keepdims=True) - a
 
 
 def _alpha_gradient_terms(mu, sigma_diag, lam_bar, delta):
@@ -77,23 +78,16 @@ def _alpha_gradient_terms(mu, sigma_diag, lam_bar, delta):
     + sum_t ||W^-1 d_t||_1^2, st = S*T, and dp2 the squared positive
     couplings that enter the hazard term.
     """
-    mu = _as_columns(mu)
-    sig = _as_columns(sigma_diag)
-    lb = _as_columns(lam_bar)
-    d = _as_columns(delta)
-    s, t_count = lb.shape
+    mu, sig, lb, d = (_rows(x) for x in (mu, sigma_diag, lam_bar, delta))
     m2s = mu * mu + sig
     alive = lb > 0.0
     if np.any(~alive & (m2s > 0.0)):
         raise DomainError("zero lambda_bar with nonzero moments is inconsistent")
-    if s < 2:
-        raise DomainError("coupling algebra requires at least two sources")
     frozen = float(np.sum(m2s[alive] / lb[alive]))
     frozen += float(np.sum(d * d / (1.0 - lb)))
-    # W^-1 d_t = sum(d_t)/(S-1) - d_t (see w_inverse_apply), all columns at once
-    wd_l1 = np.sum(np.abs(np.sum(d, axis=0) / (s - 1) - d), axis=0)
+    wd_l1 = np.sum(np.abs(w_inverse_apply(d)), axis=1)
     frozen += float(np.sum(wd_l1 * wd_l1))
-    return frozen, s * t_count, d[d > 0.0] ** 2
+    return frozen, lb.size, d[d > 0.0] ** 2
 
 
 def alpha_gradient(alpha, mu, sigma_diag, lam_bar, delta, terms=None):
@@ -128,7 +122,7 @@ def update_alpha_mxn(mu, sigma_diag, lam_bar, delta):
     try:
         return bracketed_root(f, context="global scale update")
     except RootFindError:
-        lb = np.clip(_as_columns(lam_bar), 1e-300, 1.0 - 1e-12)
+        lb = np.clip(np.asarray(lam_bar, dtype=float), 1e-300, 1.0 - 1e-12)
         grid = np.logspace(-10, 10, 201)
         vals = [aux_objective_mxn(mu, sigma_diag, lb, delta, a) for a in grid]
         best = grid[int(np.argmin(vals))]
@@ -137,114 +131,70 @@ def update_alpha_mxn(mu, sigma_diag, lam_bar, delta):
             RuntimeWarning,
         )
         return float(best)
-    finally:
-        # scipy's brentq wraps f in a self-referencing closure, so f and the
-        # arrays it reaches outlive this call until the next garbage
-        # collection; drop the hoisted terms now
-        terms = None
+
+
+class _MxnIteration(_Iteration):
+    """Mixed-norm model: one global alpha, per-column coupling magnitudes
+    and beta; lambda_bar, delta and beta are refreshed before the stop
+    test, which covers the whole map, and alpha after it."""
+
+    per_column = False
+    default_tol_objective = MXN_TOL_OBJECTIVE
+
+    def __init__(self, data, config, svd):
+        super().__init__(data, config, svd)
+        t_count, s = data.n_times, data.n_sources
+        if s < 2:
+            raise DomainError("mixed-norm model needs at least two sources")
+        self.learn_alpha = self.config.fixed_alpha is None
+        self.alpha = (self.config.alpha_init if self.learn_alpha
+                      else float(self.config.fixed_alpha))
+        if self.alpha <= 0:
+            raise DomainError("alpha must be positive")
+        self.zero_data = np.zeros(t_count, dtype=bool)
+        self.lam_bar = np.full((t_count, s), 0.5)
+        self.delta = update_delta(_ridge_mu(self.svd, self.V))
+        self.beta = np.ones(t_count)
+        self.traces = {"alpha": [], "beta": [], "delta_l1": []}
+
+    def scale(self, rows):
+        return np.full(rows.size, 2.0 * self.alpha)
+
+    def objective(self, rows, data, post):
+        return neg_log_posterior_mxn(
+            data, self.svd, post.mu, self.lam_bar[rows].T, self.delta[rows].T, self.alpha,
+            self.beta[rows], logdet_terms=post.logdet_term).columns
+
+    def refresh(self, rows, mu, sigma):
+        self.lam_bar[rows] = update_lambda_bar_mxn(mu, sigma, self.alpha, self.delta[rows])
+        self.delta[rows] = update_delta(mu)
+        # noise variance update disabled under fixed_one (the default)
+        if self.config.beta_mode == "learned":
+            self.beta[rows] = update_beta_enet(self.V[rows], self.K, mu, sigma,
+                                               self.lam_bar[rows], self.alpha)
+
+    def record(self):
+        self.traces["alpha"].append(self.alpha)
+        self.traces["beta"].append(self.beta.copy())
+        self.traces["delta_l1"].append(np.sum(np.abs(self.delta), axis=1))
+
+    def step(self, rows, mu, sigma):
+        if self.learn_alpha:
+            self.alpha = update_alpha_mxn(mu.T, sigma.T, self.lam_bar.T, self.delta.T)
+        return np.zeros(rows.size, dtype=bool)
 
 
 def solve_mxn(data, config=None, svd=None):
-    """Run the mixed-norm solver: per-column sweeps plus one alpha update.
+    """Run the mixed-norm solver: sweeps over all columns plus one alpha update.
 
     Requires at least two sources (the coupling algebra is undefined for
     S = 1).  A single-column problem degenerates to a purely spatial
-    solver and is fully supported.
+    solver and is fully supported.  extras["stop_reason"] is "tol" or
+    "max_iter", for the whole map.
     """
-    config = config or SolverConfig()
-    if not isinstance(data, ProblemData):
-        raise DomainError("data must be a ProblemData")
-    if data.n_sources < 2:
-        raise DomainError("mixed-norm model needs at least two sources")
-    svd = svd or svd_decompose(data, config.rank_tol)
-    s, t_count, n = data.n_sources, data.n_times, data.n_sensors
-
-    tol_objective = config.tol_objective if config.tol_objective is not None else MXN_TOL_OBJECTIVE
-    learn_alpha = config.fixed_alpha is None
-    alpha = config.alpha_init if learn_alpha else float(config.fixed_alpha)
-    if alpha <= 0:
-        raise DomainError("alpha must be positive")
-
-    lam_bar = np.full((s, t_count), 0.5)
-    delta = np.empty((s, t_count))
-    for t in range(t_count):
-        delta[:, t] = update_delta(_ridge_mu(svd, data.V[:, t]))
-    beta = np.ones(t_count)
-
-    mu = np.zeros((s, t_count))
-    sigma_diag = np.zeros((s, t_count))
-    obj_trace, alpha_trace, beta_trace, delta_l1 = [], [], [], []
-    prev_mu = None
-    prev_obj = None
-    converged = False
-
-    for _ in range(config.max_iter):
-        obj = 0.0
-        for t in range(t_count):
-            v = data.V[:, t]
-            lam = lam_bar[:, t] / (2.0 * alpha)
-            try:
-                post = posterior_moments(svd, lam, beta[t], v)
-            except NumericError as exc:
-                raise NumericError(f"column {t}: {exc}") from exc
-            mu[:, t] = post.mu
-            sigma_diag[:, t] = post.sigma_diag
-
-            resid = v - data.K @ post.mu
-            alive = lam_bar[:, t] > 0.0
-            obj += (
-                float(resid @ resid) / (2.0 * beta[t])
-                + 0.5 * post.logdet_term
-                + 0.5 * n * np.log(beta[t])
-                + alpha * float(np.sum(post.mu[alive] ** 2 / lam_bar[alive, t]))
-                + _mxn_hyperprior_column(lam_bar[:, t], delta[:, t], alpha)
-            )
-
-            lam_bar[:, t] = update_lambda_bar_mxn(
-                post.mu, post.sigma_diag, alpha, delta[:, t]
-            )
-            delta[:, t] = update_delta(post.mu)
-            # noise variance update disabled under fixed_one (the default)
-            if config.beta_mode == "learned":
-                beta[t] = update_beta_enet(
-                    v, data.K, mu[:, t], sigma_diag[:, t], lam_bar[:, t], alpha,
-                    mode="learned",
-                )
-
-        obj_trace.append(obj)
-        alpha_trace.append(alpha)
-        beta_trace.append(beta.copy())
-        delta_l1.append(np.sum(np.abs(delta), axis=0))
-
-        if prev_mu is not None:
-            scale = float(np.max(np.abs(mu)))
-            step = float(np.max(np.abs(mu - prev_mu)))
-            rel = step / scale if scale > 0 else (0.0 if step == 0.0 else np.inf)
-            dobj = abs(obj - prev_obj) <= tol_objective * max(abs(obj), 1.0)
-            if rel <= config.tol_mu and dobj:
-                converged = True
-                break
-        prev_mu, prev_obj = mu.copy(), obj
-
-        if learn_alpha:
-            alpha = update_alpha_mxn(mu, sigma_diag, lam_bar, delta)
-
-    return Solution(
-        mu=mu,
-        sigma_diag=sigma_diag,
-        lambda_bar=lam_bar,
-        hyper_trace={
-            "alpha": np.asarray(alpha_trace),
-            "beta": np.asarray(beta_trace),
-            "delta_l1": np.asarray(delta_l1),
-        },
-        objective_trace=np.asarray(obj_trace),
-        iterations=len(obj_trace),
-        converged=converged,
-        extras={
-            "alpha_final": alpha,
-            "learn_alpha": learn_alpha,
-            "state": MxnHyperState(lambda_bar=lam_bar, delta=delta,
-                                   alpha=alpha, beta=beta),
-        },
-    )
+    core = _MxnIteration(data, config, svd)
+    sol = core.run()
+    sol.extras.update(alpha_final=core.alpha, learn_alpha=core.learn_alpha, state=MxnHyperState(
+        lambda_bar=sol.lambda_bar, delta=np.ascontiguousarray(core.delta.T),
+        alpha=core.alpha, beta=core.beta))
+    return sol

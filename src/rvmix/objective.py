@@ -6,6 +6,8 @@ Two families of evaluators live here:
   objective used as the convergence monitor.  The determinant piece is
   the combined form log det(I + (1/beta) diag(lam) K^T K) from the
   posterior module, which stays finite when prior variances hit zero.
+  Every column is evaluated at once, and the breakdown keeps each
+  column's total, which the solvers' per-column stop test uses.
 
 * ``aux_objective_enet`` / ``aux_objective_mxn`` - the coordinate-descent
   auxiliary in which the posterior moments (mu, diag Sigma) are frozen.
@@ -29,14 +31,13 @@ are (documented per branch):
   gamma-block contribution is defined as its finite limit, zero.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DomainError
-from .posterior import _inner_cholesky
+from .posterior import _rows, _rowwise, posterior_moments
 from .special import gamma_half_log_tail
-
 
 
 @dataclass(frozen=True)
@@ -47,12 +48,14 @@ class ObjectiveBreakdown:
     logdet          : combined determinant term including (N/2) log beta_t
     prior_quadratic : sum_t mu_t' diag(lam_t)^{-1} mu_t / 2
     hyperprior      : -log p(hyperparameters), branch dependent
+    columns         : (T,) total of each column, when the evaluator kept it
     """
 
     data_fit: float
     logdet: float
     prior_quadratic: float
     hyperprior: float
+    columns: np.ndarray = field(default=None, compare=False, repr=False)
 
     @property
     def total(self):
@@ -63,13 +66,14 @@ def w_inverse_apply(delta_col):
     """Apply the inverse coupling matrix without materializing it.
 
     W = ones(S,S) - I has inverse W^{-1} = ones/(S-1) - I, so
-    W^{-1} d = (sum(d)/(S-1)) * ones - d.  Requires S >= 2.
+    W^{-1} d = (sum(d)/(S-1)) * ones - d.  Requires S >= 2.  A 2-D
+    argument is a stack of rows, each of S sources.
     """
     d = np.asarray(delta_col, dtype=float)
-    s = d.shape[0]
+    s = d.shape[-1]
     if s < 2:
         raise DomainError("coupling algebra requires at least two sources")
-    return np.sum(d) / (s - 1) - d
+    return np.sum(d, axis=-1, keepdims=True) / (s - 1) - d
 
 
 def _check_lambda_bar(lam_bar):
@@ -90,44 +94,38 @@ def _as_t_vector(x, t, name):
     return arr
 
 
-def _combined_logdet(svd, lam, beta):
-    """log det(I + (1/beta) diag(lam) K^T K) via the r x r inner Cholesky."""
-    C = _inner_cholesky(svd, lam, beta)
-    return float(
-        2.0 * np.sum(np.log(np.diag(C)))
-        + 2.0 * np.sum(np.log(svd.D))
-        - svd.rank * np.log(beta)
-    )
+def _breakdown(data, svd, mu, lam_bar, scale, beta, logdet_terms, hyperprior):
+    """The ObjectiveBreakdown of all columns, from (S, T) mu and lam_bar,
+    scale = 2*alpha and beta per column, the posterior's logdet_terms at
+    lam_bar / scale (None computes them) and the branch's (T,) hyperprior.
+    """
+    if logdet_terms is None:
+        logdet_terms = posterior_moments(svd, lam_bar / scale, beta, data.V).logdet_term
+    elif len(logdet_terms) != data.n_times:
+        raise DomainError(f"logdet_terms must have length {data.n_times}")
+    V, mu, lb = _rows(data.V), _rows(mu), _rows(lam_bar)
+    resid = V - _rowwise(data.K, mu)
+    ratio = np.divide(mu * mu, lb, out=np.zeros_like(mu), where=lb > 0.0)
+    parts = (np.sum(resid * resid, axis=1) / (2.0 * beta),
+             0.5 * np.asarray(logdet_terms, dtype=float) + 0.5 * data.n_sensors * np.log(beta),
+             0.5 * scale * np.sum(ratio, axis=1),
+             hyperprior)
+    return ObjectiveBreakdown(*(float(np.sum(part)) for part in parts), columns=sum(parts))
 
 
-def _quadratic_terms(data, svd, mu, lam_bar, scale, beta, t, logdet_term=None):
-    """data_fit, logdet, prior_quadratic for column t; scale = 2*alpha.
+def _enet_hyperprior(lam_bar, k, tau, nu):
+    """-log p(hyperparameters) of every column, Normal/Laplace branch.
 
-    logdet_term, when given, is column t's combined determinant at these
-    (lam, beta), as posterior_moments returns it, and replaces the
-    factorization _combined_logdet would repeat."""
-    lb = lam_bar[:, t]
-    v = data.V[:, t]
-    m = mu[:, t]
-    resid = v - data.K @ m
-    data_fit = float(resid @ resid) / (2.0 * beta)
-    if logdet_term is None:
-        logdet_term = _combined_logdet(svd, lb / scale, beta)
-    logdet = 0.5 * logdet_term + 0.5 * data.n_sensors * np.log(beta)
-    alive = lb > 0.0
-    prior_quad = 0.5 * scale * float(np.sum(m[alive] ** 2 / lb[alive]))
-    return data_fit, logdet, prior_quad
-
-
-def _enet_hyperprior_column(lam_bar_col, alpha1, k, tau, nu):
-    """-log p(hyperparameters) for one column of the Normal/Laplace branch."""
-    if k == 0.0:
-        # untruncated limit: the gamma block and its prior are absent
-        return 0.0
-    s = lam_bar_col.shape[0]
-    gamma = k / (1.0 - lam_bar_col)
-    gamma_part = float(np.sum(0.5 * np.log(gamma) + gamma))
-    return s * gamma_half_log_tail(k) + gamma_part + nu * k - tau * np.log(k)
+    lam_bar is (T, S), one column per row, and k is (T,).  k == 0 is the
+    untruncated limit, where the gamma block and its prior are absent.
+    """
+    s = lam_bar.shape[-1]
+    truncated = k > 0.0
+    kk = np.where(truncated, k, 1.0)
+    gamma = kk[:, None] / (1.0 - lam_bar)
+    gamma_part = np.sum(0.5 * np.log(gamma) + gamma, axis=-1)
+    out = s * gamma_half_log_tail(kk) + gamma_part + nu * kk - tau * np.log(kk)
+    return np.where(truncated, out, 0.0)
 
 
 def neg_log_posterior_enet(data, svd, mu, lambda_bar, alpha1, k, beta, tau, nu,
@@ -143,10 +141,9 @@ def neg_log_posterior_enet(data, svd, mu, lambda_bar, alpha1, k, beta, tau, nu,
     alpha1, k, beta : scalars or (T,) vectors (variance scale, truncation
         coefficient, noise variance per column)
     tau, nu : Gamma prior parameters of the truncation coefficient
-    logdet_terms : optional length-T sequence of the PosteriorMoments
-        logdet_term of each column at lambda_bar / (2 alpha1) and beta;
-        the solver passes them so the objective does not factor the
-        inner system a second time.  None computes them here.
+    logdet_terms : optional (T,) PosteriorMoments logdet_term of the
+        columns at lambda_bar / (2 alpha1) and beta.  None computes them
+        here with posterior_moments.
     """
     lb = _check_lambda_bar(lambda_bar)
     t_count = data.n_times
@@ -155,66 +152,45 @@ def neg_log_posterior_enet(data, svd, mu, lambda_bar, alpha1, k, beta, tau, nu,
     bv = _as_t_vector(beta, t_count, "beta")
     if np.any(a1 <= 0) or np.any(bv <= 0) or np.any(kv < 0):
         raise DomainError("alpha1 and beta must be positive, k nonnegative")
-    mu = np.asarray(mu, dtype=float)
-
-    if logdet_terms is not None and len(logdet_terms) != t_count:
-        raise DomainError(f"logdet_terms must have length {t_count}")
-
-    data_fit = logdet = prior_quad = hyper = 0.0
-    for t in range(t_count):
-        ld_t = None if logdet_terms is None else logdet_terms[t]
-        df, ld, pq = _quadratic_terms(data, svd, mu, lb, 2.0 * a1[t], bv[t], t, ld_t)
-        data_fit += df
-        logdet += ld
-        prior_quad += pq
-        hyper += _enet_hyperprior_column(lb[:, t], a1[t], kv[t], tau, nu)
-    return ObjectiveBreakdown(data_fit, logdet, prior_quad, hyper)
+    return _breakdown(data, svd, mu, lb, 2.0 * a1, bv, logdet_terms,
+                      _enet_hyperprior(_rows(lb), kv, tau, nu))
 
 
-def _mxn_hyperprior_column(lam_bar_col, delta_col, alpha):
-    """-log p(hyperparameters) for one column of the mixed-norm branch.
+def _mxn_hyperprior(lam_bar, delta, alpha):
+    """-log p(hyperparameters) of every column, mixed-norm branch.
 
-    The (S/2) log alpha terms from the gamma substitution and from the
-    coupling-prior normalization cancel exactly and are omitted together.
+    lam_bar and delta are (T, S), one column per row.  The (S/2) log alpha
+    terms from the gamma substitution and from the coupling-prior
+    normalization cancel exactly and are omitted together.
     """
-    d = np.asarray(delta_col, dtype=float)
+    d = np.asarray(delta, dtype=float)
     if np.any(d < 0):
         raise DomainError("delta must be nonnegative")
     trunc = alpha * d * d
-    tail_part = float(np.sum(gamma_half_log_tail(trunc)))
-    one_m = 1.0 - lam_bar_col
-    gamma_part = float(np.sum(trunc / one_m))
-    pos = d > 0.0
-    log_part = float(np.sum(0.5 * np.log(d[pos] ** 2 / one_m[pos])))
-    wd = w_inverse_apply(d)
-    coupling = alpha * float(np.sum(np.abs(wd))) ** 2
+    tail_part = np.sum(gamma_half_log_tail(trunc), axis=-1)
+    one_m = 1.0 - lam_bar
+    gamma_part = np.sum(trunc / one_m, axis=-1)
+    # log(1) = 0 stands in for the coordinates with zero coupling
+    log_part = np.sum(0.5 * np.log(np.where(d > 0.0, d * d / one_m, 1.0)), axis=-1)
+    coupling = alpha * np.sum(np.abs(w_inverse_apply(d)), axis=-1) ** 2
     return tail_part + gamma_part + log_part + coupling
 
 
-def neg_log_posterior_mxn(data, svd, mu, lambda_bar, delta, alpha, beta):
+def neg_log_posterior_mxn(data, svd, mu, lambda_bar, delta, alpha, beta, logdet_terms=None):
     """Hyperparameter negative log-posterior, mixed-norm (elitist) branch.
 
     delta is the (S, T) matrix of coupling magnitudes; alpha is the single
-    global scale shared by every column.
+    global scale shared by every column.  logdet_terms are as for
+    neg_log_posterior_enet, at lambda_bar / (2 alpha).
     """
     lb = _check_lambda_bar(lambda_bar)
     if alpha <= 0 or not np.isfinite(alpha):
         raise DomainError("alpha must be positive")
-    t_count = data.n_times
-    bv = _as_t_vector(beta, t_count, "beta")
+    bv = _as_t_vector(beta, data.n_times, "beta")
     if np.any(bv <= 0):
         raise DomainError("beta must be positive")
-    mu = np.asarray(mu, dtype=float)
-    delta = np.asarray(delta, dtype=float)
-
-    data_fit = logdet = prior_quad = hyper = 0.0
-    for t in range(t_count):
-        df, ld, pq = _quadratic_terms(data, svd, mu, lb, 2.0 * alpha, bv[t], t)
-        data_fit += df
-        logdet += ld
-        prior_quad += pq
-        hyper += _mxn_hyperprior_column(lb[:, t], delta[:, t], alpha)
-    return ObjectiveBreakdown(data_fit, logdet, prior_quad, hyper)
+    return _breakdown(data, svd, mu, lb, 2.0 * alpha, bv, logdet_terms,
+                      _mxn_hyperprior(_rows(lb), _rows(delta), alpha))
 
 
 def aux_objective_enet(mu_col, sigma_diag_col, lam_bar_col, alpha1, k, tau, nu):
@@ -246,34 +222,21 @@ def aux_objective_enet(mu_col, sigma_diag_col, lam_bar_col, alpha1, k, tau, nu):
     return val
 
 
-def _as_columns(x):
-    """x as a float (S, T) map; a 1-D array of S sources is one column."""
-    a = np.asarray(x, dtype=float)
-    return a[:, None] if a.ndim == 1 else a
-
-
 def aux_objective_mxn(mu, sigma_diag, lam_bar, delta, alpha):
     """Frozen-moments auxiliary over the whole map, mixed-norm branch.
 
     Same construction as the elastic-net auxiliary; the single alpha
     couples all columns, so the auxiliary is evaluated over the full
-    spatio-temporal state.
+    spatio-temporal state.  A 1-D argument is one column.
     """
-    lb = _as_columns(lam_bar)
+    mu, sig, lb, delta = (_rows(x) for x in (mu, sigma_diag, lam_bar, delta))
     if np.any(lb <= 0) or np.any(lb >= 1):
         raise DomainError("auxiliary objective needs lambda_bar strictly inside (0, 1)")
     if alpha <= 0:
         raise DomainError("alpha must be positive")
-    mu = _as_columns(mu)
-    sig = _as_columns(sigma_diag)
-    delta = _as_columns(delta)
-    m2s = mu**2 + sig
-    s, t_count = lb.shape
-    val = (
-        alpha * float(np.sum(m2s / lb))
+    return (
+        alpha * float(np.sum((mu * mu + sig) / lb))
         + 0.5 * float(np.sum(np.log(lb)))
-        - 0.5 * s * t_count * np.log(2.0 * alpha)
+        - 0.5 * lb.size * np.log(2.0 * alpha)
+        + float(np.sum(_mxn_hyperprior(lb, delta, alpha)))
     )
-    for t in range(t_count):
-        val += _mxn_hyperprior_column(lb[:, t], delta[:, t], alpha)
-    return val

@@ -1,4 +1,4 @@
-"""Posterior moments of the Gaussian hierarchical model, column by column.
+"""Posterior moments of the Gaussian hierarchical model, for a stack of columns.
 
 The model per column is  v = K j + noise,  noise ~ N(0, beta*I),
 j ~ N(0, diag(lam)).  The posterior covariance is
@@ -80,7 +80,8 @@ class LeadFieldSVD:
 
 @dataclass(frozen=True)
 class PosteriorMoments:
-    """Per-column posterior mean, variance diagonal, and the determinant term.
+    """Posterior mean, variance diagonal and determinant term, of one
+    column ((S,) arrays, a float) or of T columns ((S, T) arrays, (T,)).
 
     logdet_term is log det(I + (1/beta) diag(lam) K^T K), i.e. the sum
     log|diag(lam)| + log|Sigma^{-1}| in a form that stays finite when
@@ -89,7 +90,7 @@ class PosteriorMoments:
 
     mu: np.ndarray
     sigma_diag: np.ndarray
-    logdet_term: float
+    logdet_term: object
 
 
 def svd_decompose(data, rank_tol=1e-12):
@@ -110,19 +111,33 @@ def svd_decompose(data, rank_tol=1e-12):
     return LeadFieldSVD(Lmat=U[:, :r].copy(), D=s[:r].copy(), R=Vt[:r].T.copy())
 
 
-def _inner_cholesky(svd, lam, beta):
-    """Cholesky factor of M = R^T diag(lam) R + beta D^{-2} with diagnostics."""
-    R = svd.R
-    M = (R.T * lam) @ R
-    M[np.diag_indices_from(M)] += beta / (svd.D * svd.D)
-    try:
-        return sla.cholesky(M, lower=True)
-    except np.linalg.LinAlgError as exc:
-        cond = np.linalg.cond(M)
-        raise NumericError(
-            f"inner posterior system is not numerically SPD (cond ~ {cond:.3e}); "
-            f"beta={beta:.3e}, max lam={lam.max():.3e}"
-        ) from exc
+#: bytes of one column block's (B, r, S) work array
+BLOCK_BYTES = 1 << 20
+
+
+def _rows(x):
+    """An (S, T) map, or one (S,) column, as contiguous (T, S) rows."""
+    return np.ascontiguousarray(np.atleast_2d(np.asarray(x, dtype=float).T))
+
+
+def _rowwise(A, X):
+    """A @ x for every row x of X (or for a 1-D X), as one stack of
+    identical per-row products: a row's result does not depend on the
+    rows beside it, as it would through one 2-D BLAS call."""
+    return np.matmul(A, np.asarray(X, dtype=float)[..., None])[..., 0]
+
+
+def _not_spd(M, lam, beta, offset):
+    """NumericError naming the first matrix of the stack M that Cholesky
+    rejects; a stacked factorization does not say which."""
+    for j, m in enumerate(M):
+        try:
+            np.linalg.cholesky(m)
+        except np.linalg.LinAlgError:
+            break
+    return NumericError(
+        f"inner posterior system is not numerically SPD (cond ~ {np.linalg.cond(m):.3e}); "
+        f"beta={beta[j]:.3e}, max lam={lam[j].max():.3e}", column=offset + j)
 
 
 def posterior_moments(svd, lambda_col, beta, v_col):
@@ -131,41 +146,68 @@ def posterior_moments(svd, lambda_col, beta, v_col):
     Parameters
     ----------
     svd : LeadFieldSVD
-    lambda_col : (S,) nonnegative prior variances
-    beta : positive noise variance
-    v_col : (N,) observation column
+    lambda_col : (S,) or (S, T) nonnegative prior variances
+    beta : positive noise variance, a scalar or (T,)
+    v_col : (N,) or (N, T) observations
 
     Returns
     -------
-    PosteriorMoments with mu_i = sigma_diag_i = 0 wherever lambda_col_i = 0.
+    PosteriorMoments shaped like lambda_col, with mu_i = sigma_diag_i = 0
+    wherever lambda_col_i = 0.
+
+    Columns are processed as rows, in blocks whose (B, r, S) work array
+    takes about BLOCK_BYTES, so a column's result is the same to the bit
+    alone or in any stack.  A non-SPD inner system raises NumericError
+    with the column's index in ``column``.
     """
-    lam = np.asarray(lambda_col, dtype=float)
-    v = np.asarray(v_col, dtype=float)
-    if lam.shape != (svd.n_sources,):
-        raise DomainError(f"lambda_col must have shape ({svd.n_sources},)")
+    ndim = np.ndim(lambda_col)
+    lam, v = _rows(lambda_col), _rows(v_col)
+    t_count, s, r = lam.shape[0], svd.n_sources, svd.rank
+    if ndim not in (1, 2) or np.ndim(v_col) != ndim or lam.shape[1] != s \
+            or v.shape != (t_count, svd.Lmat.shape[0]):
+        raise DomainError(f"lambda_col and v_col must be ({s},) and (N,) or ({s}, T) and (N, T)")
     if not np.all(np.isfinite(lam)) or np.any(lam < 0):
         raise DomainError("lambda_col must be finite and nonnegative")
-    if not np.isfinite(beta) or beta <= 0:
-        raise DomainError("beta must be positive")
+    beta = np.asarray(beta, dtype=float)
+    if beta.shape not in ((), (t_count,)) or not np.all(np.isfinite(beta)) or np.any(beta <= 0):
+        raise DomainError("beta must be positive, a scalar or one per column")
+    beta = np.broadcast_to(beta, (t_count,))
 
     R, D = svd.R, svd.D
-    C = _inner_cholesky(svd, lam, beta)
+    diag = np.arange(r)
+    mu, sigma_diag, logdet = np.empty((t_count, s)), np.empty((t_count, s)), np.empty(t_count)
+    block = max(1, BLOCK_BYTES // (8 * s * r))
+    for lo in range(0, t_count, block):
+        rows = slice(lo, lo + block)
+        lam_b = lam[rows]
+        # M = R^T diag(lam) R + beta D^{-2}, one r x r matrix per column
+        M = np.matmul(R.T * lam_b[:, None, :], R)
+        M[:, diag, diag] += beta[rows, None] / (D * D)
+        try:
+            C = np.linalg.cholesky(M)
+        except np.linalg.LinAlgError:
+            raise _not_spd(M, lam_b, beta[rows], lo) from None
 
-    # mu = diag(lam) R M^{-1} D^{-1} L^T v
-    rhs = (svd.Lmat.T @ v) / D
-    w = sla.cho_solve((C, True), rhs)
-    mu = lam * (R @ w)
+        # Y = C^{-1} R^T and z = C^{-1} D^{-1} L^T v, so that
+        # mu = diag(lam) R M^{-1} D^{-1} L^T v = lam * (Y^T z); the small
+        # C^{-1} keeps Y the only (B, r, S) array a solve allocates
+        C_inv = sla.solve_triangular(C, np.broadcast_to(np.eye(r), C.shape), lower=True)
+        Y = np.matmul(C_inv, R.T)
+        z = np.matmul(C_inv, (_rowwise(svd.Lmat.T, v[rows]) / D)[:, :, None])
+        mu[rows] = lam_b * np.matmul(z.transpose(0, 2, 1), Y)[:, 0]
 
-    # sigma_diag = lam - lam^2 * rowwise ||C^{-1} R^T||^2
-    Y = sla.solve_triangular(C, R.T, lower=True)
-    q = np.einsum("ij,ij->j", Y, Y)
-    sigma_diag = lam - lam * lam * q
-    # exact zeros stay exact; tiny negative values are roundoff from the subtraction
-    np.clip(sigma_diag, 0.0, None, out=sigma_diag)
+        # sigma_diag = lam - lam^2 * columnwise ||Y||^2
+        q = np.square(Y, out=Y).sum(axis=1)
+        del Y  # so that it is gone before the next block allocates its own
+        # exact zeros stay exact; tiny negative values are roundoff from the subtraction
+        np.clip(lam_b - lam_b * lam_b * q, 0.0, None, out=sigma_diag[rows])
 
-    # log det(I + (1/beta) diag(lam) K^T K) = log det M + 2 sum log D - r log beta
-    logdet = 2.0 * np.sum(np.log(np.diag(C))) + 2.0 * np.sum(np.log(D)) - svd.rank * np.log(beta)
-    return PosteriorMoments(mu=mu, sigma_diag=sigma_diag, logdet_term=float(logdet))
+        # log det(I + (1/beta) diag(lam) K^T K) = log det M + 2 sum log D - r log beta
+        logdet[rows] = (2.0 * np.sum(np.log(np.diagonal(C, axis1=1, axis2=2)), axis=1)
+                        + 2.0 * np.sum(np.log(D)) - r * np.log(beta[rows]))
+    if ndim == 1:
+        return PosteriorMoments(mu=mu[0], sigma_diag=sigma_diag[0], logdet_term=float(logdet[0]))
+    return PosteriorMoments(mu=mu.T, sigma_diag=sigma_diag.T, logdet_term=logdet)
 
 
 def posterior_direct(K, lambda_col, beta, v_col):

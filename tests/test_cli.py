@@ -239,6 +239,46 @@ class TestSolveCommand:
         assert (out / "manifest.json").read_text() == (out2 / "manifest.json").read_text()
 
 
+    def test_stop_reasons_in_manifest(self, sim_dir, tmp_path):
+        out = tmp_path / "enet"
+        assert main(["solve", "--method", "enet-rvm", "--K", str(sim_dir / "K.mxio"),
+                     "--V", str(sim_dir / "V.mxio"), "--max-iter", "2", "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["stop_reason"] == ["max_iter"] * 8
+        assert manifest["column_iterations"] == [2] * 8
+        assert manifest["converged"] is False
+        out = tmp_path / "mxn"
+        assert main(["solve", "--method", "mxn-rvm", "--K", str(sim_dir / "K.mxio"),
+                     "--V", str(sim_dir / "V.mxio"), "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["stop_reason"] == "tol" and manifest["converged"] is True
+
+    @pytest.mark.parametrize("key, value", [("max_iter", "abc"), ("voxels", 3),
+                                            ("learn_k", "maybe"), ("max_iter", True),
+                                            ("tol_mu", False), ("beta_mode", 1)])
+    def test_replay_config_is_typed(self, sim_dir, tmp_path, capsys, key, value):
+        out = tmp_path / "first"
+        assert main(["solve", "--method", "enet-rvm", "--K", str(sim_dir / "K.mxio"),
+                     "--V", str(sim_dir / "V.mxio"), "--max-iter", "3", "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        manifest["config"][key] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert main(["solve", "--replay", str(bad), "--out", str(tmp_path / "o")]) == 2
+        assert repr(key) in capsys.readouterr().err
+
+    def test_replay_accepts_an_int_for_a_float_key(self, sim_dir, tmp_path):
+        out = tmp_path / "first"
+        assert main(["solve", "--method", "enet-rvm", "--K", str(sim_dir / "K.mxio"),
+                     "--V", str(sim_dir / "V.mxio"), "--max-iter", "3", "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        manifest["config"]["tol_mu"] = 1
+        good = tmp_path / "good.json"
+        good.write_text(json.dumps(manifest))
+        assert main(["solve", "--replay", str(good), "--out", str(tmp_path / "o")]) == 0
+
+
 class TestEvalCommand:
     def test_self_evaluation_row(self, sim_dir, tmp_path):
         out = tmp_path / "row.csv"

@@ -1,5 +1,8 @@
 """Elastic-net Bayesian solver: update formulas and full iteration."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from scipy import optimize
@@ -14,7 +17,7 @@ from rvmix.enet import (
     update_k,
     update_lambda_bar_enet,
 )
-from rvmix.errors import DegenerateStateError, DomainError
+from rvmix.errors import DegenerateStateError, DomainError, NumericError
 from rvmix.objective import aux_objective_enet, neg_log_posterior_enet
 from rvmix.posterior import ProblemData, posterior_moments, svd_decompose
 from rvmix.rootfind import bracketed_root
@@ -295,6 +298,67 @@ class TestSolveEnet:
             sol_t = solve_enet(single)
             np.testing.assert_array_equal(sol_full.mu[:, t], sol_t.mu[:, 0])
 
+    def test_column_separability_is_exact(self):
+        # each column's result is the same to the bit whether it is solved
+        # alone, inside the batch, or after a permutation of the columns
+        data, _ = ring_problem(s=64, n=31, t=8, seed=0)
+        full = solve_enet(data)
+        keys = ("mu", "sigma_diag", "lambda_bar")
+
+        def column_outputs(sol):
+            return [getattr(sol, key) for key in keys] + [sol.extras["column_iterations"]]
+
+        want = column_outputs(full)
+        for t in range(8):
+            alone = column_outputs(solve_enet(ProblemData(K=data.K, V=data.V[:, [t]])))
+            for got, ref in zip(alone, want):
+                np.testing.assert_array_equal(got[..., 0], ref[..., t])
+        perm = np.random.default_rng(1).permutation(8)
+        permuted = column_outputs(solve_enet(ProblemData(K=data.K, V=data.V[:, perm])))
+        for got, ref in zip(permuted, want):
+            np.testing.assert_array_equal(got, ref[..., perm])
+
+    def test_stop_reasons(self):
+        data, _ = ring_problem(t=4, seed=3)
+        capped = solve_enet(data, SolverConfig(max_iter=2))
+        assert capped.extras["stop_reason"] == ["max_iter"] * 4
+        np.testing.assert_array_equal(capped.extras["column_iterations"], [2, 2, 2, 2])
+        assert not capped.converged
+
+        V = data.V.copy()
+        V[:, 1] = 0.0
+        sol = solve_enet(ProblemData(K=data.K, V=V))
+        assert sol.extras["stop_reason"] == ["tol", "zero_data", "tol", "tol"]
+        assert sol.extras["column_iterations"][1] == 1
+        assert np.all(sol.mu[:, 1] == 0.0)
+        assert sol.converged
+        # a finished column is held at its final value in the traces
+        assert np.all(sol.hyper_trace["alpha1"][:, 1] == 1.0)
+        assert sol.iterations == max(sol.extras["column_iterations"])
+
+    def test_non_spd_inner_system_names_column_and_iteration(self, monkeypatch):
+        # a stacked Cholesky failure does not say which matrix failed; the
+        # solver must still name the column.  Column 0 is all zero, so it
+        # stops after one sweep and stack row 1 is column 2 at iteration 3.
+        data, _ = ring_problem(t=4, seed=3)
+        V = data.V.copy()
+        V[:, 0] = 0.0
+        real = np.linalg.cholesky
+        stacked_calls = []
+
+        def corrupting(M, *args, **kwargs):
+            if M.ndim == 3:
+                stacked_calls.append(len(M))
+                if len(stacked_calls) == 3:
+                    M[1] = -np.eye(M.shape[-1])  # in place: the diagnosis sees it too
+            return real(M, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "cholesky", corrupting)
+        with pytest.raises(NumericError, match=r"column 2: iteration 3, "
+                                               r"inner posterior system is not numerically SPD"):
+            solve_enet(ProblemData(K=data.K, V=V))
+        assert stacked_calls == [4, 3, 3]
+
     def test_converged_state_is_coordinatewise_local_min(self):
         # at a tightly converged fixed point the full objective cannot be
         # improved by +-1% probes of the scalar hyperparameters
@@ -375,3 +439,45 @@ class TestNoiseRobustness:
             sol = solve_enet(ProblemData(K=ph.K, V=V))
             assert sol.converged
             assert roc_auc(sol.mu, ph.support_true) > 70.0
+
+
+class TestRootSearchReleasesItsFunction:
+    """brentq wraps its function in a self-referencing closure; the root
+    searches must not keep the function, or any array it reaches, alive
+    until the next garbage collection."""
+
+    @pytest.fixture(autouse=True)
+    def no_gc(self):
+        gc.disable()
+        try:
+            yield
+        finally:
+            gc.enable()
+
+    def test_bracketed_root(self):
+        def shifted(arr):
+            return lambda x: x - arr[0]
+
+        arr = np.array([2.0])
+        ref = weakref.ref(arr)
+        assert bracketed_root(shifted(arr)) == pytest.approx(2.0)
+        del arr
+        assert ref() is None
+
+    def test_update_k(self):
+        lb = np.full(10, 0.3)
+        ref = weakref.ref(lb)
+        update_k(lb, 10.0, 0.1)
+        del lb
+        assert ref() is None
+
+    def test_update_alpha_mxn(self):
+        from rvmix.mxn import update_alpha_mxn
+
+        rng = np.random.default_rng(4)
+        mu = rng.standard_normal((5, 3)) * 0.5
+        ref = weakref.ref(mu)
+        update_alpha_mxn(mu, rng.uniform(0.01, 0.3, (5, 3)), rng.uniform(0.1, 0.8, (5, 3)),
+                         rng.uniform(0.05, 1.0, (5, 3)))
+        del mu
+        assert ref() is None

@@ -245,6 +245,13 @@ class TestSolveMxn:
         assert sol.hyper_trace["alpha"].shape == (sol.iterations,)
         assert sol.extras["alpha_final"] > 0
 
+    def test_stop_reason(self):
+        data, _ = small_ring()
+        capped = solve_mxn(data, SolverConfig(max_iter=2))
+        assert capped.extras["stop_reason"] == "max_iter" and not capped.converged
+        sol = solve_mxn(data)
+        assert sol.extras["stop_reason"] == "tol" and sol.converged
+
     def test_solver_trace_matches_objective_module(self):
         # first recorded value equals the independent evaluator at the
         # initial state

@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from rvmix import posterior
 from rvmix.errors import DomainError, RankError
 from rvmix.posterior import (
     LeadFieldSVD,
@@ -136,6 +139,68 @@ class TestPosteriorMoments:
             posterior_moments(svd, np.ones(3), 0.0, np.zeros(3))
         with pytest.raises(DomainError):
             posterior_moments(svd, np.ones(4), 1.0, np.zeros(3))
+
+
+class TestStackedPosterior:
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 8), s=st.integers(1, 14),
+           t=st.integers(1, 6))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_direct_oracle_column_by_column(self, seed, n, s, t):
+        # random small problems, some prior variances exactly zero; each
+        # column of the stacked call equals the one-column call to the bit
+        # and the dense oracle to roundoff
+        rng = np.random.default_rng(seed)
+        K = rng.standard_normal((n, s))
+        lam = rng.uniform(0.05, 3.0, (s, t)) * (rng.random((s, t)) < 0.7)
+        beta = rng.uniform(0.3, 2.0, t)
+        V = rng.standard_normal((n, t))
+        svd = svd_decompose(K)
+        stacked = posterior_moments(svd, lam, beta, V)
+        assert stacked.mu.shape == stacked.sigma_diag.shape == (s, t)
+        assert stacked.logdet_term.shape == (t,)
+        for j in range(t):
+            one = posterior_moments(svd, lam[:, j], beta[j], V[:, j])
+            np.testing.assert_array_equal(stacked.mu[:, j], one.mu)
+            np.testing.assert_array_equal(stacked.sigma_diag[:, j], one.sigma_diag)
+            assert stacked.logdet_term[j] == one.logdet_term
+            ref = posterior_direct(K, lam[:, j], beta[j], V[:, j])
+            np.testing.assert_allclose(stacked.mu[:, j], ref.mu, rtol=1e-8, atol=1e-10)
+            np.testing.assert_allclose(stacked.sigma_diag[:, j], ref.sigma_diag,
+                                       rtol=1e-8, atol=1e-10)
+            assert stacked.logdet_term[j] == pytest.approx(ref.logdet_term, rel=1e-8, abs=1e-10)
+            assert np.all(stacked.mu[lam[:, j] == 0.0, j] == 0.0)
+            assert np.all(stacked.sigma_diag[lam[:, j] == 0.0, j] == 0.0)
+
+    def test_column_blocks_do_not_change_results(self, monkeypatch):
+        rng = np.random.default_rng(6)
+        K = rng.standard_normal((9, 30))
+        lam = rng.uniform(0.0, 2.0, (30, 7))
+        V = rng.standard_normal((9, 7))
+        svd = svd_decompose(K)
+        whole = posterior_moments(svd, lam, 1.0, V)
+        # blocks of 2 columns: 9 sensors * 30 sources * 8 bytes * 2
+        monkeypatch.setattr(posterior, "BLOCK_BYTES", 8 * 9 * 30 * 2)
+        blocked = posterior_moments(svd, lam, 1.0, V)
+        for a, b in zip((whole.mu, whole.sigma_diag, whole.logdet_term),
+                        (blocked.mu, blocked.sigma_diag, blocked.logdet_term)):
+            np.testing.assert_array_equal(a, b)
+
+    def test_non_spd_column_is_named(self):
+        # a rank-deficient R with an infinite singular value leaves column
+        # 1's inner system singular, since its lam vanishes on R's support
+        svd = LeadFieldSVD(Lmat=np.eye(2), D=np.array([1.0, np.inf]),
+                           R=np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]))
+        lam = np.array([[1.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
+        with pytest.raises(posterior.NumericError) as info:
+            posterior_moments(svd, lam, 1.0, np.ones((2, 2)))
+        assert info.value.column == 1
+
+    def test_shape_checks(self):
+        svd = svd_decompose(np.eye(3))
+        with pytest.raises(DomainError):
+            posterior_moments(svd, np.ones((3, 2)), 1.0, np.ones(3))
+        with pytest.raises(DomainError):
+            posterior_moments(svd, np.ones((3, 2)), np.ones(3), np.ones((3, 2)))
 
 
 class TestPosteriorDirect:
