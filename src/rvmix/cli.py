@@ -11,6 +11,7 @@ import argparse
 import csv
 import json
 import os
+import re
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -22,7 +23,7 @@ from .baselines import PenaltySpec, gcv_select, mm_solve, ridge_solve, ring_lapl
 from .enet import SolverConfig, solve_enet
 from .errors import ConfigError, ContainerError, NumericError, RvmixError
 from .metrics import MM_ZERO_TOL_REL, RVM_ZERO_TOL_REL, EvalReport, evaluate
-from .mxio import coerce, parse_config_file, read_matrix, write_matrix
+from .mxio import coerce, config_entries, parse_config_file, read_matrix, write_matrix
 from .mxn import solve_mxn
 from .phantom import NoiseSpec, SourceSpec, add_noise, make_phantom
 from .posterior import ProblemData
@@ -51,11 +52,27 @@ SOLVE_KEYS = {
 }
 
 
+def _seed_list(text):
+    """A sweep's `seeds` value: a comma list of at least one nonnegative
+    integer (the noise generator takes no negative seed), each once, as
+    each names a directory."""
+    seeds = [int(x) for x in text.split(",") if x.strip()]
+    if not seeds or min(seeds) < 0 or len(set(seeds)) < len(seeds):
+        raise ValueError(f"need distinct nonnegative integer seeds, got {text!r}")
+    return seeds
+
+
+#: the global keys of a sweep spec: the simulation's, plus the seed list
+SWEEP_KEYS = dict(SIM_KEYS, seeds=_seed_list)
+#: the name of a sweep arm, which is also a directory name under runs/
+_ARM_NAME = re.compile(r"[A-Za-z0-9][A-Za-z0-9._-]*")
+
+
 def _out_dir(path):
     root = os.environ.get("RVMIX_OUT_ROOT")
     p = Path(path)
     if root and not p.is_absolute():
-        p = Path(root) / p
+        p = Path(root).absolute() / p  # absolute, so a second call keeps it
     p.mkdir(parents=True, exist_ok=True)
     return p
 
@@ -109,7 +126,13 @@ def _typed_json_config(raw, schema, source):
 
 def cmd_simulate(args):
     cfg = _typed_config(parse_config_file(args.config), SIM_KEYS, args.config) if args.config else {}
-    out = _out_dir(args.out)
+    _simulate(cfg, _out_dir(args.out))
+    return OK
+
+
+def _simulate(cfg, out):
+    """Simulate from a typed SIM_KEYS config into the directory out; returns
+    the phantom."""
     sim = {
         "s": cfg.get("s", 200), "n": cfg.get("n", 31), "t": cfg.get("t", 64),
         "seed": cfg.get("seed", 0), "peak_snr_db": cfg.get("peak_snr_db", 42.0),
@@ -140,15 +163,11 @@ def cmd_simulate(args):
         "lead_field_condition": float(np.linalg.cond(ph.K)),
     })
     _write_timings(out, {"simulate_s": time.perf_counter() - t0})
-    return OK
+    return ph
 
 
 def _solver_config(cfg):
-    kwargs = {}
-    for key in ("max_iter", "tol_mu", "tol_objective", "learn_k", "learn_alpha1",
-                "beta_mode", "epsilon_prior", "alpha_init", "fixed_alpha"):
-        if key in cfg:
-            kwargs[key] = cfg[key]
+    kwargs = {k: v for k, v in cfg.items() if k in SolverConfig.__dataclass_fields__}
     if "alpha1" in cfg or "alpha2" in cfg:
         if not ("alpha1" in cfg and "alpha2" in cfg):
             raise ConfigError("fixed hyperparameters need both alpha1 and alpha2")
@@ -156,12 +175,12 @@ def _solver_config(cfg):
     return SolverConfig(**kwargs)
 
 
-def _grid(cfg, flag_grid):
-    text = flag_grid or cfg.get("lambda_grid")
+def _grid(cfg):
+    text = cfg.get("lambda_grid")
     if text is None:
         return None
     try:
-        vals = [float(x) for x in str(text).split(",") if x.strip()]
+        vals = [float(x) for x in text.split(",") if x.strip()]
     except ValueError as exc:
         raise ConfigError(f"bad lambda_grid: {exc}") from exc
     if not vals:
@@ -175,7 +194,7 @@ def _at_grid_edge(lam, grid):
     return lam in (min(grid), max(grid))
 
 
-def _solve_payload(method, data, cfg, flag_grid):
+def _solve_payload(method, data, cfg):
     """Run one solver; returns (J, files, manifest_extras)."""
     extras = {}
     files = {}
@@ -211,7 +230,7 @@ def _solve_payload(method, data, cfg, flag_grid):
                       objective_trace=[float(x) for x in sol.objective_trace])
         return sol.mu, files, extras
 
-    grid = _grid(cfg, flag_grid)
+    grid = _grid(cfg)
     lam = cfg.get("lam")
     if method in ("ridge", "loreta"):
         L = ring_laplacian(data.n_sources) if method == "loreta" else None
@@ -282,7 +301,7 @@ def cmd_solve(args):
     data = ProblemData(K=K, V=V)
     out = _out_dir(args.out)
     t0 = time.perf_counter()
-    J, files, extras = _solve_payload(args.method, data, cfg, args.lambda_grid)
+    J, files, extras = _solve_payload(args.method, data, cfg)
     for name, payload in files.items():
         if name.endswith(".mxio"):
             write_matrix(out / name, payload)
@@ -326,54 +345,58 @@ def cmd_eval(args):
 
 
 def _parse_sweep(path):
-    parse_config_file(path)  # syntax validation with line numbers
-    arms = []
-    globals_cfg = {}
+    """A sweep spec's typed globals and its arms.  Every key and value is
+    checked here, so a bad one stops the sweep before anything runs."""
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            body = line.split("#", 1)[0].strip()
-            if not body or "=" not in body:
-                continue
-            key, value = (x.strip() for x in body.split("=", 1))
-            if key != "arm":
-                globals_cfg[key] = value
-                continue
-            if "|" not in value:
-                raise ConfigError(f"{path}:{lineno}: arm needs 'name | key=value ...'")
-            name, rest = (x.strip() for x in value.split("|", 1))
-            arm = {"name": name}
-            for token in rest.split():
-                if "=" not in token:
-                    raise ConfigError(f"{path}:{lineno}: bad arm token {token!r}")
-                k, v = token.split("=", 1)
-                arm[k] = v
-            if "method" not in arm:
-                raise ConfigError(f"{path}:{lineno}: arm {name!r} has no method")
-            arms.append(arm)
+        text = fh.read()
+    globals_cfg, arms = {}, []
+    for lineno, key, value in config_entries(text, path):
+        where = f"{path}:{lineno}"
+        if key != "arm":
+            globals_cfg.update(_typed_config({key: value}, SWEEP_KEYS, where))
+            continue
+        name, bar, rest = (x.strip() for x in value.partition("|"))
+        if not bar:
+            raise ConfigError(f"{where}: arm needs 'name | key=value ...'")
+        if not _ARM_NAME.fullmatch(name):
+            raise ConfigError(f"{where}: arm name {name!r} must be letters, digits, "
+                              "'.', '_' and '-', starting with a letter or digit")
+        if any(arm["name"] == name for arm in arms):
+            raise ConfigError(f"{where}: arm name {name!r} is used twice")
+        tokens = {}
+        for token in rest.split():
+            k, eq, v = token.partition("=")
+            if not eq:
+                raise ConfigError(f"{where}: bad arm token {token!r}")
+            tokens[k] = v
+        method = tokens.pop("method", None)
+        if method not in RVM_METHODS + CLASSICAL_METHODS:
+            raise ConfigError(f"{where}: arm {name!r} needs a known method, got {method!r}")
+        arms.append({"name": name, "method": method,
+                     "cfg": _typed_config(tokens, SOLVE_KEYS, where)})
     if not arms:
         raise ConfigError(f"{path}: sweep defines no arms")
     return globals_cfg, arms
 
 
 def _run_arm(arm, seed, sim_dir, out_root, truth, support):
-    run_dir = out_root / "runs" / f"{arm['name']}-seed{seed}"
-    run_dir.mkdir(parents=True, exist_ok=True)
-    argv = ["solve", "--method", arm["method"], "--K", str(sim_dir / "K.mxio"),
-            "--V", str(sim_dir / "V.mxio"), "--out", str(run_dir)]
-    for key, value in arm.items():
-        if key in ("name", "method"):
-            continue
-        argv += [f"--{key.replace('_', '-')}", value]
-    code = main(argv)
-    if code != OK:
-        return {"arm": arm["name"], "seed": seed, "method": arm["method"],
-                "error": f"exit {code}"}
-    J = read_matrix(run_dir / "mu.mxio")
-    zero_tol = MM_ZERO_TOL_REL if arm["method"] in CLASSICAL_METHODS else RVM_ZERO_TOL_REL
-    rep = evaluate(arm["name"], J, truth, support, zero_tol_rel=zero_tol)
-    with open(run_dir / "manifest.json", "r", encoding="utf-8") as fh:
-        manifest = json.load(fh)
+    """Solve and score one arm on one seed's simulation; returns the
+    sweep.csv row, whose error holds the message of a failed run."""
     row = {"arm": arm["name"], "seed": seed, "method": arm["method"], "error": ""}
+    run_dir = out_root / "runs" / f"{arm['name']}-seed{seed}"
+    args = argparse.Namespace(method=arm["method"], K=str(sim_dir / "K.mxio"),
+                              V=str(sim_dir / "V.mxio"), config=None, replay=None,
+                              out=str(run_dir), **{k: arm["cfg"].get(k) for k in SOLVE_KEYS})
+    try:
+        cmd_solve(args)
+        J = read_matrix(run_dir / "mu.mxio")
+        zero_tol = MM_ZERO_TOL_REL if arm["method"] in CLASSICAL_METHODS else RVM_ZERO_TOL_REL
+        rep = evaluate(arm["name"], J, truth, support, zero_tol_rel=zero_tol)
+        with open(run_dir / "manifest.json", "r", encoding="utf-8") as fh:
+            manifest = json.load(fh)
+    except (RvmixError, OSError) as exc:
+        row["error"] = _failure(exc)[1]
+        return row
     row.update(zip(EvalReport.CSV_HEADER[1:], rep.as_row()[1:]))
     if "selected_lambda" in manifest:
         row["selected_lambda"] = manifest["selected_lambda"]
@@ -382,41 +405,24 @@ def _run_arm(arm, seed, sim_dir, out_root, truth, support):
 
 
 def cmd_sweep(args):
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
     globals_cfg, arms = _parse_sweep(args.spec)
+    seeds = globals_cfg.pop("seeds", [0])
     out = _out_dir(args.out)
-    seeds = [int(x) for x in str(globals_cfg.pop("seeds", "0")).split(",") if x.strip()]
-    rows = []
     jobs = []
     for seed in seeds:
         sim_dir = out / "sim" / f"seed{seed}"
         sim_dir.mkdir(parents=True, exist_ok=True)
-        sim_cfg = dict(globals_cfg)
-        sim_cfg["seed"] = str(seed)
-        cfg_path = sim_dir / "sim.cfg"
-        with open(cfg_path, "w", encoding="utf-8") as fh:
-            for k, v in sim_cfg.items():
-                fh.write(f"{k} = {v}\n")
-        code = main(["simulate", "--config", str(cfg_path), "--out", str(sim_dir)])
-        if code != OK:
-            return code
-        truth = read_matrix(sim_dir / "J_true.mxio")
-        support = read_matrix(sim_dir / "support_true.mxio").astype(bool)
-        for arm in arms:
-            jobs.append((arm, seed, sim_dir, truth, support))
-
-    def run(job):
-        arm, seed, sim_dir, truth, support = job
-        try:
-            return _run_arm(arm, seed, sim_dir, out, truth, support)
-        except RvmixError as exc:
-            return {"arm": arm["name"], "seed": seed, "method": arm["method"],
-                    "error": str(exc)}
+        ph = _simulate(dict(globals_cfg, seed=seed), sim_dir)
+        support = ph.support_true.astype(bool)
+        jobs += [(arm, seed, sim_dir, out, ph.J_true, support) for arm in arms]
 
     if args.jobs > 1:
         with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(run, jobs))
+            rows = list(pool.map(lambda job: _run_arm(*job), jobs))
     else:
-        rows = [run(job) for job in jobs]
+        rows = [_run_arm(*job) for job in jobs]
 
     fieldnames = ["arm", "seed", "method", *EvalReport.CSV_HEADER[1:],
                   "selected_lambda", "converged", "error"]
@@ -428,12 +434,12 @@ def cmd_sweep(args):
     return OK
 
 
-def _boolean(text):
-    """argparse type for the bool solve keys, with the config file's spellings."""
-    try:
-        return coerce(text, bool)
-    except ConfigError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from exc
+def _flag_type(kind):
+    """argparse type for a solve key: flag text converts as config text does."""
+    def convert(text):
+        return coerce(text, kind)
+    convert.__name__ = kind.__name__
+    return convert
 
 
 def build_parser():
@@ -453,21 +459,9 @@ def build_parser():
     p.add_argument("--config", help="key = value solver configuration")
     p.add_argument("--out", required=True)
     p.add_argument("--replay", help="re-run from a solve manifest")
-    p.add_argument("--lam", type=float)
-    p.add_argument("--lambda-grid", dest="lambda_grid")
-    p.add_argument("--mu-mix", dest="mu_mix", type=float)
-    p.add_argument("--eps-lqa", dest="eps_lqa", type=float)
-    p.add_argument("--max-iter", dest="max_iter", type=int)
-    p.add_argument("--alpha1", type=float)
-    p.add_argument("--alpha2", type=float)
-    p.add_argument("--fixed-alpha", dest="fixed_alpha", type=float)
-    p.add_argument("--epsilon-prior", dest="epsilon_prior", type=float)
-    p.add_argument("--tol-mu", dest="tol_mu", type=float)
-    p.add_argument("--tol-objective", dest="tol_objective", type=float)
-    p.add_argument("--beta-mode", dest="beta_mode", help="fixed_one | learned")
-    p.add_argument("--learn-k", dest="learn_k", type=_boolean)
-    p.add_argument("--learn-alpha1", dest="learn_alpha1", type=_boolean)
-    p.add_argument("--alpha-init", dest="alpha_init", type=float)
+    for key, kind in SOLVE_KEYS.items():
+        p.add_argument(f"--{key.replace('_', '-')}", dest=key, type=_flag_type(kind),
+                       help="fixed_one | learned" if key == "beta_mode" else None)
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("eval", help="score a solution against the truth")
@@ -490,6 +484,17 @@ def build_parser():
     return parser
 
 
+def _failure(exc):
+    """The exit code and the message of a command that raised exc."""
+    if isinstance(exc, ConfigError):
+        return USAGE, f"configuration error: {exc}"
+    if isinstance(exc, NumericError):
+        return NUMERIC, f"numeric failure: {exc}"
+    if isinstance(exc, (OSError, ContainerError)):
+        return IOERR, f"i/o failure: {exc}"
+    return USAGE, f"error: {exc}"
+
+
 def main(argv=None):
     parser = build_parser()
     try:
@@ -498,18 +503,10 @@ def main(argv=None):
         return USAGE if exc.code not in (0, None) else OK
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"rvmix: configuration error: {exc}", file=sys.stderr)
-        return USAGE
-    except NumericError as exc:
-        print(f"rvmix: numeric failure: {exc}", file=sys.stderr)
-        return NUMERIC
-    except (OSError, ContainerError) as exc:
-        print(f"rvmix: i/o failure: {exc}", file=sys.stderr)
-        return IOERR
-    except RvmixError as exc:
-        print(f"rvmix: error: {exc}", file=sys.stderr)
-        return USAGE
+    except (RvmixError, OSError) as exc:
+        code, message = _failure(exc)
+        print(f"rvmix: {message}", file=sys.stderr)
+        return code
 
 
 def entrypoint():

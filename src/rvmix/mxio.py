@@ -53,13 +53,11 @@ def read_matrix(path):
     return out
 
 
-def parse_config_text(text, source="<config>"):
-    """Parse `key = value` lines; '#' starts a comment, blanks are skipped.
-
-    Returns an ordered dict of string values.  Malformed lines raise
-    ConfigError naming the offending line.
+def config_entries(text, source="<config>"):
+    """Yield (line number, key, value) for each `key = value` line, in order;
+    '#' starts a comment, blanks are skipped.  Values stay strings.
+    Malformed lines raise ConfigError naming the offending line.
     """
-    out = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -71,8 +69,13 @@ def parse_config_text(text, source="<config>"):
         value = value.strip()
         if not key or not value:
             raise ConfigError(f"{source}:{lineno}: empty key or value in {raw!r}")
-        out[key] = value
-    return out
+        yield lineno, key, value
+
+
+def parse_config_text(text, source="<config>"):
+    """Parse `key = value` lines into an ordered dict of string values; the
+    last line of a repeated key wins."""
+    return {key: value for _lineno, key, value in config_entries(text, source)}
 
 
 def parse_config_file(path):
@@ -81,7 +84,8 @@ def parse_config_file(path):
 
 
 def coerce(value, kind):
-    """Convert a config string to bool/int/float, with clear errors."""
+    """Convert a config string to kind (bool, int, float, str, or any
+    converter that raises ValueError on bad text), with clear errors."""
     try:
         if kind is bool:
             low = value.lower()

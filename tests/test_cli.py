@@ -383,8 +383,8 @@ class TestSweepCommand:
     def test_learned_noise_arm_runs(self, tmp_path):
         # n = 40: with S >> N the learned noise update's denominator
         # N - S + 2 alpha1 sum(sigma/lambda_bar) is negative on the first
-        # sweep and the arm fails with exit 4, a solver limit this test
-        # does not cover
+        # sweep and the arm's row records that numeric failure instead
+        # (test_learned_noise_failure_message_in_row)
         spec = tmp_path / "sweep.cfg"
         spec.write_text(
             "s = 48\nn = 40\nt = 8\npeak_snr_db = 42\nc_sigma_space = 2.0\nseeds = 0\n"
@@ -398,6 +398,80 @@ class TestSweepCommand:
         manifest = json.loads((out / "runs" / "learned-seed0" / "manifest.json").read_text())
         assert manifest["config"]["beta_mode"] == "learned"
         assert manifest["config"]["alpha_init"] == 1.5
+
+    def test_learned_noise_failure_message_in_row(self, tmp_path):
+        spec = tmp_path / "sweep.cfg"
+        spec.write_text(
+            "s = 48\nn = 12\nt = 8\npeak_snr_db = 42\nc_sigma_space = 2.0\nseeds = 0\n"
+            "arm = learned | method=enet-rvm beta_mode=learned\n"
+            "arm = ridge | method=ridge lam=1.0\n"
+        )
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--spec", str(spec), "--out", str(out)]) == 0
+        with open(out / "sweep.csv", newline="") as fh:
+            rows = {r["arm"]: r for r in csv.DictReader(fh)}
+        assert rows["learned"]["error"].startswith("numeric failure: column 0: ")
+        assert "noise variance denominator is not positive" in rows["learned"]["error"]
+        assert rows["ridge"]["error"] == ""
+
+    def test_no_sim_cfg_written(self, tmp_path):
+        spec = tmp_path / "sweep.cfg"
+        spec.write_text("s = 48\nn = 12\nt = 8\nc_sigma_space = 2.0\nseeds = 4\n"
+                        "arm = ridge | method=ridge lam=1.0\n")
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--spec", str(spec), "--out", str(out)]) == 0
+        sim = out / "sim" / "seed4"
+        assert not (sim / "sim.cfg").exists()
+        config = json.loads((sim / "manifest.json").read_text())["config"]
+        assert (config["s"], config["n"], config["t"], config["seed"]) == (48, 12, 8, 4)
+        assert config["c_sigma_space"] == 2.0
+
+    @pytest.mark.parametrize("line, key", [
+        ("arm = a | method=ridge lam=1.0 voxels=3", "'voxels'"),
+        ("arm = a | method=ridge lam=abc", "'lam'"),
+        ("arm = a | method=enet-rvm learn_k=maybe", "'learn_k'"),
+        ("arm = a | method=magic", "'magic'"),
+        ("voxels = 3", "'voxels'"),
+        ("n = twelve", "'n'"),
+        ("seeds = 0,x", "'seeds'"),
+        ("seeds = ,", "'seeds'"),
+        ("seeds = 0,-1", "'seeds'"),
+        ("seeds = 1,1", "'seeds'"),
+    ])
+    def test_bad_key_or_value_exit_2_before_any_run(self, tmp_path, capsys, line, key):
+        spec = tmp_path / "sweep.cfg"
+        spec.write_text("s = 48\nn = 12\nt = 8\nc_sigma_space = 2.0\n"
+                        "arm = ok | method=ridge lam=1.0\n" + line + "\n")
+        out = tmp_path / "sweep"
+        capsys.readouterr()
+        assert main(["sweep", "--spec", str(spec), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"{spec}:6:" in err and key in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("second, why", [
+        ("ok", "used twice"), ("../../x", "must be"), ("a/b", "must be"), (".hidden", "must be"),
+    ])
+    def test_bad_arm_name_exit_2(self, tmp_path, capsys, second, why):
+        spec = tmp_path / "sweep.cfg"
+        spec.write_text("s = 48\nn = 12\nt = 8\nc_sigma_space = 2.0\n"
+                        "arm = ok | method=ridge lam=1.0\n"
+                        f"arm = {second} | method=ridge lam=2.0\n")
+        out = tmp_path / "deep" / "sweep"
+        capsys.readouterr()
+        assert main(["sweep", "--spec", str(spec), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"{spec}:6:" in err and repr(second) in err and why in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["sweep.cfg"]
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_exit_2(self, tmp_path, jobs):
+        spec = tmp_path / "sweep.cfg"
+        spec.write_text("s = 48\nn = 12\nt = 8\nc_sigma_space = 2.0\n"
+                        "arm = ok | method=ridge lam=1.0\n")
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--spec", str(spec), "--out", str(out), "--jobs", jobs]) == 2
+        assert not out.exists()
 
     def test_empty_spec_exit_2(self, tmp_path):
         spec = tmp_path / "sweep.cfg"
@@ -419,6 +493,43 @@ class TestSweepCommand:
         assert rows["broken"]["error"] != ""
 
 
+class TestFourEntryPoints:
+    # one value per solve key, given as config-file text, as flags, as sweep
+    # arm tokens and through a replay of the first run's manifest
+    TEXT = {"max_iter": "2", "tol_mu": "0.25", "tol_objective": "1e-3", "learn_k": "no",
+            "learn_alpha1": "off", "alpha1": "1.5", "alpha2": "20", "fixed_alpha": "2",
+            "alpha_init": "1.25", "beta_mode": "fixed_one", "epsilon_prior": "0.02",
+            "lam": "0.5", "mu_mix": "0.1", "eps_lqa": "1e-7", "lambda_grid": "0.1,1,10"}
+    TYPED = {"max_iter": 2, "tol_mu": 0.25, "tol_objective": 1e-3, "learn_k": False,
+             "learn_alpha1": False, "alpha1": 1.5, "alpha2": 20.0, "fixed_alpha": 2.0,
+             "alpha_init": 1.25, "beta_mode": "fixed_one", "epsilon_prior": 0.02,
+             "lam": 0.5, "mu_mix": 0.1, "eps_lqa": 1e-7, "lambda_grid": "0.1,1,10"}
+
+    def test_every_solve_key_gives_one_config(self, sim_dir, tmp_path):
+        assert set(self.TEXT) == set(SOLVE_KEYS)
+        inputs = ["--method", "enet-rvm", "--K", str(sim_dir / "K.mxio"),
+                  "--V", str(sim_dir / "V.mxio")]
+        cfg = tmp_path / "solve.cfg"
+        cfg.write_text("".join(f"{k} = {v}\n" for k, v in self.TEXT.items()))
+        assert main(["solve", *inputs, "--config", str(cfg), "--out", str(tmp_path / "file")]) == 0
+        flags = [x for k, v in self.TEXT.items() for x in (f"--{k.replace('_', '-')}", v)]
+        assert main(["solve", *inputs, *flags, "--out", str(tmp_path / "flags")]) == 0
+        spec = tmp_path / "sweep.cfg"
+        spec.write_text("s = 48\nn = 12\nt = 8\nseed = 3\npeak_snr_db = 42\n"
+                        "c_sigma_space = 2.0\nseeds = 3\narm = all | method=enet-rvm "
+                        + " ".join(f"{k}={v}" for k, v in self.TEXT.items()) + "\n")
+        assert main(["sweep", "--spec", str(spec), "--out", str(tmp_path / "sweep")]) == 0
+        assert main(["solve", "--replay", str(tmp_path / "file" / "manifest.json"),
+                     "--out", str(tmp_path / "replay")]) == 0
+        runs = ["file", "flags", "sweep/runs/all-seed3", "replay"]
+        configs = [json.loads((tmp_path / run / "manifest.json").read_text())["config"]
+                   for run in runs]
+        for run, config in zip(runs, configs):
+            assert config == self.TYPED, run
+            assert {k: type(v) for k, v in config.items()} == \
+                {k: type(v) for k, v in self.TYPED.items()}, run
+
+
 class TestOutputRootEnv:
     def test_relative_out_honors_env(self, sim_dir, tmp_path, monkeypatch):
         monkeypatch.setenv("RVMIX_OUT_ROOT", str(tmp_path))
@@ -427,3 +538,20 @@ class TestOutputRootEnv:
                      "--out", "nested/run"])
         assert code == 0
         assert (tmp_path / "nested" / "run" / "mu.mxio").exists()
+
+    def test_relative_root_sweep(self, tmp_path, monkeypatch):
+        # every directory is resolved against the root once: none of the
+        # sweep's simulations or runs lands under root/root
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("RVMIX_OUT_ROOT", "root")
+        (tmp_path / "sweep.cfg").write_text(
+            "s = 48\nn = 12\nt = 8\nc_sigma_space = 2.0\nseeds = 0,1\n"
+            "arm = ridge | method=ridge lam=1.0\n")
+        assert main(["sweep", "--spec", "sweep.cfg", "--out", "sw"]) == 0
+        with open(tmp_path / "root" / "sw" / "sweep.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [r["error"] for r in rows] == ["", ""]
+        for seed in (0, 1):
+            assert (tmp_path / "root" / "sw" / "sim" / f"seed{seed}" / "J_true.mxio").exists()
+            assert (tmp_path / "root" / "sw" / "runs" / f"ridge-seed{seed}" / "mu.mxio").exists()
+        assert not (tmp_path / "root" / "root").exists()
