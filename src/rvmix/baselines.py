@@ -231,6 +231,8 @@ def mm_solve(data, penalty, eps_lqa=1e-8, max_iter=200, tol=1e-6, return_trace=F
     """
     if eps_lqa <= 0:
         raise DomainError("eps_lqa must be positive")
+    if max_iter < 0:
+        raise DomainError(f"max_iter must be >= 0, got {max_iter}")
     system = _mm_system(data, penalty, eps_lqa)
     J = np.zeros((data.n_sources, data.n_times))
     trace = [mm_objective(data, J, penalty, eps_lqa)]

@@ -35,8 +35,17 @@ RVM_METHODS = ("enet-rvm", "mxn-rvm")
 CLASSICAL_METHODS = ("ridge", "loreta", "lasso-mm", "enet-mm", "fusion-mm")
 METHOD_PENALTY = {"lasso-mm": "lasso", "enet-mm": "enet", "fusion-mm": "lasso_fusion"}
 
+
+def _seed(text):
+    """A noise seed: an integer the noise generator takes, so not negative."""
+    value = int(text)
+    if value < 0:
+        raise ValueError(f"need a nonnegative integer, got {text!r}")
+    return value
+
+
 SIM_KEYS = {
-    "s": int, "n": int, "t": int, "seed": int, "peak_snr_db": float,
+    "s": int, "n": int, "t": int, "seed": _seed, "peak_snr_db": float,
     "r_generators": float, "r_electrodes": float, "duration": float,
     "a_center": float, "a_amplitude": float, "a_peak_time": float, "a_sigma_time": float,
     "b_center": float, "b_width": int, "b_amplitude": float, "b_freq": float, "b_phase": float,
@@ -53,11 +62,10 @@ SOLVE_KEYS = {
 
 
 def _seed_list(text):
-    """A sweep's `seeds` value: a comma list of at least one nonnegative
-    integer (the noise generator takes no negative seed), each once, as
-    each names a directory."""
-    seeds = [int(x) for x in text.split(",") if x.strip()]
-    if not seeds or min(seeds) < 0 or len(set(seeds)) < len(seeds):
+    """A sweep's `seeds` value: a comma list of at least one seed, each
+    once, as each names a directory."""
+    seeds = [_seed(x) for x in text.split(",") if x.strip()]
+    if not seeds or len(set(seeds)) < len(seeds):
         raise ValueError(f"need distinct nonnegative integer seeds, got {text!r}")
     return seeds
 

@@ -12,7 +12,6 @@ Coefficients are never pruned: a coordinate whose variance factor falls
 to numerical zero keeps participating and may grow back later.
 """
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,8 +36,8 @@ class SolverConfig:
         None means alpha is learned.
     beta_mode : "fixed_one" keeps the noise variance pinned at 1 (the
         default), "learned" enables the closed-form update.
-    epsilon_prior : epsilon in nu = epsilon * S for the Gamma prior of the
-        truncation coefficient (tau is fixed at S).
+    epsilon_prior : epsilon > 0 in nu = epsilon * S, the rate of the Gamma
+        prior of the truncation coefficient (tau is fixed at S).
     """
 
     max_iter: int = 100
@@ -51,7 +50,6 @@ class SolverConfig:
     beta_mode: str = "fixed_one"
     epsilon_prior: float = 1e-2
     alpha_init: float = 1.0
-    rank_tol: float = 1e-12
 
     def __post_init__(self):
         if self.beta_mode not in ("fixed_one", "learned"):
@@ -60,6 +58,8 @@ class SolverConfig:
             raise DomainError("max_iter must be >= 1 and tolerances positive")
         if self.tol_objective is not None and self.tol_objective <= 0:
             raise DomainError("tol_objective must be positive")
+        if not self.epsilon_prior > 0:
+            raise DomainError(f"epsilon_prior must be positive, got {self.epsilon_prior!r}")
         if self.fixed_hyper is not None:
             a1, a2 = self.fixed_hyper
             if a1 <= 0 or a2 < 0:
@@ -155,40 +155,41 @@ def update_alpha1(mu_col, sigma_diag_col, lambda_bar_col):
     return float(out) if out.ndim == 0 else out
 
 
-def _k_gradient_terms(lambda_bar_col, tau, nu):
-    """The k-free parts of k_gradient: (sum(1/(1-lb)) + nu, tau - S/2, S)."""
-    lb = np.asarray(lambda_bar_col, dtype=float)
-    s = lb.shape[0]
-    return float(np.sum(1.0 / (1.0 - lb))) + nu, tau - 0.5 * s, s
-
-
-def k_gradient(k, lambda_bar_col, tau, nu, terms=None):
-    """Derivative of the objective along the truncation coefficient k > 0.
-
-    terms : optional _k_gradient_terms(lambda_bar_col, tau, nu).  The root
-        search passes it, so each of its evaluations is a few float
-        operations and one hazard; the value is the same to the bit.
-    """
-    lead, tau_term, s = terms or _k_gradient_terms(lambda_bar_col, tau, nu)
-    if not 0.0 < k < math.inf:
+def k_gradient(k, lambda_bar, tau, nu):
+    """Derivative of the objective along the truncation coefficient k > 0,
+    of one column (S,) at a scalar k or of each row of a (T, S) stack at
+    its own entry of a (T,) k."""
+    kk = np.asarray(k, dtype=float)
+    if not np.all((kk > 0.0) & np.isfinite(kk)):
         raise DomainError(f"k must be positive and finite, got {k!r}")
-    return lead - tau_term / k - s * gamma_half_hazard(k)
+    lb = np.asarray(lambda_bar, dtype=float)
+    s = lb.shape[-1]
+    out = np.sum(1.0 / (1.0 - lb), axis=-1) + nu - (tau - 0.5 * s) / kk - s * gamma_half_hazard(kk)
+    return float(out) if out.ndim == 0 else out
 
 
-def update_k(lambda_bar_col, tau, nu):
-    """Truncation coefficient as the root of its gradient on (0, inf).
+def update_k(lambda_bar, tau, nu, k0=1.0):
+    """Truncation coefficient as the root of its gradient on (0, inf), of
+    one column (S,) or of every row of a (T, S) stack in one search.
 
-    Bracketed search expanding from [1e-10, 1e10]; with tau = S the
-    gradient has a single sign change.  The k-free parts of k_gradient
-    are computed once per root.  Raises RootFindError (with the
-    offending state in the message) when no bracket is found.
+    Newton steps from k0 (the current k; a scalar or (T,)) inside
+    brackets grown from [1e-10, 1e10]; with tau = S the gradient has a
+    single sign change.  The slope uses h' = h (h - 1 - 1/(2k)) for the
+    hazard h.  Raises RootFindError, naming the row in ``column``, when
+    the search fails (no sign change, for one).
     """
-    lb = np.asarray(lambda_bar_col, dtype=float)
+    lb = np.asarray(lambda_bar, dtype=float)
     if np.any(lb < 0) or np.any(lb >= 1):
         raise DomainError("lambda_bar must lie in [0, 1)")
-    terms = _k_gradient_terms(lb, tau, nu)
-    ctx = f"sum 1/(1-lb) + nu={terms[0]:.6e}, tau={tau}, nu={nu}"
-    return bracketed_root(lambda k: k_gradient(k, lb, tau, nu, terms), context=ctx)
+    s = lb.shape[-1]
+    rows_of = lb.reshape(-1, s)
+
+    def slope(k, rows):
+        h = gamma_half_hazard(k)
+        return (tau - 0.5 * s) / (k * k) - s * h * (h - 1.0 - 0.5 / k)
+
+    return bracketed_root(lambda k, rows: k_gradient(k, rows_of[rows], tau, nu), slope,
+                          np.broadcast_to(k0, lb.shape[:-1]), context="truncation update")
 
 
 def update_beta_enet(v_col, K, mu_col, sigma_diag_col, lambda_bar_col, alpha1, mode="learned"):
@@ -238,7 +239,7 @@ class _Iteration:
         if not isinstance(data, ProblemData):
             raise DomainError("data must be a ProblemData")
         self.config = config = config or SolverConfig()
-        self.svd = svd or svd_decompose(data, config.rank_tol)
+        self.svd = svd or svd_decompose(data)
         self.tol_objective = (config.tol_objective if config.tol_objective is not None
                               else self.default_tol_objective)
         self.K, self.V = data.K, np.ascontiguousarray(data.V.T)
@@ -370,13 +371,9 @@ class _EnetIteration(_Iteration):
             alpha1[~collapsed] = update_alpha1(mu[~collapsed], sigma[~collapsed],
                                                lam_bar[~collapsed])
         keep = np.flatnonzero(~collapsed)
-        if cfg.learn_k:
-            for j in keep:
-                try:
-                    k[j] = update_k(lam_bar[j], self.tau, self.nu)
-                except NumericError as exc:
-                    raise NumericError(f"truncation update: {exc}", column=j) from exc
         try:
+            if cfg.learn_k:
+                k[keep] = update_k(lam_bar[keep], self.tau, self.nu, k[keep])
             beta[keep] = update_beta_enet(self.V[rows[keep]], self.K, mu[keep], sigma[keep],
                                           lam_bar[keep], alpha1[keep], mode=cfg.beta_mode)
         except NumericError as exc:

@@ -106,30 +106,32 @@ def alpha_gradient(alpha, mu, sigma_diag, lam_bar, delta, terms=None):
     return total
 
 
-def update_alpha_mxn(mu, sigma_diag, lam_bar, delta):
+def update_alpha_mxn(mu, sigma_diag, lam_bar, delta, alpha0=1.0):
     """Global scale as the root of its gradient over the whole map.
 
-    Bracketed search expanding from [1e-10, 1e10] on alpha_gradient, with
-    its frozen-moment terms computed once per root.  If no sign change is
-    found, falls back to minimizing the frozen-moments objective on a log
-    grid (with a warning).
+    Newton steps from alpha0 (the current alpha) on alpha_gradient, with
+    its frozen-moment terms computed once per root, inside a bracket
+    grown from [1e-10, 1e10].  If the search fails, falls back to
+    minimizing the frozen-moments objective on a log grid (with a
+    warning).
     """
-    terms = _alpha_gradient_terms(mu, sigma_diag, lam_bar, delta)
+    terms = _, st, dp2 = _alpha_gradient_terms(mu, sigma_diag, lam_bar, delta)
 
-    def f(a):
-        return alpha_gradient(a, mu, sigma_diag, lam_bar, delta, terms)
+    def slope(a, _):
+        x = a * dp2
+        h = gamma_half_hazard(x)
+        return st / (2.0 * a * a) - np.sum(dp2 * dp2 * h * (h - 1.0 - 0.5 / x))
 
     try:
-        return bracketed_root(f, context="global scale update")
+        return bracketed_root(lambda a, _: alpha_gradient(a, mu, sigma_diag, lam_bar, delta, terms),
+                              slope, alpha0, context="global scale update")
     except RootFindError:
         lb = np.clip(np.asarray(lam_bar, dtype=float), 1e-300, 1.0 - 1e-12)
         grid = np.logspace(-10, 10, 201)
         vals = [aux_objective_mxn(mu, sigma_diag, lb, delta, a) for a in grid]
         best = grid[int(np.argmin(vals))]
-        warnings.warn(
-            f"global scale bracketing failed; grid minimizer {best:.3e} used instead",
-            RuntimeWarning,
-        )
+        warnings.warn(f"global scale search failed; grid minimizer {best:.3e} used instead",
+                      RuntimeWarning)
         return float(best)
 
 
@@ -180,7 +182,7 @@ class _MxnIteration(_Iteration):
 
     def step(self, rows, mu, sigma):
         if self.learn_alpha:
-            self.alpha = update_alpha_mxn(mu.T, sigma.T, self.lam_bar.T, self.delta.T)
+            self.alpha = update_alpha_mxn(mu.T, sigma.T, self.lam_bar.T, self.delta.T, self.alpha)
         return np.zeros(rows.size, dtype=bool)
 
 

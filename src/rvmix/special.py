@@ -7,7 +7,6 @@ Normal/Laplace normalization are written in cancellation-free form via
 hyperparameter root searches rely on.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,7 +16,6 @@ from scipy import special as sp
 from .errors import DomainError, NumericError
 
 SQRT_PI = np.sqrt(np.pi)
-_SQRT_PI_FLOAT = float(SQRT_PI)
 
 
 @dataclass(frozen=True)
@@ -43,12 +41,8 @@ def _as_float_array(x, name, allow_zero=True):
     arr = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(arr)):
         raise DomainError(f"{name} must be finite")
-    if allow_zero:
-        if np.any(arr < 0):
-            raise DomainError(f"{name} must be >= 0")
-    else:
-        if np.any(arr <= 0):
-            raise DomainError(f"{name} must be > 0")
+    if np.any(arr < 0) or not allow_zero and np.any(arr == 0):
+        raise DomainError(f"{name} must be {'>=' if allow_zero else '>'} 0")
     return arr
 
 
@@ -80,14 +74,7 @@ def gamma_half_hazard(k):
     exp(-k)/erfc(sqrt(k)) cancellation and stays accurate for k up to 1e8
     and beyond.  Diverges like 1/sqrt(pi*k) as k -> 0+ and tends to 1 from
     above as k -> inf.
-
-    A float in (0, inf) takes a scalar path with the same floating-point
-    operations and no array round trip: the root searches call this tens
-    of times per root.
     """
-    if isinstance(k, float) and 0.0 < k < math.inf:
-        root = math.sqrt(k)
-        return 1.0 / (_SQRT_PI_FLOAT * root * float(sp.erfcx(root)))
     arr = _as_float_array(k, "k", allow_zero=False)
     root = np.sqrt(arr)
     out = 1.0 / (SQRT_PI * root * sp.erfcx(root))

@@ -199,6 +199,12 @@ class TestMMSolve:
         _, none = mm_solve(data, spec, max_iter=0, return_info=True)
         assert none.iterations == 0 and none.final_step is None
 
+    def test_negative_max_iter_rejected(self):
+        # max_iter = 0 (above) is valid; a negative cap would silently
+        # return the all-zero start as a result
+        with pytest.raises(DomainError, match="max_iter"):
+            mm_solve(make_data(seed=2), PenaltySpec(kind="lasso", lam=0.9), max_iter=-3)
+
     def test_enet_limits_match_neighbors(self):
         # mu_mix -> 1 approaches ridge, mu_mix -> 0 approaches lasso
         data = make_data(seed=3)

@@ -110,6 +110,13 @@ class TestSimulateCommand:
         cfg.write_text("voxels = 9000\n")
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
 
+    def test_negative_seed_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "neg.cfg"
+        cfg.write_text("s = 48\nn = 12\nt = 8\nseed = -1\n")
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert "key 'seed'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
 
 class TestSolveCommand:
     def test_enet_rvm_run(self, sim_dir, tmp_path):
@@ -222,6 +229,17 @@ class TestSolveCommand:
         manifest = json.loads(manifests[0])
         assert manifest["final_step"] > 0.0
         assert (manifest["final_step"] <= 1e-6) == manifest["converged"]
+
+    @pytest.mark.parametrize("flags", [
+        ["--method", "enet-rvm", "--epsilon-prior", "-1"],
+        ["--method", "enet-rvm", "--epsilon-prior", "0"],
+        ["--method", "lasso-mm", "--lam", "1", "--max-iter", "-3"],
+    ])
+    def test_out_of_domain_value_exit_2(self, sim_dir, tmp_path, capsys, flags):
+        code = main(["solve", *flags, "--K", str(sim_dir / "K.mxio"),
+                     "--V", str(sim_dir / "V.mxio"), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert flags[-2][2:].replace("-", "_") in capsys.readouterr().err
 
     def test_unknown_method_exit_2(self, sim_dir, tmp_path):
         code = main(["solve", "--method", "magic", "--K", str(sim_dir / "K.mxio"),

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy import optimize
 
+from rvmix import enet
 from rvmix.enet import (
     LAMBDA_BAR_CAP,
     SolverConfig,
@@ -17,7 +18,8 @@ from rvmix.enet import (
     update_k,
     update_lambda_bar_enet,
 )
-from rvmix.errors import DegenerateStateError, DomainError, NumericError
+from rvmix.errors import DegenerateStateError, DomainError, NumericError, RootFindError
+from rvmix.mxn import alpha_gradient, update_alpha_mxn
 from rvmix.objective import aux_objective_enet, neg_log_posterior_enet
 from rvmix.posterior import ProblemData, posterior_moments, svd_decompose
 from rvmix.rootfind import bracketed_root
@@ -27,6 +29,20 @@ def golden_min(f, lo, hi):
     res = optimize.minimize_scalar(f, bounds=(lo, hi), method="bounded",
                                    options={"xatol": 1e-12})
     return res.x, res.fun
+
+
+def oracle_bracketed_root(f, lo=1e-10, hi=1e10, max_expand=30):
+    """The scalar search the Newton search replaced: the bracket grows
+    tenfold per side until f changes sign, then brentq refines it."""
+    flo, fhi = f(lo), f(hi)
+    for _ in range(max_expand):
+        if np.isfinite(flo) and np.isfinite(fhi) and flo * fhi < 0:
+            break
+        lo, hi = lo / 10.0, hi * 10.0
+        flo, fhi = f(lo), f(hi)
+    else:
+        raise RootFindError(f"no sign change in [{lo:.3e}, {hi:.3e}]")
+    return float(optimize.brentq(f, lo, hi, xtol=1e-300, rtol=8.9e-16, maxiter=300))
 
 
 class TestUpdateLambdaBar:
@@ -174,25 +190,6 @@ class TestUpdateK:
         xstar, _ = golden_min(f, 1e-4, 1e2)
         assert k == pytest.approx(xstar, rel=1e-6)
 
-    def test_hoisted_search_is_bit_identical(self):
-        # update_k hoists the k-free terms and takes the hazard's scalar
-        # path; its root must be exactly the one the same bracketed search
-        # finds on the gradient written out in full, with an array hazard
-        from rvmix.special import gamma_half_hazard
-
-        def full_gradient(k, lb, tau, nu):
-            s = lb.shape[0]
-            return (float(np.sum(1.0 / (1.0 - lb))) + nu - (tau - 0.5 * s) / k
-                    - s * gamma_half_hazard(np.array(k)))
-
-        rng = np.random.default_rng(12)
-        for s in (3, 40, 200):
-            lb = rng.uniform(0.0, 0.999, s) * (rng.random(s) < 0.8)
-            tau, nu = float(s), 0.01 * s
-            want = bracketed_root(lambda k: full_gradient(k, lb, tau, nu))
-            assert update_k(lb, tau, nu) == want
-            assert bracketed_root(lambda k: k_gradient(k, lb, tau, nu)) == want
-
     def test_gradient_rejects_nonpositive_k(self):
         lb = np.full(4, 0.3)
         for bad in (0.0, -1.0, np.inf, np.nan):
@@ -220,6 +217,70 @@ class TestUpdateK:
 
             xstar, fstar = golden_min(f, k * 1e-2, k * 1e2)
             assert f(k) <= fstar + 1e-10 * max(abs(fstar), 1.0)
+
+
+class TestNewtonSearch:
+    """update_k and update_alpha_mxn against the brentq search they replaced."""
+
+    @pytest.mark.parametrize("s", [3, 40, 200])
+    def test_update_k_matches_oracle(self, s):
+        rng = np.random.default_rng(s)
+        lb = rng.uniform(0.0, 0.999, (6, s)) * (rng.random((6, s)) < 0.8)
+        tau, nu = float(s), 0.01 * s
+        got = update_k(lb, tau, nu, rng.uniform(0.05, 20.0, 6))
+        for t in range(6):
+            want = oracle_bracketed_root(lambda k: k_gradient(k, lb[t], tau, nu))
+            assert got[t] == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("s", [3, 40, 200])
+    def test_update_alpha_mxn_matches_oracle(self, s):
+        rng = np.random.default_rng(s + 1)
+        t_count = 5
+        mu = rng.standard_normal((s, t_count)) * (rng.random((s, t_count)) < 0.5)
+        sig = rng.uniform(0.01, 0.3, (s, t_count))
+        lb = rng.uniform(0.05, 0.9, (s, t_count))
+        delta = rng.uniform(0.0, 1.5, (s, t_count)) * (rng.random((s, t_count)) < 0.8)
+        want = oracle_bracketed_root(lambda a: alpha_gradient(a, mu, sig, lb, delta))
+        for alpha0 in (1.0, want * 1.3, 1e-6, 1e6):
+            got = update_alpha_mxn(mu, sig, lb, delta, alpha0)
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    def test_stack_rows_equal_rows_alone(self):
+        rng = np.random.default_rng(21)
+        lb = rng.uniform(0.0, 0.999, (9, 50)) * (rng.random((9, 50)) < 0.7)
+        k0 = rng.uniform(0.01, 50.0, 9)
+        stacked = update_k(lb, 50.0, 0.5, k0)
+        for t in range(9):
+            assert stacked[t] == update_k(lb[t], 50.0, 0.5, k0[t])
+        # any subset of the rows, in any order, too
+        rows = [7, 2, 5]
+        np.testing.assert_array_equal(update_k(lb[rows], 50.0, 0.5, k0[rows]), stacked[rows])
+
+    def test_rootless_row_is_named(self):
+        # with every lambda_bar zero and nu = 0 the gradient is negative
+        # on all of (0, inf)
+        lb = np.full((4, 10), 0.3)
+        lb[2] = 0.0
+        with pytest.raises(RootFindError, match="no sign change") as info:
+            update_k(lb, 10.0, 0.0)
+        assert info.value.column == 2
+
+    def test_solver_names_column_and_iteration(self, monkeypatch):
+        # column 0 is all zero, so it stops after the first sweep and the
+        # truncation update of that sweep sees columns 1, 2, 3 as rows 0, 1, 2
+        data, _ = ring_problem(t=4)
+        data = ProblemData(K=data.K, V=np.column_stack([np.zeros(data.n_sensors), data.V[:, 1:]]))
+        real = enet.update_k
+
+        def row_1_rootless(lam_bar, tau, nu, k0):
+            lam_bar = lam_bar.copy()
+            lam_bar[1] = 0.0
+            return real(lam_bar, tau, 0.0, k0)
+
+        monkeypatch.setattr(enet, "update_k", row_1_rootless)
+        with pytest.raises(NumericError, match=r"^column 2: iteration 1, truncation update: "
+                                               r"no sign change"):
+            solve_enet(data)
 
 
 class TestUpdateBeta:
@@ -254,6 +315,12 @@ def ring_problem(s=40, n=12, t=4, seed=0, snr=0.02):
 
 
 class TestSolveEnet:
+    def test_nonpositive_epsilon_prior_rejected(self):
+        # nu = epsilon_prior * S is the rate of k's Gamma prior
+        for bad in (0.0, -1.0, float("nan")):
+            with pytest.raises(DomainError, match="epsilon_prior"):
+                SolverConfig(epsilon_prior=bad)
+
     def test_zero_data(self):
         data = ProblemData(K=np.random.default_rng(0).standard_normal((4, 9)),
                            V=np.zeros((4, 3)))
@@ -442,9 +509,9 @@ class TestNoiseRobustness:
 
 
 class TestRootSearchReleasesItsFunction:
-    """brentq wraps its function in a self-referencing closure; the root
-    searches must not keep the function, or any array it reaches, alive
-    until the next garbage collection."""
+    """The root searches must not keep their functions, or any array they
+    reach, alive until the next garbage collection (as a self-referencing
+    closure would)."""
 
     @pytest.fixture(autouse=True)
     def no_gc(self):
@@ -456,11 +523,12 @@ class TestRootSearchReleasesItsFunction:
 
     def test_bracketed_root(self):
         def shifted(arr):
-            return lambda x: x - arr[0]
+            return lambda x, rows: x - arr[rows]
 
-        arr = np.array([2.0])
+        arr = np.array([2.0, 3.0])
         ref = weakref.ref(arr)
-        assert bracketed_root(shifted(arr)) == pytest.approx(2.0)
+        roots = bracketed_root(shifted(arr), lambda x, rows: np.ones_like(x), np.ones(2))
+        np.testing.assert_allclose(roots, [2.0, 3.0])
         del arr
         assert ref() is None
 
