@@ -15,6 +15,7 @@ import re
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -32,8 +33,9 @@ FORMAT_VERSION = 1
 OK, USAGE, IOERR, NUMERIC = 0, 2, 3, 4
 
 RVM_METHODS = ("enet-rvm", "mxn-rvm")
-CLASSICAL_METHODS = ("ridge", "loreta", "lasso-mm", "enet-mm", "fusion-mm")
-METHOD_PENALTY = {"lasso-mm": "lasso", "enet-mm": "enet", "fusion-mm": "lasso_fusion"}
+#: each classical method and the PenaltySpec kind it solves
+CLASSICAL_METHODS = {"ridge": "ridge", "loreta": "laplacian_ridge", "lasso-mm": "lasso",
+                     "enet-mm": "enet", "fusion-mm": "lasso_fusion"}
 
 
 def _seed(text):
@@ -85,17 +87,14 @@ def _out_dir(path):
     return p
 
 
-def _write_manifest(out, name, payload):
-    payload = dict(payload, format_version=FORMAT_VERSION)
-    with open(out / name, "w", encoding="utf-8") as fh:
+def _write_json(path, payload):
+    with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, sort_keys=True, indent=1)
         fh.write("\n")
 
 
-def _write_timings(out, timings):
-    with open(out / "timings.json", "w", encoding="utf-8") as fh:
-        json.dump(timings, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+def _write_manifest(out, payload):
+    _write_json(out / "manifest.json", dict(payload, format_version=FORMAT_VERSION))
 
 
 def _typed_config(raw, schema, source):
@@ -163,14 +162,14 @@ def _simulate(cfg, out):
     write_matrix(out / "V_clean.mxio", V_clean)
     write_matrix(out / "J_true.mxio", ph.J_true)
     write_matrix(out / "support_true.mxio", ph.support_true.astype(float))
-    _write_manifest(out, "manifest.json", {
+    _write_manifest(out, {
         "command": "simulate",
         "config": dict(sim, **{k: getattr(spec, k) for k in SourceSpec.__dataclass_fields__}),
         "noise_sigma": sigma,
         "truth_sparseness_pct": float(100.0 * np.mean(ph.J_true == 0.0)),
         "lead_field_condition": float(np.linalg.cond(ph.K)),
     })
-    _write_timings(out, {"simulate_s": time.perf_counter() - t0})
+    _write_json(out / "timings.json", {"simulate_s": time.perf_counter() - t0})
     return ph
 
 
@@ -204,72 +203,41 @@ def _at_grid_edge(lam, grid):
 
 def _solve_payload(method, data, cfg):
     """Run one solver; returns (J, files, manifest_extras)."""
-    extras = {}
-    files = {}
     if method in RVM_METHODS:
-        config = _solver_config(cfg)
-        sol = solve_enet(data, config) if method == "enet-rvm" else solve_mxn(data, config)
-        files["mu.mxio"] = sol.mu
-        files["sigma_diag.mxio"] = sol.sigma_diag
-        files["lambda_bar.mxio"] = sol.lambda_bar
-        files["objective_trace.csv"] = np.column_stack(
-            [np.arange(1, sol.iterations + 1), sol.objective_trace]
-        )
-        if method == "enet-rvm":
-            hyper = np.column_stack([
-                np.arange(1, sol.iterations + 1),
-                sol.hyper_trace["alpha1"],
-                sol.hyper_trace["k"],
-                sol.hyper_trace["beta"],
-            ])
-        else:
-            hyper = np.column_stack([
-                np.arange(1, sol.iterations + 1),
-                sol.hyper_trace["alpha"],
-                sol.hyper_trace["beta"],
-                sol.hyper_trace["delta_l1"],
-            ])
-            extras["alpha_final"] = float(sol.extras["alpha_final"])
+        sol = (solve_enet if method == "enet-rvm" else solve_mxn)(data, _solver_config(cfg))
+        steps = np.arange(1, sol.iterations + 1)
+        files = {"mu.mxio": sol.mu, "sigma_diag.mxio": sol.sigma_diag,
+                 "lambda_bar.mxio": sol.lambda_bar,
+                 "objective_trace.csv": np.column_stack([steps, sol.objective_trace]),
+                 # alpha1, k, beta (enet) or alpha, beta, delta_l1 (mxn), in trace order
+                 "hyper_trace.csv": np.column_stack([steps, *sol.hyper_trace.values()])}
+        extras = {"stop_reason": sol.extras["stop_reason"], "converged": bool(sol.converged),
+                  "iterations": int(sol.iterations),
+                  "objective_trace": [float(x) for x in sol.objective_trace]}
         if method == "enet-rvm":
             extras["column_iterations"] = [int(n) for n in sol.extras["column_iterations"]]
-        extras["stop_reason"] = sol.extras["stop_reason"]
-        files["hyper_trace.csv"] = hyper
-        extras.update(converged=bool(sol.converged), iterations=int(sol.iterations),
-                      objective_trace=[float(x) for x in sol.objective_trace])
+        else:
+            extras["alpha_final"] = float(sol.extras["alpha_final"])
         return sol.mu, files, extras
 
-    grid = _grid(cfg)
-    lam = cfg.get("lam")
-    if method in ("ridge", "loreta"):
-        L = ring_laplacian(data.n_sources) if method == "loreta" else None
-        family = PenaltySpec(kind="laplacian_ridge" if method == "loreta" else "ridge",
-                             lam=lam or 1.0, L_operator=L)
-        if lam is None:
-            if grid is None:
-                raise ConfigError(f"{method} needs lam or lambda_grid")
-            lam, curve = gcv_select(data, family, grid)
-            files["gcv_curve.csv"] = curve
-            extras["selected_at_grid_edge"] = _at_grid_edge(lam, grid)
-        J = ridge_solve(data, lam, L)
-        converged = True
+    kind = CLASSICAL_METHODS[method]
+    grid, lam = _grid(cfg), cfg.get("lam")
+    eps, max_iter = cfg.get("eps_lqa", 1e-8), cfg.get("max_iter", 200)
+    L = ring_laplacian(data.n_sources) if kind == "laplacian_ridge" else None
+    family = PenaltySpec(kind=kind, lam=lam or 1.0, mu_mix=cfg.get("mu_mix"), L_operator=L)
+    files, extras = {}, {}
+    if lam is None:
+        if grid is None:
+            raise ConfigError(f"{method} needs lam or lambda_grid")
+        # the ridge kinds ignore eps_lqa and max_iter
+        lam, files["gcv_curve.csv"] = gcv_select(data, family, grid, eps_lqa=eps,
+                                                 max_iter=max_iter)
+        extras["selected_at_grid_edge"] = _at_grid_edge(lam, grid)
+    if kind in ("ridge", "laplacian_ridge"):
+        J, converged = ridge_solve(data, lam, L), True
     else:
-        kind = METHOD_PENALTY[method]
-        mu_mix = cfg.get("mu_mix")
-        if kind == "enet" and mu_mix is None:
-            raise ConfigError("enet-mm needs mu_mix")
-        family = PenaltySpec(kind=kind, lam=lam or 1.0, mu_mix=mu_mix)
-        eps = cfg.get("eps_lqa", 1e-8)
-        if lam is None:
-            if grid is None:
-                raise ConfigError(f"{method} needs lam or lambda_grid")
-            lam, curve = gcv_select(data, family, grid, eps_lqa=eps,
-                                    max_iter=cfg.get("max_iter", 200))
-            files["gcv_curve.csv"] = curve
-            extras["selected_at_grid_edge"] = _at_grid_edge(lam, grid)
-        from dataclasses import replace
-
-        J, info = mm_solve(data, replace(family, lam=lam), eps_lqa=eps,
-                           max_iter=cfg.get("max_iter", 200), return_info=True)
+        J, info = mm_solve(data, replace(family, lam=lam), eps_lqa=eps, max_iter=max_iter,
+                           return_info=True)
         converged = info.converged
         extras.update(iterations=info.iterations, final_step=info.final_step)
     files["mu.mxio"] = J
@@ -298,7 +266,7 @@ def cmd_solve(args):
                 cfg[key] = flag
     if not args.replay and not (args.method and args.K and args.V):
         raise ConfigError("solve needs --method, --K and --V (or --replay)")
-    if args.method not in RVM_METHODS + CLASSICAL_METHODS:
+    if args.method not in (*RVM_METHODS, *CLASSICAL_METHODS):
         raise ConfigError(f"unknown method {args.method!r}")
     K = read_matrix(args.K)
     V = read_matrix(args.V)
@@ -315,14 +283,14 @@ def cmd_solve(args):
             write_matrix(out / name, payload)
         else:
             np.savetxt(out / name, payload, delimiter=",", fmt="%.17g")
-    _write_manifest(out, "manifest.json", {
+    _write_manifest(out, {
         "command": "solve",
         "method": args.method,
         "inputs": {"K": str(args.K), "V": str(args.V)},
         "config": cfg,
         **extras,
     })
-    _write_timings(out, {"solve_s": time.perf_counter() - t0})
+    _write_json(out / "timings.json", {"solve_s": time.perf_counter() - t0})
     return OK
 
 
@@ -336,11 +304,8 @@ def cmd_eval(args):
     support = read_matrix(args.support).astype(bool)
     if support.shape != J_est.shape:
         raise ConfigError(f"shape mismatch: support {support.shape} vs estimate {J_est.shape}")
-    zero_tol = args.zero_tol if args.zero_tol is not None else (
-        MM_ZERO_TOL_REL if args.exact_zeros else RVM_ZERO_TOL_REL
-    )
     rep = evaluate(args.method, J_est, J_true, support,
-                   zero_tol_rel=zero_tol, threshold_frac=args.threshold)
+                   zero_tol_rel=args.zero_tol, threshold_frac=args.threshold)
     writer_target = open(args.out, "w", newline="", encoding="utf-8") if args.out else sys.stdout
     try:
         writer = csv.writer(writer_target)
@@ -378,7 +343,7 @@ def _parse_sweep(path):
                 raise ConfigError(f"{where}: bad arm token {token!r}")
             tokens[k] = v
         method = tokens.pop("method", None)
-        if method not in RVM_METHODS + CLASSICAL_METHODS:
+        if method not in (*RVM_METHODS, *CLASSICAL_METHODS):
             raise ConfigError(f"{where}: arm {name!r} needs a known method, got {method!r}")
         arms.append({"name": name, "method": method,
                      "cfg": _typed_config(tokens, SOLVE_KEYS, where)})
@@ -477,9 +442,9 @@ def build_parser():
     p.add_argument("--truth", required=True)
     p.add_argument("--support")
     p.add_argument("--method", default="solution", help="label for the CSV row")
-    p.add_argument("--zero-tol", dest="zero_tol", type=float)
-    p.add_argument("--exact-zeros", action="store_true",
-                   help="count only exact zeros (majorization outputs)")
+    p.add_argument("--zero-tol", dest="zero_tol", type=float, default=RVM_ZERO_TOL_REL,
+                   help="relative zero threshold; 0 counts only exact zeros "
+                        "(majorization outputs)")
     p.add_argument("--threshold", type=float, default=0.01)
     p.add_argument("--out")
     p.set_defaults(func=cmd_eval)

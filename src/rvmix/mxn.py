@@ -11,7 +11,6 @@ Coupling magnitudes are refreshed from the posterior means rather than
 optimized (the objective is not differentiable in them).
 """
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,8 +21,8 @@ from .enet import (
     update_beta_enet,
     update_lambda_bar_enet,
 )
-from .errors import DomainError, RootFindError
-from .objective import aux_objective_mxn, neg_log_posterior_mxn, w_inverse_apply
+from .errors import DomainError
+from .objective import neg_log_posterior_mxn, w_inverse_apply
 from .posterior import _rows
 from .rootfind import bracketed_root
 from .special import gamma_half_hazard
@@ -111,9 +110,8 @@ def update_alpha_mxn(mu, sigma_diag, lam_bar, delta, alpha0=1.0):
 
     Newton steps from alpha0 (the current alpha) on alpha_gradient, with
     its frozen-moment terms computed once per root, inside a bracket
-    grown from [1e-10, 1e10].  If the search fails, falls back to
-    minimizing the frozen-moments objective on a log grid (with a
-    warning).
+    grown from [1e-10, 1e10].  Raises RootFindError when the search
+    fails; its column is None, as alpha is one root for the whole map.
     """
     terms = _, st, dp2 = _alpha_gradient_terms(mu, sigma_diag, lam_bar, delta)
 
@@ -122,17 +120,8 @@ def update_alpha_mxn(mu, sigma_diag, lam_bar, delta, alpha0=1.0):
         h = gamma_half_hazard(x)
         return st / (2.0 * a * a) - np.sum(dp2 * dp2 * h * (h - 1.0 - 0.5 / x))
 
-    try:
-        return bracketed_root(lambda a, _: alpha_gradient(a, mu, sigma_diag, lam_bar, delta, terms),
-                              slope, alpha0, context="global scale update")
-    except RootFindError:
-        lb = np.clip(np.asarray(lam_bar, dtype=float), 1e-300, 1.0 - 1e-12)
-        grid = np.logspace(-10, 10, 201)
-        vals = [aux_objective_mxn(mu, sigma_diag, lb, delta, a) for a in grid]
-        best = grid[int(np.argmin(vals))]
-        warnings.warn(f"global scale search failed; grid minimizer {best:.3e} used instead",
-                      RuntimeWarning)
-        return float(best)
+    return bracketed_root(lambda a, _: alpha_gradient(a, mu, sigma_diag, lam_bar, delta, terms),
+                          slope, alpha0, context="global scale update")
 
 
 class _MxnIteration(_Iteration):

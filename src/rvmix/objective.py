@@ -193,6 +193,20 @@ def neg_log_posterior_mxn(data, svd, mu, lambda_bar, delta, alpha, beta, logdet_
                       _mxn_hyperprior(_rows(lb), _rows(delta), alpha))
 
 
+def _aux_frozen_part(mu, sigma_diag, lam_bar, alpha):
+    """alpha sum (mu^2 + sigma) / lambda_bar + (1/2) sum log lambda_bar
+    - (size/2) log(2 alpha): the part of both auxiliaries that holds the
+    frozen moments, for one column or an (S, T) map.  Returns it with the
+    (T, S) rows of lambda_bar, which must lie strictly inside (0, 1)."""
+    mu, sig, lb = (_rows(x) for x in (mu, sigma_diag, lam_bar))
+    if np.any(lb <= 0) or np.any(lb >= 1):
+        raise DomainError("auxiliary objective needs lambda_bar strictly inside (0, 1)")
+    part = (alpha * float(np.sum((mu * mu + sig) / lb))
+            + 0.5 * float(np.sum(np.log(lb)))
+            - 0.5 * lb.size * np.log(2.0 * alpha))
+    return part, lb
+
+
 def aux_objective_enet(mu_col, sigma_diag_col, lam_bar_col, alpha1, k, tau, nu):
     """Frozen-moments auxiliary for one column, Normal/Laplace branch.
 
@@ -202,24 +216,10 @@ def aux_objective_enet(mu_col, sigma_diag_col, lam_bar_col, alpha1, k, tau, nu):
     updates are exact stationary points of this function along their own
     coordinates.  Requires lambda_bar strictly inside (0, 1).
     """
-    lb = np.asarray(lam_bar_col, dtype=float)
-    if np.any(lb <= 0) or np.any(lb >= 1):
-        raise DomainError("auxiliary objective needs lambda_bar strictly inside (0, 1)")
     if alpha1 <= 0 or k <= 0:
         raise DomainError("alpha1 and k must be positive")
-    m2s = np.asarray(mu_col, dtype=float) ** 2 + np.asarray(sigma_diag_col, dtype=float)
-    s = lb.shape[0]
-    gamma = k / (1.0 - lb)
-    val = (
-        alpha1 * float(np.sum(m2s / lb))
-        + 0.5 * float(np.sum(np.log(lb)))
-        - 0.5 * s * np.log(2.0 * alpha1)
-        + s * gamma_half_log_tail(k)
-        + float(np.sum(0.5 * np.log(gamma) + gamma))
-        + nu * k
-        - tau * np.log(k)
-    )
-    return val
+    part, lb = _aux_frozen_part(mu_col, sigma_diag_col, lam_bar_col, alpha1)
+    return part + float(_enet_hyperprior(lb, np.array([k], dtype=float), tau, nu)[0])
 
 
 def aux_objective_mxn(mu, sigma_diag, lam_bar, delta, alpha):
@@ -229,14 +229,7 @@ def aux_objective_mxn(mu, sigma_diag, lam_bar, delta, alpha):
     couples all columns, so the auxiliary is evaluated over the full
     spatio-temporal state.  A 1-D argument is one column.
     """
-    mu, sig, lb, delta = (_rows(x) for x in (mu, sigma_diag, lam_bar, delta))
-    if np.any(lb <= 0) or np.any(lb >= 1):
-        raise DomainError("auxiliary objective needs lambda_bar strictly inside (0, 1)")
     if alpha <= 0:
         raise DomainError("alpha must be positive")
-    return (
-        alpha * float(np.sum((mu * mu + sig) / lb))
-        + 0.5 * float(np.sum(np.log(lb)))
-        - 0.5 * lb.size * np.log(2.0 * alpha)
-        + float(np.sum(_mxn_hyperprior(lb, delta, alpha)))
-    )
+    part, lb = _aux_frozen_part(mu, sigma_diag, lam_bar, alpha)
+    return part + float(np.sum(_mxn_hyperprior(lb, _rows(delta), alpha)))

@@ -18,11 +18,12 @@ def bracketed_root(f, slope, x0, lo=1e-10, hi=1e10, max_expand=30, context=""):
     mix, so each root is, to the bit, the one its element gets alone.
 
     Returns an array shaped like ``x0``, or a float for a scalar.  Raises
-    one RootFindError, naming the first failing element in ``column``,
-    when an element finds no sign change after ``max_expand`` expansions
-    or does not stop within 100 steps.
+    one RootFindError, naming the first failing element in ``column``
+    (None for a scalar ``x0``), when an element finds no sign change after
+    ``max_expand`` expansions or does not stop within 100 steps.
     """
     prefix = f"{context}: " if context else ""
+    named = np.ndim(x0) > 0
     x = np.array(x0, dtype=float, ndmin=1)
     lo, hi = np.full(x.shape, lo), np.full(x.shape, hi)
     act = np.arange(x.size)
@@ -34,7 +35,8 @@ def bracketed_root(f, slope, x0, lo=1e-10, hi=1e10, max_expand=30, context=""):
         if expansion == max_expand:
             j = int(act[0])
             raise RootFindError(f"{prefix}no sign change in [{lo[j]:.3e}, {hi[j]:.3e}] "
-                                f"(f(lo)={flo[j]:.6e}, f(hi)={fhi[j]:.6e})", column=j)
+                                f"(f(lo)={flo[j]:.6e}, f(hi)={fhi[j]:.6e})",
+                                column=j if named else None)
         lo[act], hi[act] = lo[act] / 10.0, hi[act] * 10.0
         flo[act], fhi[act] = f(lo[act], act), f(hi[act], act)
     negative_lo = flo < 0.0
@@ -51,7 +53,8 @@ def bracketed_root(f, slope, x0, lo=1e-10, hi=1e10, max_expand=30, context=""):
         x[act] = new = np.where(inside, new, np.sqrt(lo[act]) * np.sqrt(hi[act]))
         act = act[np.abs(new - xa) > 2.0 * np.spacing(xa)]
         if not act.size:
-            return x if np.ndim(x0) else float(x[0])
+            return x if named else float(x[0])
     j = int(act[0])
     raise RootFindError(f"{prefix}no convergence in 100 steps "
-                        f"(bracket [{lo[j]:.17e}, {hi[j]:.17e}])", column=j)
+                        f"(bracket [{lo[j]:.17e}, {hi[j]:.17e}])",
+                        column=j if named else None)

@@ -9,10 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from rvmix.cli import SOLVE_KEYS, build_parser, main
+from rvmix.cli import CLASSICAL_METHODS, RVM_METHODS, SOLVE_KEYS, build_parser, main
+from rvmix.enet import SolverConfig, solve_enet
 from rvmix.errors import ConfigError, ContainerError, DomainError
 from rvmix.mxio import MAGIC
 from rvmix.mxio import parse_config_text, read_matrix, write_matrix
+from rvmix.mxn import solve_mxn
+from rvmix.posterior import ProblemData
 
 
 class TestMatrixContainer:
@@ -296,6 +299,61 @@ class TestSolveCommand:
         good.write_text(json.dumps(manifest))
         assert main(["solve", "--replay", str(good), "--out", str(tmp_path / "o")]) == 0
 
+    def test_enet_mm_without_mu_mix_exit_2(self, sim_dir, tmp_path, capsys):
+        code = main(["solve", "--method", "enet-mm", "--K", str(sim_dir / "K.mxio"),
+                     "--V", str(sim_dir / "V.mxio"), "--lam", "1", "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "mu_mix" in capsys.readouterr().err
+
+
+#: the flags each method runs with in TestSolveOutputs, short of lam or a grid
+_METHOD_FLAGS = {"enet-rvm": ["--max-iter", "5"], "mxn-rvm": ["--max-iter", "5"],
+                 "ridge": [], "loreta": [], "lasso-mm": ["--max-iter", "30"],
+                 "enet-mm": ["--max-iter", "30", "--mu-mix", "0.2"],
+                 "fusion-mm": ["--max-iter", "30"]}
+#: the hyper_trace.csv columns after the step number, as Solution.hyper_trace names
+_HYPER_COLUMNS = {"enet-rvm": ("alpha1", "k", "beta"), "mxn-rvm": ("alpha", "beta", "delta_l1")}
+
+
+class TestSolveOutputs:
+    @pytest.mark.parametrize("method, pick", [(m, []) for m in RVM_METHODS] + [
+        (m, pick) for m in CLASSICAL_METHODS
+        for pick in (["--lam", "0.5"], ["--lambda-grid", "0.01,1,100"])])
+    def test_files_manifest_and_hyper_trace(self, sim_dir, tmp_path, method, pick):
+        K, V = read_matrix(sim_dir / "K.mxio"), read_matrix(sim_dir / "V.mxio")
+        out = tmp_path / "run"
+        assert main(["solve", "--method", method, "--K", str(sim_dir / "K.mxio"),
+                     "--V", str(sim_dir / "V.mxio"), *_METHOD_FLAGS[method], *pick,
+                     "--out", str(out)]) == 0
+        files = {"mu.mxio", "manifest.json", "timings.json"}
+        keys = {"command", "method", "inputs", "config", "format_version", "converged"}
+        if method in RVM_METHODS:
+            files |= {"sigma_diag.mxio", "lambda_bar.mxio", "objective_trace.csv",
+                      "hyper_trace.csv"}
+            keys |= {"iterations", "objective_trace", "stop_reason",
+                     "column_iterations" if method == "enet-rvm" else "alpha_final"}
+        else:
+            keys.add("selected_lambda")
+            if pick[0] == "--lambda-grid":
+                files.add("gcv_curve.csv")
+                keys.add("selected_at_grid_edge")
+            if method.endswith("-mm"):
+                keys |= {"iterations", "final_step"}
+        assert {path.name for path in out.iterdir()} == files
+        assert set(json.loads((out / "manifest.json").read_text())) == keys
+        if method in RVM_METHODS:
+            solver = solve_enet if method == "enet-rvm" else solve_mxn
+            sol = solver(ProblemData(K=K, V=V), SolverConfig(max_iter=5))
+            hyper = np.loadtxt(out / "hyper_trace.csv", delimiter=",", ndmin=2)
+            t = V.shape[1]
+            # enet: alpha1, k and beta per column; mxn: one alpha, then beta
+            # and delta_l1 per column
+            width = 1 + 3 * t if method == "enet-rvm" else 2 + 2 * t
+            assert hyper.shape == (sol.iterations, width)
+            np.testing.assert_array_equal(hyper[:, 0], np.arange(1, sol.iterations + 1))
+            want = np.column_stack([sol.hyper_trace[name] for name in _HYPER_COLUMNS[method]])
+            np.testing.assert_array_equal(hyper[:, 1:], want)
+
 
 class TestEvalCommand:
     def test_self_evaluation_row(self, sim_dir, tmp_path):
@@ -303,7 +361,7 @@ class TestEvalCommand:
         code = main(["eval", "--mu", str(sim_dir / "J_true.mxio"),
                      "--truth", str(sim_dir / "J_true.mxio"),
                      "--support", str(sim_dir / "support_true.mxio"),
-                     "--method", "truth", "--exact-zeros", "--out", str(out)])
+                     "--method", "truth", "--zero-tol", "0", "--out", str(out)])
         assert code == 0
         with open(out, newline="") as fh:
             rows = list(csv.reader(fh))
@@ -328,7 +386,7 @@ class TestEvalCommand:
         write_matrix(spath, (truth != 0).astype(float))
         out = tmp_path / "row.csv"
         code = main(["eval", "--mu", str(tpath), "--truth", str(tpath),
-                     "--support", str(spath), "--exact-zeros", "--out", str(out)])
+                     "--support", str(spath), "--zero-tol", "0", "--out", str(out)])
         assert code == 0
         with open(out, newline="") as fh:
             rows = list(csv.reader(fh))

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from scipy import integrate, optimize
 
+from rvmix import mxn
 from rvmix.enet import LAMBDA_BAR_CAP, SolverConfig, update_lambda_bar_enet
-from rvmix.errors import DomainError
+from rvmix.errors import DomainError, NumericError, RootFindError
 from rvmix.metrics import mixed_norm
 from rvmix.mxn import (
     alpha_gradient,
@@ -197,6 +198,14 @@ class TestAlphaUpdate:
         assert alpha == pytest.approx(best, rel=1e-3)
         assert aux_objective_mxn(mu, sig, lam_bar, delta, alpha) <= min(vals) + 1e-10 * abs(min(vals))
 
+    def test_failed_search_raises(self):
+        # with all moments and couplings zero the gradient is -S*T/(2 alpha)
+        # on all of (0, inf); alpha is one root for the map, so no column
+        zero = np.zeros((6, 3))
+        with pytest.raises(RootFindError, match="no sign change") as info:
+            update_alpha_mxn(zero, zero, np.full((6, 3), 0.5), zero)
+        assert info.value.column is None
+
 
 def small_ring(t=4, seed=0):
     from rvmix.phantom import NoiseSpec, SourceSpec, add_noise, make_phantom
@@ -210,6 +219,13 @@ class TestSolveMxn:
     def test_single_source_rejected(self):
         data = ProblemData(K=np.array([[1.0]]), V=np.array([[1.0]]))
         with pytest.raises(DomainError):
+            solve_mxn(data)
+
+    def test_alpha_search_failure_names_iteration(self, monkeypatch):
+        data, _ = small_ring()
+        monkeypatch.setattr(mxn, "alpha_gradient", lambda alpha, *args: np.full_like(alpha, -1.0))
+        with pytest.raises(NumericError, match=r"^iteration 1, global scale update: "
+                                               r"no sign change"):
             solve_mxn(data)
 
     def test_zero_data(self):
