@@ -30,8 +30,9 @@ class PenaltySpec:
     lam : overall regularization weight (lambda in the penalized objective)
     mu_mix : elastic-net split in (0, 1); the squared-norm weight is
         lam*mu_mix and the L1 weight lam*(1 - mu_mix)
-    L_operator : optional (S, S) matrix applied inside the penalty; the
-        fusion arm defaults to the periodic first difference
+    L_operator : (S, S) matrix applied inside the penalty; laplacian_ridge
+        requires one, and the fusion arm defaults to the periodic first
+        difference
     """
 
     kind: str
@@ -47,6 +48,8 @@ class PenaltySpec:
         if self.kind == "enet":
             if self.mu_mix is None or not 0.0 < self.mu_mix < 1.0:
                 raise DomainError("enet requires mu_mix in (0, 1)")
+        if self.kind == "laplacian_ridge" and self.L_operator is None:
+            raise DomainError("laplacian_ridge requires an L_operator")
 
 
 def ring_laplacian(s):
@@ -66,24 +69,32 @@ def ring_first_difference(s):
     return L
 
 
-def ridge_solve(data, lam, L_operator=None):
-    """Quadratic-penalty solution J = (K'K + lam*L'L)^{-1} K'V.
-
-    With no operator the SVD path is used; with an operator the dense
-    normal equations are solved.
-    """
+def _ridge_fit(data, lam, L_operator):
+    """The quadratic-penalty map J = (K'K + lam*L'L)^{-1} K'V and the trace of
+    its hat matrix K (K'K + lam*L'L)^{-1} K', from one factorization: the
+    SVD with no operator, else one dense solve of the normal equations."""
     if lam <= 0:
         raise DomainError("lam must be positive")
+    K, V = data.K, data.V
     if L_operator is None:
         svd = svd_decompose(data)
-        coef = svd.D / (svd.D**2 + lam)
-        return svd.R @ (coef[:, None] * (svd.Lmat.T @ data.V))
+        D2 = svd.D**2
+        coef = svd.D / (D2 + lam)
+        return svd.R @ (coef[:, None] * (svd.Lmat.T @ V)), float(np.sum(D2 / (D2 + lam)))
     L = np.asarray(L_operator, dtype=float)
-    A = data.K.T @ data.K + lam * L.T @ L
+    A = K.T @ K + lam * L.T @ L
     try:
-        return np.linalg.solve(A, data.K.T @ data.V)
+        X = np.linalg.solve(A, np.hstack([K.T @ V, K.T]))
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"ridge normal equations are singular: {exc}") from exc
+    J, hat = np.split(X, [V.shape[1]], axis=1)
+    return J, float(np.trace(K @ hat))
+
+
+def ridge_solve(data, lam, L_operator=None):
+    """Quadratic-penalty solution J = (K'K + lam*L'L)^{-1} K'V: by the SVD
+    with no operator, by the dense normal equations with one."""
+    return _ridge_fit(data, lam, L_operator)[0]
 
 
 def _penalty_weights(spec, s):
@@ -295,22 +306,15 @@ def gcv_select(data, penalty_family, lambda_grid, eps_lqa=1e-8, max_iter=200):
     for lam in grid:
         spec = replace(penalty_family, lam=lam)
         if spec.kind in ("ridge", "laplacian_ridge"):
-            L = spec.L_operator
-            if spec.kind == "laplacian_ridge" and L is None:
-                L = ring_laplacian(data.n_sources)
-            J = ridge_solve(data, lam, L)
-            A = data.K.T @ data.K + lam * (L.T @ L if L is not None else np.eye(data.n_sources))
-            hat = data.K @ np.linalg.solve(A, data.K.T)
-            df = np.full(t_count, float(np.trace(hat)))
+            J, df = _ridge_fit(data, lam, spec.L_operator)
         else:
             J = mm_solve(data, spec, eps_lqa=eps_lqa, max_iter=max_iter)
-            df = _df_columns(_mm_system(data, spec, eps_lqa), J)
-        df_mean = float(np.mean(df))
-        if df_mean >= n:
+            df = float(np.mean(_df_columns(_mm_system(data, spec, eps_lqa), J)))
+        if df >= n:
             curve.append((lam, np.inf))
             continue
         rss = float(np.sum((data.V - data.K @ J) ** 2))
-        gcv = (rss / (n * t_count)) / (1.0 - df_mean / n) ** 2
+        gcv = (rss / (n * t_count)) / (1.0 - df / n) ** 2
         curve.append((lam, gcv))
         if best is None or gcv < best[1]:
             best = (lam, gcv)

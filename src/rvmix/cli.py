@@ -15,7 +15,7 @@ import re
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -49,17 +49,30 @@ def _seed(text):
 SIM_KEYS = {
     "s": int, "n": int, "t": int, "seed": _seed, "peak_snr_db": float,
     "r_generators": float, "r_electrodes": float, "duration": float,
-    "a_center": float, "a_amplitude": float, "a_peak_time": float, "a_sigma_time": float,
-    "b_center": float, "b_width": int, "b_amplitude": float, "b_freq": float, "b_phase": float,
-    "c_center": float, "c_sigma_space": float, "c_amplitude": float, "c_freq": float,
-    "c_phase": float, "c_truncate_frac": float,
+    **{f.name: f.type for f in fields(SourceSpec)},
 }
+
+
+class LambdaGrid(str):
+    """A lambda_grid value: a nonempty comma list of positive numbers.  It
+    stays text, so a manifest records the grid as given."""
+
+    def __new__(cls, text):
+        grid = super().__new__(cls, text)
+        lams = grid.values()
+        if not lams or not all(0.0 < lam < np.inf for lam in lams):
+            raise ValueError(f"need a nonempty comma list of positive numbers, got {text!r}")
+        return grid
+
+    def values(self):
+        return [float(x) for x in self.split(",") if x.strip()]
+
 
 SOLVE_KEYS = {
     "max_iter": int, "tol_mu": float, "tol_objective": float,
     "learn_k": bool, "learn_alpha1": bool, "alpha1": float, "alpha2": float,
     "fixed_alpha": float, "alpha_init": float, "beta_mode": str, "epsilon_prior": float,
-    "lam": float, "mu_mix": float, "eps_lqa": float, "lambda_grid": str,
+    "lam": float, "mu_mix": float, "eps_lqa": float, "lambda_grid": LambdaGrid,
 }
 
 
@@ -110,13 +123,14 @@ def _typed_config(raw, schema, source):
 
 
 #: the JSON values each schema type accepts; bool is an int to Python
-_JSON_TYPES = {bool: (bool,), int: (int,), float: (int, float), str: (str,)}
+_JSON_TYPES = {bool: (bool,), int: (int,), float: (int, float), str: (str,), LambdaGrid: (str,)}
 
 
 def _typed_json_config(raw, schema, source):
     """A manifest's config checked against schema.  JSON values are typed
     already, so each must have its key's type: a bool only for a bool key,
-    an int (not a bool) for an int key, any number for a float key."""
+    an int (not a bool) for an int key, any number for a float key, text
+    for a text key, which then converts as config text does."""
     if not isinstance(raw, dict):
         raise ConfigError(f"{source}: config must be a JSON object")
     out = {}
@@ -127,7 +141,10 @@ def _typed_json_config(raw, schema, source):
         if isinstance(value, bool) != (kind is bool) or not isinstance(value, _JSON_TYPES[kind]):
             raise ConfigError(f"{source}: key {key!r} must be of type {kind.__name__}, "
                               f"got {value!r}")
-        out[key] = float(value) if kind is float else value
+        if isinstance(value, str):
+            out.update(_typed_config({key: value}, schema, source))
+        else:
+            out[key] = float(value) if kind is float else value
     return out
 
 
@@ -164,7 +181,7 @@ def _simulate(cfg, out):
     write_matrix(out / "support_true.mxio", ph.support_true.astype(float))
     _write_manifest(out, {
         "command": "simulate",
-        "config": dict(sim, **{k: getattr(spec, k) for k in SourceSpec.__dataclass_fields__}),
+        "config": dict(sim, **asdict(spec)),
         "noise_sigma": sigma,
         "truth_sparseness_pct": float(100.0 * np.mean(ph.J_true == 0.0)),
         "lead_field_condition": float(np.linalg.cond(ph.K)),
@@ -180,19 +197,6 @@ def _solver_config(cfg):
             raise ConfigError("fixed hyperparameters need both alpha1 and alpha2")
         kwargs["fixed_hyper"] = (cfg["alpha1"], cfg["alpha2"])
     return SolverConfig(**kwargs)
-
-
-def _grid(cfg):
-    text = cfg.get("lambda_grid")
-    if text is None:
-        return None
-    try:
-        vals = [float(x) for x in text.split(",") if x.strip()]
-    except ValueError as exc:
-        raise ConfigError(f"bad lambda_grid: {exc}") from exc
-    if not vals:
-        raise ConfigError("lambda_grid is empty")
-    return vals
 
 
 def _at_grid_edge(lam, grid):
@@ -221,23 +225,22 @@ def _solve_payload(method, data, cfg):
         return sol.mu, files, extras
 
     kind = CLASSICAL_METHODS[method]
-    grid, lam = _grid(cfg), cfg.get("lam")
-    eps, max_iter = cfg.get("eps_lqa", 1e-8), cfg.get("max_iter", 200)
+    lam = cfg.get("lam")
+    mm_kwargs = {key: cfg[key] for key in ("eps_lqa", "max_iter") if key in cfg}
     L = ring_laplacian(data.n_sources) if kind == "laplacian_ridge" else None
     family = PenaltySpec(kind=kind, lam=lam or 1.0, mu_mix=cfg.get("mu_mix"), L_operator=L)
     files, extras = {}, {}
     if lam is None:
-        if grid is None:
+        if "lambda_grid" not in cfg:
             raise ConfigError(f"{method} needs lam or lambda_grid")
+        grid = cfg["lambda_grid"].values()
         # the ridge kinds ignore eps_lqa and max_iter
-        lam, files["gcv_curve.csv"] = gcv_select(data, family, grid, eps_lqa=eps,
-                                                 max_iter=max_iter)
+        lam, files["gcv_curve.csv"] = gcv_select(data, family, grid, **mm_kwargs)
         extras["selected_at_grid_edge"] = _at_grid_edge(lam, grid)
     if kind in ("ridge", "laplacian_ridge"):
         J, converged = ridge_solve(data, lam, L), True
     else:
-        J, info = mm_solve(data, replace(family, lam=lam), eps_lqa=eps, max_iter=max_iter,
-                           return_info=True)
+        J, info = mm_solve(data, replace(family, lam=lam), return_info=True, **mm_kwargs)
         converged = info.converged
         extras.update(iterations=info.iterations, final_step=info.final_step)
     files["mu.mxio"] = J
@@ -268,13 +271,7 @@ def cmd_solve(args):
         raise ConfigError("solve needs --method, --K and --V (or --replay)")
     if args.method not in (*RVM_METHODS, *CLASSICAL_METHODS):
         raise ConfigError(f"unknown method {args.method!r}")
-    K = read_matrix(args.K)
-    V = read_matrix(args.V)
-    if K.shape[0] != V.shape[0]:
-        raise ConfigError(
-            f"dimension mismatch: K has {K.shape[0]} rows, V has {V.shape[0]}"
-        )
-    data = ProblemData(K=K, V=V)
+    data = ProblemData(K=read_matrix(args.K), V=read_matrix(args.V))
     out = _out_dir(args.out)
     t0 = time.perf_counter()
     J, files, extras = _solve_payload(args.method, data, cfg)

@@ -20,7 +20,7 @@ from .errors import DegenerateStateError, DomainError, NumericError
 from .objective import neg_log_posterior_enet
 from .posterior import ProblemData, _rowwise, posterior_moments, svd_decompose
 from .rootfind import bracketed_root
-from .special import gamma_half_hazard
+from .special import gamma_half_hazard, truncation_coefficient
 
 LAMBDA_BAR_CAP = 1.0 - 1e-12
 
@@ -66,10 +66,6 @@ class SolverConfig:
                 raise DomainError("fixed_hyper needs alpha1 > 0 and alpha2 >= 0")
             self.learn_k = False
             self.learn_alpha1 = False
-
-    def fixed_k(self):
-        a1, a2 = self.fixed_hyper
-        return a2 * a2 / (4.0 * a1)
 
 
 @dataclass
@@ -214,10 +210,10 @@ def update_beta_enet(v_col, K, mu_col, sigma_diag_col, lambda_bar_col, alpha1, m
     return float(beta) if beta.ndim == 0 else beta
 
 
-def _ridge_mu(svd, v, shrink=1e-2):
-    """Cheap ridge pass used only to seed the hyperparameters; v is one
-    column (N,) or a stack of columns as rows (T, N)."""
-    lam_r = shrink * float(np.mean(svd.D**2))
+def _ridge_mu(svd, v):
+    """Cheap ridge pass (lambda = 1e-2 mean(D**2)) used only to seed the
+    hyperparameters; v is one column (N,) or a stack of columns as rows (T, N)."""
+    lam_r = 1e-2 * float(np.mean(svd.D**2))
     coef = svd.D / (svd.D**2 + lam_r)
     return _rowwise(svd.R, coef * _rowwise(svd.Lmat.T, v))
 
@@ -336,7 +332,7 @@ class _EnetIteration(_Iteration):
         self.zero_data = np.sum(self.V * self.V, axis=1) == 0.0
         if config.fixed_hyper is not None:
             self.alpha1 = np.full(t_count, float(config.fixed_hyper[0]))
-            self.k = np.full(t_count, config.fixed_k())
+            self.k = np.full(t_count, truncation_coefficient(*config.fixed_hyper))
         else:
             ss = np.sum(_ridge_mu(svd, self.V) ** 2, axis=1)
             self.alpha1 = np.divide(s, 2.0 * ss, out=np.ones(t_count), where=ss > 0.0)

@@ -28,7 +28,6 @@ class EvalReport:
     sensitivity_pct: float
     specificity_pct: float
     auc_pct: float
-    threshold_used: float
 
     def as_row(self):
         return [
@@ -133,5 +132,4 @@ def evaluate(method, J_est, J_true, support_true, zero_tol_rel=RVM_ZERO_TOL_REL,
         sensitivity_pct=sens,
         specificity_pct=spec,
         auc_pct=roc_auc(J_est, support_true),
-        threshold_used=zero_tol_rel,
     )

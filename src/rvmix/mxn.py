@@ -15,12 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .enet import (
-    _Iteration,
-    _ridge_mu,
-    update_beta_enet,
-    update_lambda_bar_enet,
-)
+from .enet import _Iteration, _ridge_mu, update_beta_enet, update_lambda_bar_enet
 from .errors import DomainError
 from .objective import neg_log_posterior_mxn, w_inverse_apply
 from .posterior import _rows
@@ -160,9 +155,8 @@ class _MxnIteration(_Iteration):
         self.lam_bar[rows] = update_lambda_bar_mxn(mu, sigma, self.alpha, self.delta[rows])
         self.delta[rows] = update_delta(mu)
         # noise variance update disabled under fixed_one (the default)
-        if self.config.beta_mode == "learned":
-            self.beta[rows] = update_beta_enet(self.V[rows], self.K, mu, sigma,
-                                               self.lam_bar[rows], self.alpha)
+        self.beta[rows] = update_beta_enet(self.V[rows], self.K, mu, sigma, self.lam_bar[rows],
+                                           self.alpha, mode=self.config.beta_mode)
 
     def record(self):
         self.traces["alpha"].append(self.alpha)

@@ -18,8 +18,6 @@ import numpy as np
 
 from .errors import ConfigError, DomainError
 
-PEAK_SNR_CLEAN = np.inf  # sentinel: add no noise
-
 
 @dataclass(frozen=True)
 class SourceSpec:

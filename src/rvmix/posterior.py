@@ -93,8 +93,8 @@ class PosteriorMoments:
     logdet_term: object
 
 
-def svd_decompose(data, rank_tol=1e-12):
-    """Economy SVD of the lead field with singular values below rank_tol*max dropped."""
+def svd_decompose(data):
+    """Economy SVD of the lead field with singular values below 1e-12*max dropped."""
     K = data.K if isinstance(data, ProblemData) else np.atleast_2d(np.asarray(data, dtype=float))
     if not np.all(np.isfinite(K)):
         raise DomainError("lead field must be finite")
@@ -104,7 +104,7 @@ def svd_decompose(data, rank_tol=1e-12):
         raise NumericError(f"SVD of the lead field failed: {exc}") from exc
     if s.size == 0 or s[0] <= 0.0:
         raise RankError("lead field has rank zero")
-    keep = s > rank_tol * s[0]
+    keep = s > 1e-12 * s[0]
     r = int(np.count_nonzero(keep))
     if r == 0:
         raise RankError("lead field has rank zero after truncation")

@@ -5,13 +5,13 @@ import numpy as np
 from .errors import RootFindError
 
 
-def bracketed_root(f, slope, x0, lo=1e-10, hi=1e10, max_expand=30, context=""):
+def bracketed_root(f, slope, x0, context=""):
     """One root of ``f`` on (0, inf) per element of ``x0``, all searched at once.
 
     ``f(x, rows)`` and ``slope(x, rows)`` give the function and its
     derivative at ``x`` for the elements ``rows`` (an index array).  Each
-    element's bracket starts at [lo, hi] and grows tenfold per side until
-    ``f`` changes sign across it.  Newton steps then start from the
+    element's bracket starts at [1e-10, 1e10] and grows tenfold per side
+    until ``f`` changes sign across it.  Newton steps then start from the
     element's ``x0``: every evaluation tightens its bracket, a step that
     would leave the bracket goes to its geometric midpoint instead, and
     the element stops once its step is within two ulps.  Elements never
@@ -20,19 +20,19 @@ def bracketed_root(f, slope, x0, lo=1e-10, hi=1e10, max_expand=30, context=""):
     Returns an array shaped like ``x0``, or a float for a scalar.  Raises
     one RootFindError, naming the first failing element in ``column``
     (None for a scalar ``x0``), when an element finds no sign change after
-    ``max_expand`` expansions or does not stop within 100 steps.
+    30 expansions or does not stop within 100 steps.
     """
     prefix = f"{context}: " if context else ""
     named = np.ndim(x0) > 0
     x = np.array(x0, dtype=float, ndmin=1)
-    lo, hi = np.full(x.shape, lo), np.full(x.shape, hi)
+    lo, hi = np.full(x.shape, 1e-10), np.full(x.shape, 1e10)
     act = np.arange(x.size)
     flo, fhi = f(lo, act), f(hi, act)
-    for expansion in range(max_expand + 1):
+    for expansion in range(31):
         act = act[~(np.sign(flo[act]) * np.sign(fhi[act]) < 0.0)]
         if not act.size:
             break
-        if expansion == max_expand:
+        if expansion == 30:
             j = int(act[0])
             raise RootFindError(f"{prefix}no sign change in [{lo[j]:.3e}, {hi[j]:.3e}] "
                                 f"(f(lo)={flo[j]:.6e}, f(hi)={fhi[j]:.6e})",

@@ -236,6 +236,10 @@ class TestMMSolve:
         with pytest.raises(DomainError):
             PenaltySpec(kind="lasso", lam=0.0)
 
+    def test_laplacian_ridge_needs_an_operator(self):
+        with pytest.raises(DomainError, match="L_operator"):
+            PenaltySpec(kind="laplacian_ridge", lam=1.0)
+
 
 class TestGCV:
     def test_single_element_grid(self):
@@ -269,6 +273,23 @@ class TestGCV:
         brute_vals = [brute(g) for g in grid]
         np.testing.assert_allclose(curve[:, 1], brute_vals, rtol=1e-9)
         assert lam == grid[int(np.argmin(brute_vals))]
+
+    @pytest.mark.parametrize("operator", ["ring", "dense"])
+    def test_operator_ridge_matches_brute_force(self, operator):
+        data = make_data(seed=9, n=14, s=12, t=3, noise=0.3)
+        L = (ring_laplacian(12) if operator == "ring"
+             else np.random.default_rng(10).standard_normal((15, 12)))
+        grid = np.logspace(-3, 3, 7)
+        _, curve = gcv_select(data, PenaltySpec(kind="laplacian_ridge", lam=1.0, L_operator=L),
+                              grid)
+        n, t = 14, 3
+        for lam, gcv in curve:
+            A = data.K.T @ data.K + lam * L.T @ L
+            J = np.linalg.solve(A, data.K.T @ data.V)
+            np.testing.assert_array_equal(J, ridge_solve(data, lam, L))
+            df = np.trace(data.K @ np.linalg.inv(A) @ data.K.T)
+            rss = float(np.sum((data.V - data.K @ J) ** 2))
+            np.testing.assert_allclose(gcv, (rss / (n * t)) / (1 - df / n) ** 2, rtol=1e-9)
 
     def test_mm_arm_curve(self):
         data = make_data(seed=11)

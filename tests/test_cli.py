@@ -208,11 +208,43 @@ class TestSolveCommand:
         assert code == 3
 
     def test_every_solve_key_has_a_flag(self, tmp_path):
-        sample = {int: "3", float: "0.5", bool: "false", str: "learned"}
+        sample = {int: "3", float: "0.5", bool: "false", str: "learned",
+                  SOLVE_KEYS["lambda_grid"]: "0.1,1"}
         for key, kind in SOLVE_KEYS.items():
             args = build_parser().parse_args(
                 ["solve", "--out", str(tmp_path), f"--{key.replace('_', '-')}", sample[kind]])
             assert isinstance(getattr(args, key), kind), key
+
+    @pytest.mark.parametrize("entry", ["flag", "config", "replay"])
+    def test_bad_lambda_grid_exit_2(self, sim_dir, tmp_path, capsys, entry):
+        inputs = ["--method", "ridge", "--K", str(sim_dir / "K.mxio"),
+                  "--V", str(sim_dir / "V.mxio")]
+        if entry == "flag":
+            argv = ["solve", *inputs, "--lambda-grid", "abc"]
+        elif entry == "config":
+            cfg = tmp_path / "solve.cfg"
+            cfg.write_text("lambda_grid = 0.1,0\n")
+            argv = ["solve", *inputs, "--config", str(cfg)]
+        else:
+            out = tmp_path / "first"
+            assert main(["solve", *inputs, "--lambda-grid", "0.1,1", "--out", str(out)]) == 0
+            manifest = json.loads((out / "manifest.json").read_text())
+            manifest["config"]["lambda_grid"] = ","
+            bad = tmp_path / "bad.json"
+            bad.write_text(json.dumps(manifest))
+            argv = ["solve", "--replay", str(bad)]
+        capsys.readouterr()
+        assert main([*argv, "--out", str(tmp_path / "o")]) == 2
+        assert "lambda" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_row_mismatch_message(self, sim_dir, tmp_path, capsys):
+        bad = tmp_path / "bad.mxio"
+        write_matrix(bad, np.ones((5, 3)))
+        capsys.readouterr()
+        assert main(["solve", "--method", "ridge", "--K", str(sim_dir / "K.mxio"),
+                     "--V", str(bad), "--lam", "1", "--out", str(tmp_path / "o")]) == 2
+        assert "row mismatch: K has 12 rows, V has 5" in capsys.readouterr().err
 
     def test_bad_boolean_flag_exit_2(self, sim_dir, tmp_path):
         code = main(["solve", "--method", "enet-rvm", "--K", str(sim_dir / "K.mxio"),
@@ -524,6 +556,35 @@ class TestSweepCommand:
         err = capsys.readouterr().err
         assert f"{spec}:6:" in err and key in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("grid", ["abc", "-1,1"])
+    def test_bad_lambda_grid_exit_2_before_any_run(self, tmp_path, capsys, grid):
+        spec = tmp_path / "sweep.cfg"
+        spec.write_text("s = 48\nn = 12\nt = 8\nc_sigma_space = 2.0\n"
+                        "arm = ok | method=ridge lam=1.0\n"
+                        f"arm = bad | method=ridge lambda_grid={grid}\n")
+        out = tmp_path / "sweep"
+        capsys.readouterr()
+        assert main(["sweep", "--spec", str(spec), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"{spec}:6:" in err and "'lambda_grid'" in err
+        assert not (out / "runs").exists()
+
+    def test_two_jobs_write_what_one_job_writes(self, tmp_path):
+        spec = tmp_path / "sweep.cfg"
+        spec.write_text("s = 48\nn = 12\nt = 8\nc_sigma_space = 2.0\nseeds = 0,1\n"
+                        "arm = enet | method=enet-rvm\n"
+                        "arm = ridge | method=ridge lambda_grid=0.01,1,100\n")
+        outs = [tmp_path / f"jobs{jobs}" for jobs in (1, 2)]
+        for jobs, out in zip((1, 2), outs):
+            assert main(["sweep", "--spec", str(spec), "--out", str(out),
+                         "--jobs", str(jobs)]) == 0
+        assert (outs[0] / "sweep.csv").read_bytes() == (outs[1] / "sweep.csv").read_bytes()
+        runs = sorted(p.name for p in (outs[0] / "runs").iterdir())
+        assert runs == ["enet-seed0", "enet-seed1", "ridge-seed0", "ridge-seed1"]
+        for run in runs:
+            assert ((outs[0] / "runs" / run / "mu.mxio").read_bytes()
+                    == (outs[1] / "runs" / run / "mu.mxio").read_bytes()), run
 
     @pytest.mark.parametrize("second, why", [
         ("ok", "used twice"), ("../../x", "must be"), ("a/b", "must be"), (".hidden", "must be"),

@@ -5,7 +5,7 @@ import pytest
 from scipy import integrate, optimize
 
 from rvmix import mxn
-from rvmix.enet import LAMBDA_BAR_CAP, SolverConfig, update_lambda_bar_enet
+from rvmix.enet import LAMBDA_BAR_CAP, SolverConfig, solve_enet, update_lambda_bar_enet
 from rvmix.errors import DomainError, NumericError, RootFindError
 from rvmix.metrics import mixed_norm
 from rvmix.mxn import (
@@ -288,6 +288,37 @@ class TestSolveMxn:
         ])
         ref = neg_log_posterior_mxn(data, svd, mu, lam_bar, delta, 1.0, 1.0)
         assert sol.objective_trace[0] == pytest.approx(ref.total, rel=1e-10)
+
+
+    def test_learned_noise(self):
+        # N close to S: at S >> N the learned variance sits at its 1e-12 floor
+        from rvmix.phantom import NoiseSpec, SourceSpec, add_noise, make_phantom
+
+        ph = make_phantom(S=48, N=40, T=8, source_spec=SourceSpec(c_sigma_space=2.0))
+        V, _ = add_noise(ph.V_clean, NoiseSpec(42.0, 0))
+        sol = solve_mxn(ProblemData(K=ph.K, V=V), SolverConfig(beta_mode="learned"))
+        beta = sol.extras["state"].beta
+        assert sol.converged
+        assert np.all((beta > 1e-3) & (beta < 1.0))
+        np.testing.assert_array_equal(sol.hyper_trace["beta"][-1], beta)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("solve", [solve_enet, solve_mxn], ids=["enet", "mxn"])
+def test_source_permutation_permutes_the_solution(solve, seed):
+    # the SVD of the permuted K differs in its last bits, so not bit for bit
+    data, _ = small_ring(t=8, seed=seed)
+    perm = np.random.default_rng(seed).permutation(data.n_sources)
+    sol = solve(data)
+    permuted = solve(ProblemData(K=data.K[:, perm], V=data.V))
+    for key in ("mu", "sigma_diag", "lambda_bar"):
+        want = getattr(sol, key)[perm]
+        rel = np.max(np.abs(getattr(permuted, key) - want)) / np.max(np.abs(want))
+        assert rel <= 1e-10, key
+    assert permuted.iterations == sol.iterations
+    if solve is solve_enet:
+        np.testing.assert_array_equal(permuted.extras["column_iterations"],
+                                      sol.extras["column_iterations"])
 
 
 class TestHierarchicalConsistency:
