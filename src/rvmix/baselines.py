@@ -69,15 +69,16 @@ def ring_first_difference(s):
     return L
 
 
-def _ridge_fit(data, lam, L_operator):
+def _ridge_fit(data, lam, L_operator, svd=None):
     """The quadratic-penalty map J = (K'K + lam*L'L)^{-1} K'V and the trace of
     its hat matrix K (K'K + lam*L'L)^{-1} K', from one factorization: the
-    SVD with no operator, else one dense solve of the normal equations."""
+    SVD with no operator (``svd`` when given, so that a grid factors K
+    once), else one dense solve of the normal equations."""
     if lam <= 0:
         raise DomainError("lam must be positive")
     K, V = data.K, data.V
     if L_operator is None:
-        svd = svd_decompose(data)
+        svd = svd or svd_decompose(data)
         D2 = svd.D**2
         coef = svd.D / (D2 + lam)
         return svd.R @ (coef[:, None] * (svd.Lmat.T @ V)), float(np.sum(D2 / (D2 + lam)))
@@ -301,12 +302,14 @@ def gcv_select(data, penalty_family, lambda_grid, eps_lqa=1e-8, max_iter=200):
     if not grid or any(g <= 0 for g in grid):
         raise DomainError("lambda_grid must be nonempty and positive")
     n, t_count = data.n_sensors, data.n_times
+    plain_ridge = penalty_family.kind == "ridge" and penalty_family.L_operator is None
+    svd = svd_decompose(data) if plain_ridge else None
     curve = []
     best = None
     for lam in grid:
         spec = replace(penalty_family, lam=lam)
         if spec.kind in ("ridge", "laplacian_ridge"):
-            J, df = _ridge_fit(data, lam, spec.L_operator)
+            J, df = _ridge_fit(data, lam, spec.L_operator, svd)
         else:
             J = mm_solve(data, spec, eps_lqa=eps_lqa, max_iter=max_iter)
             df = float(np.mean(_df_columns(_mm_system(data, spec, eps_lqa), J)))

@@ -31,6 +31,8 @@ from .posterior import ProblemData
 
 FORMAT_VERSION = 1
 OK, USAGE, IOERR, NUMERIC = 0, 2, 3, 4
+#: the BLAS thread settings a solve's timings.json records (null when unset)
+BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 RVM_METHODS = ("enet-rvm", "mxn-rvm")
 #: each classical method and the PenaltySpec kind it solves
@@ -271,10 +273,12 @@ def cmd_solve(args):
         raise ConfigError("solve needs --method, --K and --V (or --replay)")
     if args.method not in (*RVM_METHODS, *CLASSICAL_METHODS):
         raise ConfigError(f"unknown method {args.method!r}")
+    t0 = time.perf_counter()
     data = ProblemData(K=read_matrix(args.K), V=read_matrix(args.V))
     out = _out_dir(args.out)
-    t0 = time.perf_counter()
+    t1 = time.perf_counter()
     J, files, extras = _solve_payload(args.method, data, cfg)
+    t2 = time.perf_counter()
     for name, payload in files.items():
         if name.endswith(".mxio"):
             write_matrix(out / name, payload)
@@ -287,7 +291,9 @@ def cmd_solve(args):
         "config": cfg,
         **extras,
     })
-    _write_json(out / "timings.json", {"solve_s": time.perf_counter() - t0})
+    _write_json(out / "timings.json", {
+        "read_s": t1 - t0, "solve_s": t2 - t1, "write_s": time.perf_counter() - t2,
+        "blas_env": {name: os.environ.get(name) for name in BLAS_ENV}})
     return OK
 
 

@@ -21,7 +21,7 @@ implementation is kept as an oracle for tests.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg as sla
+from scipy.linalg import lapack
 
 from .errors import DomainError, NumericError, RankError
 
@@ -174,6 +174,9 @@ def posterior_moments(svd, lambda_col, beta, v_col):
     beta = np.broadcast_to(beta, (t_count,))
 
     R, D = svd.R, svd.D
+    # R^T in C order: the (B, r, S) products below run faster on it than
+    # on the Fortran-ordered view R.T
+    Rt = np.ascontiguousarray(R.T)
     diag = np.arange(r)
     mu, sigma_diag, logdet = np.empty((t_count, s)), np.empty((t_count, s)), np.empty(t_count)
     block = max(1, BLOCK_BYTES // (8 * s * r))
@@ -181,7 +184,7 @@ def posterior_moments(svd, lambda_col, beta, v_col):
         rows = slice(lo, lo + block)
         lam_b = lam[rows]
         # M = R^T diag(lam) R + beta D^{-2}, one r x r matrix per column
-        M = np.matmul(R.T * lam_b[:, None, :], R)
+        M = np.matmul(Rt * lam_b[:, None, :], R)
         M[:, diag, diag] += beta[rows, None] / (D * D)
         try:
             C = np.linalg.cholesky(M)
@@ -191,8 +194,17 @@ def posterior_moments(svd, lambda_col, beta, v_col):
         # Y = C^{-1} R^T and z = C^{-1} D^{-1} L^T v, so that
         # mu = diag(lam) R M^{-1} D^{-1} L^T v = lam * (Y^T z); the small
         # C^{-1} keeps Y the only (B, r, S) array a solve allocates
-        C_inv = sla.solve_triangular(C, np.broadcast_to(np.eye(r), C.shape), lower=True)
-        Y = np.matmul(C_inv, R.T)
+        C_inv = C.copy()
+        for j, c in enumerate(C_inv):
+            # c.T is the factor as a Fortran-ordered upper triangle, so
+            # LAPACK inverts it in place; scipy's batched solve_triangular
+            # is a Python loop that checks every matrix again
+            info = lapack.dtrtri(c.T, lower=0, overwrite_c=1)[1]
+            if info:
+                raise NumericError(
+                    f"inverse of the inner posterior factor failed (LAPACK info {info}); "
+                    f"beta={beta[lo + j]:.3e}, max lam={lam_b[j].max():.3e}", column=lo + j)
+        Y = np.matmul(C_inv, Rt)
         z = np.matmul(C_inv, (_rowwise(svd.Lmat.T, v[rows]) / D)[:, :, None])
         mu[rows] = lam_b * np.matmul(z.transpose(0, 2, 1), Y)[:, 0]
 
@@ -229,7 +241,9 @@ def posterior_direct(K, lambda_col, beta, v_col):
         sigma = np.linalg.inv(prec)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"direct posterior inversion failed: {exc}") from exc
-    mu = sigma @ (K.T @ v) / beta
+    # a solve, not sigma @ K'v: the mean keeps its accuracy when beta is
+    # small and the precision ill-conditioned
+    mu = np.linalg.solve(prec, K.T @ v) / beta
     sign, logdet_prec = np.linalg.slogdet(prec)
     if sign <= 0:
         raise NumericError("direct posterior precision is not positive definite")

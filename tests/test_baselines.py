@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from rvmix import baselines
 from rvmix.baselines import (
     PenaltySpec,
     _df_columns,
@@ -19,7 +20,7 @@ from rvmix.baselines import (
     ring_laplacian,
 )
 from rvmix.errors import DomainError
-from rvmix.posterior import ProblemData
+from rvmix.posterior import ProblemData, svd_decompose
 
 
 def oracle_mm_step(KtK, KtV, K, J, alpha1, alpha2, L, eps):
@@ -273,6 +274,25 @@ class TestGCV:
         brute_vals = [brute(g) for g in grid]
         np.testing.assert_allclose(curve[:, 1], brute_vals, rtol=1e-9)
         assert lam == grid[int(np.argmin(brute_vals))]
+
+    def test_ridge_grid_factors_once(self, monkeypatch):
+        # a one-point grid factors K for its own point, so these are the
+        # values a grid sharing one SVD must reproduce to the bit
+        data = make_data(seed=12, n=16, s=96, t=16)
+        family = PenaltySpec(kind="ridge", lam=1.0)
+        grid = np.logspace(-2, 3, 6)
+        fresh = np.vstack([gcv_select(data, family, [g])[1] for g in grid])
+        calls = []
+
+        def counted(arg):
+            calls.append(arg)
+            return svd_decompose(arg)
+
+        monkeypatch.setattr(baselines, "svd_decompose", counted)
+        lam, curve = gcv_select(data, family, grid)
+        assert len(calls) == 1
+        np.testing.assert_array_equal(curve, fresh)
+        assert lam == grid[int(np.argmin(fresh[:, 1]))]
 
     @pytest.mark.parametrize("operator", ["ring", "dense"])
     def test_operator_ridge_matches_brute_force(self, operator):

@@ -386,6 +386,19 @@ class TestSolveOutputs:
             want = np.column_stack([sol.hyper_trace[name] for name in _HYPER_COLUMNS[method]])
             np.testing.assert_array_equal(hyper[:, 1:], want)
 
+    def test_timings_phases_and_blas_env(self, sim_dir, tmp_path, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.setenv("OMP_NUM_THREADS", "2")
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        out = tmp_path / "run"
+        assert main(["solve", "--method", "ridge", "--K", str(sim_dir / "K.mxio"),
+                     "--V", str(sim_dir / "V.mxio"), "--lam", "0.5", "--out", str(out)]) == 0
+        timings = json.loads((out / "timings.json").read_text())
+        assert set(timings) == {"read_s", "solve_s", "write_s", "blas_env"}
+        assert all(timings[key] >= 0.0 for key in ("read_s", "solve_s", "write_s"))
+        assert timings["blas_env"] == {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "2",
+                                       "MKL_NUM_THREADS": None}
+
 
 class TestEvalCommand:
     def test_self_evaluation_row(self, sim_dir, tmp_path):

@@ -171,6 +171,58 @@ class TestStackedPosterior:
             assert np.all(stacked.mu[lam[:, j] == 0.0, j] == 0.0)
             assert np.all(stacked.sigma_diag[lam[:, j] == 0.0, j] == 0.0)
 
+    @pytest.mark.parametrize("case", ["lam_span", "beta_span", "zero_column", "rank_deficient"])
+    def test_hostile_conditioning(self, case):
+        # prior variances over 18 decades, noise variances over 9, a column
+        # whose prior is all zero, and a lead field of rank 3 < N
+        rng = np.random.default_rng(13)
+        n, s, t = 8, 20, 5
+        K = rng.standard_normal((n, s))
+        lam = rng.uniform(0.05, 3.0, (s, t))
+        beta = np.ones(t)
+        if case == "lam_span":
+            lam = 10.0 ** rng.uniform(-12.0, 6.0, (s, t))
+        elif case == "beta_span":
+            beta = np.logspace(-6.0, 3.0, t)
+        elif case == "zero_column":
+            lam[:, 2] = 0.0
+        else:
+            K = rng.standard_normal((n, 3)) @ rng.standard_normal((3, s))
+        V = rng.standard_normal((n, t))
+        svd = svd_decompose(K)
+        stacked = posterior_moments(svd, lam, beta, V)
+        for out in (stacked.mu, stacked.sigma_diag, stacked.logdet_term):
+            assert np.all(np.isfinite(out))
+        for j in range(t):
+            one = posterior_moments(svd, lam[:, j], beta[j], V[:, j])
+            np.testing.assert_array_equal(stacked.mu[:, j], one.mu)
+            np.testing.assert_array_equal(stacked.sigma_diag[:, j], one.sigma_diag)
+            assert stacked.logdet_term[j] == one.logdet_term
+            # the oracle floors a zero lam at 1e-300, hence the tiny atol
+            ref = posterior_direct(K, lam[:, j], beta[j], V[:, j])
+            np.testing.assert_allclose(stacked.mu[:, j], ref.mu, rtol=1e-8,
+                                       atol=1e-8 * np.max(np.abs(ref.mu)) + 1e-290)
+            np.testing.assert_allclose(stacked.sigma_diag[:, j], ref.sigma_diag, rtol=1e-8,
+                                       atol=1e-290)
+            assert stacked.logdet_term[j] == pytest.approx(ref.logdet_term, rel=1e-8, abs=1e-10)
+
+    def test_failed_triangular_inverse_is_named(self, monkeypatch):
+        # LAPACK reports a singular factor for the second matrix of the stack
+        dtrtri, calls = posterior.lapack.dtrtri, []
+
+        def failing(c, **kwargs):
+            calls.append(c)
+            inv, info = dtrtri(c, **kwargs)
+            return inv, 1 if len(calls) == 2 else info
+
+        monkeypatch.setattr(posterior.lapack, "dtrtri", failing)
+        rng = np.random.default_rng(4)
+        svd = svd_decompose(rng.standard_normal((5, 9)))
+        with pytest.raises(posterior.NumericError) as info:
+            posterior_moments(svd, rng.uniform(0.5, 2.0, (9, 3)), 1.0, rng.standard_normal((5, 3)))
+        assert info.value.column == 1
+        assert len(calls) == 2
+
     def test_column_blocks_do_not_change_results(self, monkeypatch):
         rng = np.random.default_rng(6)
         K = rng.standard_normal((9, 30))
