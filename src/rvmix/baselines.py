@@ -235,8 +235,9 @@ def mm_solve(data, penalty, eps_lqa=1e-8, max_iter=200, tol=1e-6, return_trace=F
 
     Iterates reweighted quadratic solves until the relative change of J
     drops below tol; entries with |J| <= eps_lqa are truncated to exact
-    zeros afterwards.  Raises NumericError if the (smoothed) objective
-    ever increases beyond roundoff.
+    zeros afterwards.  Raises NumericError if the (smoothed) objective is
+    not finite at the start or after a step, or ever increases beyond
+    roundoff.
 
     Returns J, or a tuple of J followed by the objective trace
     (return_trace) and an MMInfo (return_info), in that order.
@@ -247,25 +248,33 @@ def mm_solve(data, penalty, eps_lqa=1e-8, max_iter=200, tol=1e-6, return_trace=F
         raise DomainError(f"max_iter must be >= 0, got {max_iter}")
     system = _mm_system(data, penalty, eps_lqa)
     J = np.zeros((data.n_sources, data.n_times))
-    trace = [mm_objective(data, J, penalty, eps_lqa)]
     converged = False
     final_step = None
-    for _ in range(max_iter):
-        J_new = _mm_step(system, J)
-        obj = mm_objective(data, J_new, penalty, eps_lqa)
-        if obj > trace[-1] + 1e-10 * max(abs(trace[-1]), 1.0):
-            raise NumericError(
-                f"majorization step increased the objective "
-                f"({trace[-1]:.12e} -> {obj:.12e})"
-            )
-        trace.append(obj)
-        scale = float(np.max(np.abs(J_new)))
-        step = float(np.max(np.abs(J_new - J)))
-        final_step = step / scale if scale > 0.0 else 0.0
-        J = J_new
-        if scale == 0.0 or step <= tol * scale:
-            converged = True
-            break
+    # an overflow shows up as a non-finite objective, which raises below
+    with np.errstate(over="ignore", invalid="ignore"):
+        trace = [mm_objective(data, J, penalty, eps_lqa)]
+        if not np.isfinite(trace[0]):
+            raise NumericError(f"majorization objective is not finite at the start "
+                               f"({trace[0]:.12e})")
+        for _ in range(max_iter):
+            J_new = _mm_step(system, J)
+            obj = mm_objective(data, J_new, penalty, eps_lqa)
+            if not np.isfinite(obj):
+                raise NumericError(f"majorization objective is not finite after step "
+                                   f"{len(trace)} ({trace[-1]:.12e} -> {obj:.12e})")
+            if obj > trace[-1] + 1e-10 * max(abs(trace[-1]), 1.0):
+                raise NumericError(
+                    f"majorization step increased the objective "
+                    f"({trace[-1]:.12e} -> {obj:.12e})"
+                )
+            trace.append(obj)
+            scale = float(np.max(np.abs(J_new)))
+            step = float(np.max(np.abs(J_new - J)))
+            final_step = step / scale if scale > 0.0 else 0.0
+            J = J_new
+            if scale == 0.0 or step <= tol * scale:
+                converged = True
+                break
     J = J.copy()
     J[np.abs(J) <= eps_lqa] = 0.0
     out = (J,)

@@ -71,11 +71,35 @@ class LambdaGrid(str):
 
 
 SOLVE_KEYS = {
-    "max_iter": int, "tol_mu": float, "tol_objective": float,
-    "learn_k": bool, "learn_alpha1": bool, "alpha1": float, "alpha2": float,
-    "fixed_alpha": float, "alpha_init": float, "beta_mode": str, "epsilon_prior": float,
+    "max_iter": int, "tol_mu": float, "tol_objective": float, "alpha1": float, "alpha2": float,
+    "fixed_alpha": float, "beta_mode": str, "epsilon_prior": float,
     "lam": float, "mu_mix": float, "eps_lqa": float, "lambda_grid": LambdaGrid,
 }
+#: the solve keys each method reads; a method takes no other
+METHOD_KEYS = {
+    "enet-rvm": ("max_iter", "tol_mu", "tol_objective", "alpha1", "alpha2", "beta_mode",
+                 "epsilon_prior"),
+    "mxn-rvm": ("max_iter", "tol_mu", "tol_objective", "fixed_alpha", "beta_mode"),
+    "ridge": ("lam", "lambda_grid"),
+    "loreta": ("lam", "lambda_grid"),
+    "lasso-mm": ("lam", "lambda_grid", "eps_lqa", "max_iter"),
+    "enet-mm": ("lam", "lambda_grid", "eps_lqa", "max_iter", "mu_mix"),
+    "fusion-mm": ("lam", "lambda_grid", "eps_lqa", "max_iter"),
+}
+
+
+def check_method_keys(method, keys, source):
+    """The method and key set of one solve, checked before anything is read
+    or written: the method is known, it reads each key, and a classical
+    method has exactly one of lam and lambda_grid."""
+    if method not in METHOD_KEYS:
+        raise ConfigError(f"{source}: unknown method {method!r}")
+    for key in keys:
+        if key not in METHOD_KEYS[method]:
+            raise ConfigError(f"{source}: method {method!r} does not read key {key!r}")
+    if method in CLASSICAL_METHODS and ("lam" in keys) == ("lambda_grid" in keys):
+        raise ConfigError(f"{source}: method {method!r} needs exactly one of 'lam' "
+                          "and 'lambda_grid'")
 
 
 def _seed_list(text):
@@ -124,23 +148,20 @@ def _typed_config(raw, schema, source):
     return out
 
 
-#: the JSON values each schema type accepts; bool is an int to Python
-_JSON_TYPES = {bool: (bool,), int: (int,), float: (int, float), str: (str,), LambdaGrid: (str,)}
+#: the JSON values each schema type accepts; a bool, which is an int to
+#: Python, is none of them
+_JSON_TYPES = {int: (int,), float: (int, float), str: (str,), LambdaGrid: (str,)}
 
 
 def _typed_json_config(raw, schema, source):
-    """A manifest's config checked against schema.  JSON values are typed
-    already, so each must have its key's type: a bool only for a bool key,
-    an int (not a bool) for an int key, any number for a float key, text
-    for a text key, which then converts as config text does."""
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{source}: config must be a JSON object")
+    """A manifest's config dict, whose keys check_method_keys has passed,
+    typed by schema.  JSON values are typed already, so each must have its
+    key's type: an int (not a bool) for an int key, any number for a float
+    key, text for a text key, which then converts as config text does."""
     out = {}
     for key, value in raw.items():
-        if key not in schema:
-            raise ConfigError(f"{source}: unknown key {key!r}")
         kind = schema[key]
-        if isinstance(value, bool) != (kind is bool) or not isinstance(value, _JSON_TYPES[kind]):
+        if isinstance(value, bool) or not isinstance(value, _JSON_TYPES[kind]):
             raise ConfigError(f"{source}: key {key!r} must be of type {kind.__name__}, "
                               f"got {value!r}")
         if isinstance(value, str):
@@ -233,10 +254,7 @@ def _solve_payload(method, data, cfg):
     family = PenaltySpec(kind=kind, lam=lam or 1.0, mu_mix=cfg.get("mu_mix"), L_operator=L)
     files, extras = {}, {}
     if lam is None:
-        if "lambda_grid" not in cfg:
-            raise ConfigError(f"{method} needs lam or lambda_grid")
         grid = cfg["lambda_grid"].values()
-        # the ridge kinds ignore eps_lqa and max_iter
         lam, files["gcv_curve.csv"] = gcv_select(data, family, grid, **mm_kwargs)
         extras["selected_at_grid_edge"] = _at_grid_edge(lam, grid)
     if kind in ("ridge", "laplacian_ridge"):
@@ -262,17 +280,20 @@ def cmd_solve(args):
             args.V = manifest["inputs"]["V"]
         except (KeyError, TypeError) as exc:
             raise ConfigError(f"{args.replay}: method or inputs missing ({exc!r})") from exc
-        cfg = _typed_json_config(manifest.get("config", {}), SOLVE_KEYS, args.replay)
+        raw = manifest.get("config", {})
+        if not isinstance(raw, dict):
+            raise ConfigError(f"{args.replay}: config must be a JSON object")
+        check_method_keys(args.method, raw, args.replay)
+        cfg = _typed_json_config(raw, SOLVE_KEYS, args.replay)
     else:
-        cfg = _typed_config(parse_config_file(args.config), SOLVE_KEYS, args.config) if args.config else {}
-        for key in SOLVE_KEYS:
-            flag = getattr(args, key, None)
-            if flag is not None:
-                cfg[key] = flag
-    if not args.replay and not (args.method and args.K and args.V):
-        raise ConfigError("solve needs --method, --K and --V (or --replay)")
-    if args.method not in (*RVM_METHODS, *CLASSICAL_METHODS):
-        raise ConfigError(f"unknown method {args.method!r}")
+        if not (args.method and args.K and args.V):
+            raise ConfigError("solve needs --method, --K and --V (or --replay)")
+        text = parse_config_file(args.config) if args.config else {}
+        flags = {key: getattr(args, key) for key in SOLVE_KEYS
+                 if getattr(args, key, None) is not None}
+        source = f"solve flags and {args.config}" if args.config else "solve flags"
+        check_method_keys(args.method, {**text, **flags}, source)
+        cfg = {**_typed_config(text, SOLVE_KEYS, args.config), **flags}
     t0 = time.perf_counter()
     data = ProblemData(K=read_matrix(args.K), V=read_matrix(args.V))
     out = _out_dir(args.out)
@@ -346,8 +367,7 @@ def _parse_sweep(path):
                 raise ConfigError(f"{where}: bad arm token {token!r}")
             tokens[k] = v
         method = tokens.pop("method", None)
-        if method not in (*RVM_METHODS, *CLASSICAL_METHODS):
-            raise ConfigError(f"{where}: arm {name!r} needs a known method, got {method!r}")
+        check_method_keys(method, tokens, f"{where}: arm {name!r}")
         arms.append({"name": name, "method": method,
                      "cfg": _typed_config(tokens, SOLVE_KEYS, where)})
     if not arms:
@@ -428,8 +448,7 @@ def build_parser():
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("solve", help="run one solver on stored matrices")
-    p.add_argument("--method", help="enet-rvm | mxn-rvm | ridge | loreta | "
-                                    "lasso-mm | enet-mm | fusion-mm")
+    p.add_argument("--method", help=" | ".join(METHOD_KEYS))
     p.add_argument("--K", help="lead field matrix file")
     p.add_argument("--V", help="observation matrix file")
     p.add_argument("--config", help="key = value solver configuration")

@@ -29,11 +29,12 @@ LAMBDA_BAR_CAP = 1.0 - 1e-12
 class SolverConfig:
     """Knobs shared by the Bayesian solvers.
 
-    fixed_hyper : optional (alpha1, alpha2) pair; setting it turns off
-        learning and precomputes the truncation coefficient
+    fixed_hyper : optional (alpha1, alpha2) pair for the elastic-net
+        solver; None (the default) learns alpha1 and the truncation
+        coefficient k by empirical Bayes, a pair fixes both, with
         k = alpha2**2 / (4*alpha1).
     fixed_alpha : optional fixed global scale for the mixed-norm solver;
-        None means alpha is learned.
+        None (the default) learns alpha, starting from 1.
     beta_mode : "fixed_one" keeps the noise variance pinned at 1 (the
         default), "learned" enables the closed-form update.
     epsilon_prior : epsilon > 0 in nu = epsilon * S, the rate of the Gamma
@@ -43,13 +44,10 @@ class SolverConfig:
     max_iter: int = 100
     tol_mu: float = 5e-2
     tol_objective: float | None = None  # per-solver default when None
-    learn_k: bool = True
-    learn_alpha1: bool = True
     fixed_hyper: tuple | None = None
     fixed_alpha: float | None = None
     beta_mode: str = "fixed_one"
     epsilon_prior: float = 1e-2
-    alpha_init: float = 1.0
 
     def __post_init__(self):
         if self.beta_mode not in ("fixed_one", "learned"):
@@ -64,8 +62,6 @@ class SolverConfig:
             a1, a2 = self.fixed_hyper
             if a1 <= 0 or a2 < 0:
                 raise DomainError("fixed_hyper needs alpha1 > 0 and alpha2 >= 0")
-            self.learn_k = False
-            self.learn_alpha1 = False
 
 
 @dataclass
@@ -357,21 +353,22 @@ class _EnetIteration(_Iteration):
     def step(self, rows, mu, sigma):
         """lambda_bar, then alpha1, k and beta of the given columns; returns
         the mask of columns that collapsed (every coordinate pruned, so the
-        variance scale is undefined)."""
-        cfg = self.config
+        variance scale is undefined).  alpha1 and k are learned unless
+        fixed_hyper fixes them."""
+        learn = self.config.fixed_hyper is None
         alpha1, k, beta = self.alpha1[rows], self.k[rows], self.beta[rows]
         lam_bar = update_lambda_bar_enet(mu, sigma, alpha1[:, None], k[:, None])
         collapsed = np.zeros(rows.size, dtype=bool)
-        if cfg.learn_alpha1:
+        if learn:
             collapsed = ~np.any(lam_bar > 0.0, axis=1)
             alpha1[~collapsed] = update_alpha1(mu[~collapsed], sigma[~collapsed],
                                                lam_bar[~collapsed])
         keep = np.flatnonzero(~collapsed)
         try:
-            if cfg.learn_k:
+            if learn:
                 k[keep] = update_k(lam_bar[keep], self.tau, self.nu, k[keep])
             beta[keep] = update_beta_enet(self.V[rows[keep]], self.K, mu[keep], sigma[keep],
-                                          lam_bar[keep], alpha1[keep], mode=cfg.beta_mode)
+                                          lam_bar[keep], alpha1[keep], mode=self.config.beta_mode)
         except NumericError as exc:
             raise NumericError(str(exc), column=keep[exc.column]) from exc
         kept = rows[keep]

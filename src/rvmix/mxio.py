@@ -84,16 +84,9 @@ def parse_config_file(path):
 
 
 def coerce(value, kind):
-    """Convert a config string to kind (bool, int, float, str, or any
-    converter that raises ValueError on bad text), with clear errors."""
+    """Convert a config string to kind (int, float, str, or any converter
+    that raises ValueError on bad text), with clear errors."""
     try:
-        if kind is bool:
-            low = value.lower()
-            if low in ("1", "true", "yes", "on"):
-                return True
-            if low in ("0", "false", "no", "off"):
-                return False
-            raise ValueError(f"not a boolean: {value!r}")
         if kind is float and value.lower() in ("inf", "+inf", "infinity"):
             return float("inf")
         return kind(value)

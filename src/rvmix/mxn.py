@@ -133,11 +133,11 @@ class _MxnIteration(_Iteration):
         if s < 2:
             raise DomainError("mixed-norm model needs at least two sources")
         self.learn_alpha = self.config.fixed_alpha is None
-        self.alpha = (self.config.alpha_init if self.learn_alpha
-                      else float(self.config.fixed_alpha))
+        self.alpha = 1.0 if self.learn_alpha else float(self.config.fixed_alpha)
         if self.alpha <= 0:
             raise DomainError("alpha must be positive")
-        self.zero_data = np.zeros(t_count, dtype=bool)
+        # the columns share alpha, so only an all-zero map stops after one sweep
+        self.zero_data = np.full(t_count, not np.any(self.V))
         self.lam_bar = np.full((t_count, s), 0.5)
         self.delta = update_delta(_ridge_mu(self.svd, self.V))
         self.beta = np.ones(t_count)
@@ -174,8 +174,9 @@ def solve_mxn(data, config=None, svd=None):
 
     Requires at least two sources (the coupling algebra is undefined for
     S = 1).  A single-column problem degenerates to a purely spatial
-    solver and is fully supported.  extras["stop_reason"] is "tol" or
-    "max_iter", for the whole map.
+    solver and is fully supported.  extras["stop_reason"] is "tol",
+    "max_iter" or "zero_data" (an all-zero map, solved in one sweep), for
+    the whole map.
     """
     core = _MxnIteration(data, config, svd)
     sol = core.run()

@@ -19,7 +19,8 @@ from rvmix.baselines import (
     ring_first_difference,
     ring_laplacian,
 )
-from rvmix.errors import DomainError
+from rvmix.errors import DomainError, NumericError
+from rvmix.phantom import NoiseSpec, add_noise, make_phantom
 from rvmix.posterior import ProblemData, svd_decompose
 
 
@@ -205,6 +206,16 @@ class TestMMSolve:
         # return the all-zero start as a result
         with pytest.raises(DomainError, match="max_iter"):
             mm_solve(make_data(seed=2), PenaltySpec(kind="lasso", lam=0.9), max_iter=-3)
+
+    @pytest.mark.parametrize("scale, where", [(1e150, "after step 2"), (1e160, "at the start")])
+    def test_non_finite_objective_raises(self, scale, where):
+        # at V x 1e150 the start objective is finite (~2.9e304) and the
+        # second step's is nan; at V x 1e160 ||V||^2 overflows at the start
+        ph = make_phantom(S=96, N=16, T=8)
+        V, _ = add_noise(ph.V_clean, NoiseSpec(42.0, 0))
+        data = ProblemData(K=ph.K, V=V * scale)
+        with pytest.raises(NumericError, match=f"not finite {where}"):
+            mm_solve(data, PenaltySpec(kind="lasso", lam=1.0))
 
     def test_enet_limits_match_neighbors(self):
         # mu_mix -> 1 approaches ridge, mu_mix -> 0 approaches lasso

@@ -2,6 +2,10 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from rvmix.cli import CLASSICAL_METHODS, RVM_METHODS, SOLVE_KEYS, build_parser, main
+from rvmix.cli import CLASSICAL_METHODS, METHOD_KEYS, RVM_METHODS, SOLVE_KEYS, build_parser, main
 from rvmix.enet import SolverConfig, solve_enet
 from rvmix.errors import ConfigError, ContainerError, DomainError
 from rvmix.mxio import MAGIC
@@ -208,7 +212,7 @@ class TestSolveCommand:
         assert code == 3
 
     def test_every_solve_key_has_a_flag(self, tmp_path):
-        sample = {int: "3", float: "0.5", bool: "false", str: "learned",
+        sample = {int: "3", float: "0.5", str: "learned",
                   SOLVE_KEYS["lambda_grid"]: "0.1,1"}
         for key, kind in SOLVE_KEYS.items():
             args = build_parser().parse_args(
@@ -245,12 +249,6 @@ class TestSolveCommand:
         assert main(["solve", "--method", "ridge", "--K", str(sim_dir / "K.mxio"),
                      "--V", str(bad), "--lam", "1", "--out", str(tmp_path / "o")]) == 2
         assert "row mismatch: K has 12 rows, V has 5" in capsys.readouterr().err
-
-    def test_bad_boolean_flag_exit_2(self, sim_dir, tmp_path):
-        code = main(["solve", "--method", "enet-rvm", "--K", str(sim_dir / "K.mxio"),
-                     "--V", str(sim_dir / "V.mxio"), "--learn-k", "maybe",
-                     "--out", str(tmp_path / "o")])
-        assert code == 2
 
     def test_mm_manifest_final_step_is_reproducible(self, sim_dir, tmp_path):
         manifests = []
@@ -446,6 +444,21 @@ class TestEvalCommand:
                      "--V", str(sim_dir / "V.mxio"), "--out", str(tmp_path / "o")])
         assert code == 4
 
+    def test_non_finite_mm_objective_exit_4(self, tmp_path, capsys):
+        # lasso at lam = 1 on V x 1e150 overflows to a nan objective on its
+        # second step; the run fails instead of writing a NaN map
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text("s = 96\nn = 16\nt = 8\nseed = 0\n")
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "sim")]) == 0
+        huge = tmp_path / "V_huge.mxio"
+        write_matrix(huge, read_matrix(tmp_path / "sim" / "V.mxio") * 1e150)
+        capsys.readouterr()
+        code = main(["solve", "--method", "lasso-mm", "--K", str(tmp_path / "sim" / "K.mxio"),
+                     "--V", str(huge), "--lam", "1", "--out", str(tmp_path / "o")])
+        assert code == 4
+        assert "objective is not finite" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "mu.mxio").exists()
+
     def test_mxn_fixed_alpha_flag(self, sim_dir, tmp_path):
         out = tmp_path / "mxnfix"
         code = main(["solve", "--method", "mxn-rvm", "--K", str(sim_dir / "K.mxio"),
@@ -509,7 +522,7 @@ class TestSweepCommand:
         spec = tmp_path / "sweep.cfg"
         spec.write_text(
             "s = 48\nn = 40\nt = 8\npeak_snr_db = 42\nc_sigma_space = 2.0\nseeds = 0\n"
-            "arm = learned | method=enet-rvm beta_mode=learned learn_k=true alpha_init=1.5\n"
+            "arm = learned | method=enet-rvm beta_mode=learned\n"
         )
         out = tmp_path / "sweep"
         assert main(["sweep", "--spec", str(spec), "--out", str(out)]) == 0
@@ -517,8 +530,7 @@ class TestSweepCommand:
             rows = list(csv.DictReader(fh))
         assert [r["error"] for r in rows] == [""]
         manifest = json.loads((out / "runs" / "learned-seed0" / "manifest.json").read_text())
-        assert manifest["config"]["beta_mode"] == "learned"
-        assert manifest["config"]["alpha_init"] == 1.5
+        assert manifest["config"] == {"beta_mode": "learned"}
 
     def test_learned_noise_failure_message_in_row(self, tmp_path):
         spec = tmp_path / "sweep.cfg"
@@ -633,51 +645,133 @@ class TestSweepCommand:
         spec.write_text(
             "s = 48\nn = 12\nt = 8\nc_sigma_space = 2.0\nseeds = 0\n"
             "arm = ok | method=ridge lam=1.0\n"
-            "arm = broken | method=enet-mm\n"  # missing mu_mix and grid
+            "arm = broken | method=enet-mm lam=1\n"  # missing mu_mix, found at run time
         )
         out = tmp_path / "sweep"
         assert main(["sweep", "--spec", str(spec), "--out", str(out)]) == 0
         with open(out / "sweep.csv", newline="") as fh:
             rows = {r["arm"]: r for r in csv.DictReader(fh)}
         assert rows["ok"]["error"] == ""
-        assert rows["broken"]["error"] != ""
+        assert "mu_mix" in rows["broken"]["error"]
 
 
 class TestFourEntryPoints:
     # one value per solve key, given as config-file text, as flags, as sweep
-    # arm tokens and through a replay of the first run's manifest
-    TEXT = {"max_iter": "2", "tol_mu": "0.25", "tol_objective": "1e-3", "learn_k": "no",
-            "learn_alpha1": "off", "alpha1": "1.5", "alpha2": "20", "fixed_alpha": "2",
-            "alpha_init": "1.25", "beta_mode": "fixed_one", "epsilon_prior": "0.02",
-            "lam": "0.5", "mu_mix": "0.1", "eps_lqa": "1e-7", "lambda_grid": "0.1,1,10"}
-    TYPED = {"max_iter": 2, "tol_mu": 0.25, "tol_objective": 1e-3, "learn_k": False,
-             "learn_alpha1": False, "alpha1": 1.5, "alpha2": 20.0, "fixed_alpha": 2.0,
-             "alpha_init": 1.25, "beta_mode": "fixed_one", "epsilon_prior": 0.02,
-             "lam": 0.5, "mu_mix": 0.1, "eps_lqa": 1e-7, "lambda_grid": "0.1,1,10"}
+    # arm tokens and through a replay of the first run's manifest, in one run
+    # per method family; the families' keys together cover SOLVE_KEYS
+    TEXT = {"max_iter": "2", "tol_mu": "0.25", "tol_objective": "1e-3", "alpha1": "1.5",
+            "alpha2": "20", "fixed_alpha": "2", "beta_mode": "fixed_one",
+            "epsilon_prior": "0.02", "lam": "0.5", "mu_mix": "0.1", "eps_lqa": "1e-7",
+            "lambda_grid": "0.1,1,10"}
+    TYPED = {"max_iter": 2, "tol_mu": 0.25, "tol_objective": 1e-3, "alpha1": 1.5,
+             "alpha2": 20.0, "fixed_alpha": 2.0, "beta_mode": "fixed_one",
+             "epsilon_prior": 0.02, "lam": 0.5, "mu_mix": 0.1, "eps_lqa": 1e-7,
+             "lambda_grid": "0.1,1,10"}
+    FAMILIES = {"enet-rvm": METHOD_KEYS["enet-rvm"], "mxn-rvm": METHOD_KEYS["mxn-rvm"],
+                "enet-mm": ("lam", "eps_lqa", "max_iter", "mu_mix"), "ridge": ("lambda_grid",)}
 
     def test_every_solve_key_gives_one_config(self, sim_dir, tmp_path):
         assert set(self.TEXT) == set(SOLVE_KEYS)
-        inputs = ["--method", "enet-rvm", "--K", str(sim_dir / "K.mxio"),
-                  "--V", str(sim_dir / "V.mxio")]
-        cfg = tmp_path / "solve.cfg"
-        cfg.write_text("".join(f"{k} = {v}\n" for k, v in self.TEXT.items()))
-        assert main(["solve", *inputs, "--config", str(cfg), "--out", str(tmp_path / "file")]) == 0
-        flags = [x for k, v in self.TEXT.items() for x in (f"--{k.replace('_', '-')}", v)]
-        assert main(["solve", *inputs, *flags, "--out", str(tmp_path / "flags")]) == 0
+        assert {key for keys in self.FAMILIES.values() for key in keys} == set(SOLVE_KEYS)
         spec = tmp_path / "sweep.cfg"
         spec.write_text("s = 48\nn = 12\nt = 8\nseed = 3\npeak_snr_db = 42\n"
-                        "c_sigma_space = 2.0\nseeds = 3\narm = all | method=enet-rvm "
-                        + " ".join(f"{k}={v}" for k, v in self.TEXT.items()) + "\n")
+                        "c_sigma_space = 2.0\nseeds = 3\n" + "".join(
+                            f"arm = {method} | method={method} "
+                            + " ".join(f"{k}={self.TEXT[k]}" for k in keys) + "\n"
+                            for method, keys in self.FAMILIES.items()))
         assert main(["sweep", "--spec", str(spec), "--out", str(tmp_path / "sweep")]) == 0
-        assert main(["solve", "--replay", str(tmp_path / "file" / "manifest.json"),
-                     "--out", str(tmp_path / "replay")]) == 0
-        runs = ["file", "flags", "sweep/runs/all-seed3", "replay"]
-        configs = [json.loads((tmp_path / run / "manifest.json").read_text())["config"]
-                   for run in runs]
-        for run, config in zip(runs, configs):
-            assert config == self.TYPED, run
-            assert {k: type(v) for k, v in config.items()} == \
-                {k: type(v) for k, v in self.TYPED.items()}, run
+        for method, keys in self.FAMILIES.items():
+            base = tmp_path / method
+            inputs = ["--method", method, "--K", str(sim_dir / "K.mxio"),
+                      "--V", str(sim_dir / "V.mxio")]
+            cfg = tmp_path / f"{method}.cfg"
+            cfg.write_text("".join(f"{k} = {self.TEXT[k]}\n" for k in keys))
+            assert main(["solve", *inputs, "--config", str(cfg), "--out", str(base / "file")]) == 0
+            flags = [x for k in keys for x in (f"--{k.replace('_', '-')}", self.TEXT[k])]
+            assert main(["solve", *inputs, *flags, "--out", str(base / "flags")]) == 0
+            assert main(["solve", "--replay", str(base / "file" / "manifest.json"),
+                         "--out", str(base / "replay")]) == 0
+            typed = {k: self.TYPED[k] for k in keys}
+            runs = [base / "file", base / "flags", tmp_path / "sweep" / "runs" / f"{method}-seed3",
+                    base / "replay"]
+            for run in runs:
+                config = json.loads((run / "manifest.json").read_text())["config"]
+                assert config == typed, run
+                assert {k: type(v) for k, v in config.items()} == \
+                    {k: type(v) for k, v in typed.items()}, run
+
+
+#: a method, keys (as JSON values) it must not be given beside what it needs,
+#: and the key the rejection names
+_REJECTED = [
+    ("ridge", {"lam": 1.0, "eps_lqa": 1e-7}, "eps_lqa"),
+    ("ridge", {"lam": 1.0, "max_iter": 5}, "max_iter"),
+    ("lasso-mm", {"lam": 1.0, "mu_mix": 0.1}, "mu_mix"),
+    ("lasso-mm", {"lam": 1.0, "lambda_grid": "0.1,1"}, "lambda_grid"),
+    ("enet-rvm", {"learn_k": True}, "learn_k"),
+]
+
+
+class TestMethodKeys:
+    def test_table_covers_solve_keys(self):
+        assert set(METHOD_KEYS) == {*RVM_METHODS, *CLASSICAL_METHODS}
+        assert {key for keys in METHOD_KEYS.values() for key in keys} == set(SOLVE_KEYS)
+
+    @pytest.mark.parametrize("entry", ["flag", "config", "arm", "replay"])
+    @pytest.mark.parametrize("method, given, key", _REJECTED)
+    def test_rejected_before_any_output(self, sim_dir, tmp_path, capsys, entry, method,
+                                        given, key):
+        inputs = ["--method", method, "--K", str(sim_dir / "K.mxio"),
+                  "--V", str(sim_dir / "V.mxio")]
+        out = tmp_path / "o"
+        if entry == "flag":
+            argv = ["solve", *inputs, "--out", str(out)]
+            argv += [x for k, v in given.items() for x in (f"--{k.replace('_', '-')}", str(v))]
+        elif entry == "config":
+            cfg = tmp_path / "solve.cfg"
+            cfg.write_text("".join(f"{k} = {v}\n" for k, v in given.items()))
+            argv = ["solve", *inputs, "--config", str(cfg), "--out", str(out)]
+        elif entry == "arm":
+            spec = tmp_path / "sweep.cfg"
+            spec.write_text("s = 48\nn = 12\nt = 8\nc_sigma_space = 2.0\n"
+                            f"arm = a | method={method} "
+                            + " ".join(f"{k}={v}" for k, v in given.items()) + "\n")
+            argv = ["sweep", "--spec", str(spec), "--out", str(out)]
+        else:
+            first = tmp_path / "first"
+            needs = ["--lam", "1"] if method in CLASSICAL_METHODS else []
+            assert main(["solve", *inputs, *needs, "--out", str(first)]) == 0
+            manifest = json.loads((first / "manifest.json").read_text())
+            manifest["config"].update(given)
+            bad = tmp_path / "bad.json"
+            bad.write_text(json.dumps(manifest))
+            argv = ["solve", "--replay", str(bad), "--out", str(out)]
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        if entry == "flag" and key not in SOLVE_KEYS:
+            # a removed key has no flag: argparse rejects it before any command runs
+            assert f"--{key.replace('_', '-')}" in err
+        else:
+            assert repr(key) in err and repr(method) in err
+        assert not out.exists()
+
+    def test_classical_method_needs_lam_or_grid(self, sim_dir, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert main(["solve", "--method", "loreta", "--K", str(sim_dir / "K.mxio"),
+                     "--V", str(sim_dir / "V.mxio"), "--out", str(out)]) == 2
+        assert "exactly one of 'lam' and 'lambda_grid'" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_batch_pipeline_demo_runs():
+    # the demo drives arm keys, --jobs 2 and replay through the CLI
+    root = Path(__file__).resolve().parents[1]
+    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, str(root / "demos" / "06_batch_pipeline.py")],
+                          env=dict(os.environ, PYTHONPATH=path), capture_output=True,
+                          text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestOutputRootEnv:

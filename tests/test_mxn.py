@@ -233,6 +233,9 @@ class TestSolveMxn:
         data = ProblemData(K=rng.standard_normal((4, 9)), V=np.zeros((4, 2)))
         sol = solve_mxn(data, SolverConfig(max_iter=30))
         assert np.max(np.abs(sol.mu)) < 1e-10
+        # the columns share alpha, so only an all-zero map stops this early
+        assert sol.iterations == 1
+        assert sol.extras["stop_reason"] == "zero_data" and sol.converged
 
     def test_single_time_point_spatial_mode(self):
         data, ph = small_ring(t=1)
