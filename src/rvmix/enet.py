@@ -166,21 +166,26 @@ def update_k(lambda_bar, tau, nu, k0=1.0):
 
     Newton steps from k0 (the current k; a scalar or (T,)) inside
     brackets grown from [1e-10, 1e10]; with tau = S the gradient has a
-    single sign change.  The slope uses h' = h (h - 1 - 1/(2k)) for the
-    hazard h.  Raises RootFindError, naming the row in ``column``, when
-    the search fails (no sign change, for one).
+    single sign change.  Bracket points call k_gradient.  A Newton point
+    computes the hazard h once for the value and the slope, which uses
+    h' = h (h - 1 - 1/(2k)), and the per-row sum of 1/(1 - lambda_bar)
+    is taken once per search.  Raises RootFindError, naming the row in
+    ``column``, when the search fails (no sign change, for one).
     """
     lb = np.asarray(lambda_bar, dtype=float)
     if np.any(lb < 0) or np.any(lb >= 1):
         raise DomainError("lambda_bar must lie in [0, 1)")
     s = lb.shape[-1]
     rows_of = lb.reshape(-1, s)
+    inv_sum, c = np.sum(1.0 / (1.0 - rows_of), axis=-1), tau - 0.5 * s
 
-    def slope(k, rows):
+    def fdf(k, rows):
         h = gamma_half_hazard(k)
-        return (tau - 0.5 * s) / (k * k) - s * h * (h - 1.0 - 0.5 / k)
+        total = inv_sum[rows] + nu
+        return (total - c / k - s * h, c / (k * k) - s * h * (h - 1.0 - 0.5 / k),
+                total + abs(c) / k + s * h)
 
-    return bracketed_root(lambda k, rows: k_gradient(k, rows_of[rows], tau, nu), slope,
+    return bracketed_root(lambda k, rows: k_gradient(k, rows_of[rows], tau, nu), fdf,
                           np.broadcast_to(k0, lb.shape[:-1]), context="truncation update")
 
 

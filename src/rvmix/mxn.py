@@ -103,20 +103,26 @@ def alpha_gradient(alpha, mu, sigma_diag, lam_bar, delta, terms=None):
 def update_alpha_mxn(mu, sigma_diag, lam_bar, delta, alpha0=1.0):
     """Global scale as the root of its gradient over the whole map.
 
-    Newton steps from alpha0 (the current alpha) on alpha_gradient, with
-    its frozen-moment terms computed once per root, inside a bracket
-    grown from [1e-10, 1e10].  Raises RootFindError when the search
-    fails; its column is None, as alpha is one root for the whole map.
+    Newton steps from alpha0 (the current alpha) inside a bracket grown
+    from [1e-10, 1e10], with the frozen-moment terms of alpha_gradient
+    computed once per root.  Bracket points call alpha_gradient.  A Newton
+    point computes the hazard over all couplings once for the value and
+    the slope.  Raises RootFindError when the search fails; its column is
+    None, as alpha is one root for the whole map.
     """
-    terms = _, st, dp2 = _alpha_gradient_terms(mu, sigma_diag, lam_bar, delta)
+    terms = frozen, st, dp2 = _alpha_gradient_terms(mu, sigma_diag, lam_bar, delta)
 
-    def slope(a, _):
+    def fdf(a, _):
+        value = frozen - st / (2.0 * a)
         x = a * dp2
         h = gamma_half_hazard(x)
-        return st / (2.0 * a * a) - np.sum(dp2 * dp2 * h * (h - 1.0 - 0.5 / x))
+        hazard = float(np.sum(dp2 * h))
+        value -= hazard
+        slope = st / (2.0 * a * a) - np.sum(dp2 * dp2 * h * (h - 1.0 - 0.5 / x))
+        return value, slope, frozen + st / (2.0 * a) + hazard
 
     return bracketed_root(lambda a, _: alpha_gradient(a, mu, sigma_diag, lam_bar, delta, terms),
-                          slope, alpha0, context="global scale update")
+                          fdf, alpha0, context="global scale update")
 
 
 class _MxnIteration(_Iteration):

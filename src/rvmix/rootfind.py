@@ -5,17 +5,20 @@ import numpy as np
 from .errors import RootFindError
 
 
-def bracketed_root(f, slope, x0, context=""):
+def bracketed_root(f, fdf, x0, context=""):
     """One root of ``f`` on (0, inf) per element of ``x0``, all searched at once.
 
-    ``f(x, rows)`` and ``slope(x, rows)`` give the function and its
-    derivative at ``x`` for the elements ``rows`` (an index array).  Each
-    element's bracket starts at [1e-10, 1e10] and grows tenfold per side
-    until ``f`` changes sign across it.  Newton steps then start from the
-    element's ``x0``: every evaluation tightens its bracket, a step that
-    would leave the bracket goes to its geometric midpoint instead, and
-    the element stops once its step is within two ulps.  Elements never
-    mix, so each root is, to the bit, the one its element gets alone.
+    ``f(x, rows)`` gives the function at ``x`` for the elements ``rows``
+    (an index array); ``fdf(x, rows)`` gives ``(f, f', scale)`` there in
+    one evaluation, where ``scale`` is the sum of the magnitudes of the
+    terms that make up ``f``.  Bracket points call ``f``, Newton points
+    ``fdf``.  Each element's bracket starts at [1e-10, 1e10] and grows
+    tenfold per side until ``f`` changes sign across it.  Newton steps
+    then start from the element's ``x0``: every evaluation tightens its
+    bracket, a step that would leave the bracket goes to its geometric
+    midpoint instead, and the element stops once its step is within two
+    ulps.  Elements never mix, so each root is, to the bit, the one its
+    element gets alone.
 
     Returns an array shaped like ``x0``, or a float for a scalar.  Raises
     one RootFindError, naming the first failing element in ``column``
@@ -44,9 +47,9 @@ def bracketed_root(f, slope, x0, context=""):
     act = np.arange(x.size)
     for _ in range(100):
         xa = x[act]
-        fx = f(xa, act)
+        fx, dfx, _scale = fdf(xa, act)
         with np.errstate(divide="ignore", invalid="ignore"):
-            new = np.where(fx == 0.0, xa, xa - fx / slope(xa, act))
+            new = np.where(fx == 0.0, xa, xa - fx / dfx)
         low = (fx < 0.0) == negative_lo[act]
         lo[act[low]], hi[act[~low]] = xa[low], xa[~low]
         inside = (lo[act] < new) & (new < hi[act]) | (fx == 0.0)

@@ -282,6 +282,61 @@ class TestNewtonSearch:
                                                r"no sign change"):
             solve_enet(data)
 
+    def test_f_at_bracket_points_fdf_at_newton_points(self):
+        # the root 1e12 lies outside [1e-10, 1e10]: three expansions, then
+        # one Newton step from x0 = 1 lands on it exactly
+        at_f, at_fdf = [], []
+
+        def f(x, rows):
+            at_f.extend(x)
+            return x - 1e12
+
+        def fdf(x, rows):
+            at_fdf.extend(x)
+            return x - 1e12, np.ones_like(x), x + 1e12
+
+        assert bracketed_root(f, fdf, 1.0) == 1e12
+        assert at_f == pytest.approx([1e-10, 1e10, 1e-11, 1e11, 1e-12, 1e12, 1e-13, 1e13],
+                                     rel=1e-15)
+        assert at_fdf == [1.0, 1e12]
+
+    @pytest.mark.parametrize("module, search", [("mxn", "alpha"), ("enet", "k")])
+    def test_one_hazard_per_evaluation(self, monkeypatch, module, search):
+        # every bracket point calls the gradient, every Newton point calls
+        # fdf, and each of them evaluates the hazard exactly once
+        from rvmix import mxn
+
+        mod = {"mxn": mxn, "enet": enet}[module]
+        calls = {"hazard": 0, "gradient": 0, "fdf": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        def search_counting_fdf(f, fdf, x0, context=""):
+            return bracketed_root(f, counted("fdf", fdf), x0, context)
+
+        gradient = "alpha_gradient" if search == "alpha" else "k_gradient"
+        monkeypatch.setattr(mod, "gamma_half_hazard", counted("hazard", mod.gamma_half_hazard))
+        monkeypatch.setattr(mod, gradient, counted("gradient", getattr(mod, gradient)))
+        monkeypatch.setattr(mod, "bracketed_root", search_counting_fdf)
+        rng = np.random.default_rng(40)
+        s, t_count = 40, 5
+        if search == "alpha":
+            mu = rng.standard_normal((s, t_count)) * (rng.random((s, t_count)) < 0.5)
+            sig = rng.uniform(0.01, 0.3, (s, t_count))
+            lb = rng.uniform(0.05, 0.9, (s, t_count))
+            delta = rng.uniform(0.0, 1.5, (s, t_count)) * (rng.random((s, t_count)) < 0.8)
+            mxn.update_alpha_mxn(mu, sig, lb, delta, 1e6)
+        else:
+            lb = rng.uniform(0.0, 0.999, (t_count, s))
+            enet.update_k(lb, float(s), 0.01 * s, rng.uniform(0.05, 20.0, t_count))
+        # 1e6 lies far from the root, so the search takes several steps
+        assert calls["gradient"] >= 2 and calls["fdf"] >= 3
+        assert calls["hazard"] == calls["gradient"] + calls["fdf"]
+
 
 class TestUpdateBeta:
     def test_fixed_one_mode(self):
@@ -525,9 +580,12 @@ class TestRootSearchReleasesItsFunction:
         def shifted(arr):
             return lambda x, rows: x - arr[rows]
 
+        def shifted_fdf(arr):
+            return lambda x, rows: (x - arr[rows], np.ones_like(x), x + arr[rows])
+
         arr = np.array([2.0, 3.0])
         ref = weakref.ref(arr)
-        roots = bracketed_root(shifted(arr), lambda x, rows: np.ones_like(x), np.ones(2))
+        roots = bracketed_root(shifted(arr), shifted_fdf(arr), np.ones(2))
         np.testing.assert_allclose(roots, [2.0, 3.0])
         del arr
         assert ref() is None
