@@ -4,6 +4,11 @@ import numpy as np
 
 from .errors import RootFindError
 
+#: a Newton point whose |f| is at most this many eps times the sum of the
+#: magnitudes of f's terms is within f's rounding noise, so it is a root
+NOISE_MULTIPLE = 16.0
+NOISE_BOUND = NOISE_MULTIPLE * np.finfo(float).eps
+
 
 def bracketed_root(f, fdf, x0, context=""):
     """One root of ``f`` on (0, inf) per element of ``x0``, all searched at once.
@@ -16,9 +21,10 @@ def bracketed_root(f, fdf, x0, context=""):
     tenfold per side until ``f`` changes sign across it.  Newton steps
     then start from the element's ``x0``: every evaluation tightens its
     bracket, a step that would leave the bracket goes to its geometric
-    midpoint instead, and the element stops once its step is within two
-    ulps.  Elements never mix, so each root is, to the bit, the one its
-    element gets alone.
+    midpoint instead.  An element stops at a Newton point whose ``|f|`` is
+    at most NOISE_BOUND times ``scale``, below which the sign of ``f`` is
+    rounding noise, or once its step is within two ulps.  Elements never
+    mix, so each root is, to the bit, the one its element gets alone.
 
     Returns an array shaped like ``x0``, or a float for a scalar.  Raises
     one RootFindError, naming the first failing element in ``column``
@@ -47,14 +53,15 @@ def bracketed_root(f, fdf, x0, context=""):
     act = np.arange(x.size)
     for _ in range(100):
         xa = x[act]
-        fx, dfx, _scale = fdf(xa, act)
+        fx, dfx, scale = fdf(xa, act)
+        noise = np.abs(fx) <= NOISE_BOUND * scale
         with np.errstate(divide="ignore", invalid="ignore"):
-            new = np.where(fx == 0.0, xa, xa - fx / dfx)
+            new = np.where(noise, xa, xa - fx / dfx)
         low = (fx < 0.0) == negative_lo[act]
         lo[act[low]], hi[act[~low]] = xa[low], xa[~low]
-        inside = (lo[act] < new) & (new < hi[act]) | (fx == 0.0)
+        inside = (lo[act] < new) & (new < hi[act]) | noise
         x[act] = new = np.where(inside, new, np.sqrt(lo[act]) * np.sqrt(hi[act]))
-        act = act[np.abs(new - xa) > 2.0 * np.spacing(xa)]
+        act = act[~noise & (np.abs(new - xa) > 2.0 * np.spacing(xa))]
         if not act.size:
             return x if named else float(x[0])
     j = int(act[0])

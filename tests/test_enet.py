@@ -22,7 +22,7 @@ from rvmix.errors import DegenerateStateError, DomainError, NumericError, RootFi
 from rvmix.mxn import alpha_gradient, update_alpha_mxn
 from rvmix.objective import aux_objective_enet, neg_log_posterior_enet
 from rvmix.posterior import ProblemData, posterior_moments, svd_decompose
-from rvmix.rootfind import bracketed_root
+from rvmix.rootfind import NOISE_BOUND, bracketed_root
 
 
 def golden_min(f, lo, hi):
@@ -299,6 +299,22 @@ class TestNewtonSearch:
         assert at_f == pytest.approx([1e-10, 1e10, 1e-11, 1e11, 1e-12, 1e12, 1e-13, 1e13],
                                      rel=1e-15)
         assert at_fdf == [1.0, 1e12]
+
+    def test_root_within_rounding_noise_stops_there(self):
+        # f(x) = x - 2 with scale x + 2: 4 ulps above the root, |f| is far
+        # below NOISE_BOUND * 4, so the search stops at that point instead
+        # of stepping onto 2; 1e-12 above it, |f| is not, and it steps
+        for x0, path in [(2.0 + 4 * np.spacing(2.0), [2.0 + 4 * np.spacing(2.0)]),
+                         (2.0 + 1e-12, [2.0 + 1e-12, 2.0])]:
+            at_fdf = []
+
+            def fdf(x, rows):
+                at_fdf.extend(x)
+                return x - 2.0, np.ones_like(x), x + 2.0
+
+            assert bracketed_root(lambda x, rows: x - 2.0, fdf, x0) == path[-1]
+            assert at_fdf == path
+        assert 4 * np.spacing(2.0) <= NOISE_BOUND * 4.0 < 1e-12
 
     @pytest.mark.parametrize("module, search", [("mxn", "alpha"), ("enet", "k")])
     def test_one_hazard_per_evaluation(self, monkeypatch, module, search):
