@@ -22,7 +22,7 @@ import numpy as np
 
 from .baselines import PenaltySpec, gcv_select, mm_solve, ridge_solve, ring_laplacian
 from .enet import SolverConfig, solve_enet
-from .errors import ConfigError, ContainerError, NumericError, RvmixError
+from .errors import ConfigError, ContainerError, DomainError, NumericError, RvmixError
 from .metrics import MM_ZERO_TOL_REL, RVM_ZERO_TOL_REL, EvalReport, evaluate
 from .mxio import coerce, config_entries, parse_config_file, read_matrix, write_matrix
 from .mxn import solve_mxn
@@ -100,6 +100,20 @@ def check_method_keys(method, keys, source):
     if method in CLASSICAL_METHODS and ("lam" in keys) == ("lambda_grid" in keys):
         raise ConfigError(f"{source}: method {method!r} needs exactly one of 'lam' "
                           "and 'lambda_grid'")
+
+
+def check_method_values(method, cfg, source):
+    """The values of one typed solve config, checked before anything is read
+    or written by the objects that own them: SolverConfig and the
+    alpha1/alpha2 pair rule for a Bayesian method, PenaltySpec for a
+    classical one, whose rules do not depend on the number of sources."""
+    try:
+        if method in RVM_METHODS:
+            _solver_config(cfg)
+        else:
+            _penalty_spec(method, cfg, 2)
+    except (ConfigError, DomainError) as exc:
+        raise ConfigError(f"{source}: {exc}") from exc
 
 
 def _seed_list(text):
@@ -222,6 +236,14 @@ def _solver_config(cfg):
     return SolverConfig(**kwargs)
 
 
+def _penalty_spec(method, cfg, n_sources):
+    """The PenaltySpec of a classical method on a ring of n_sources; lam is
+    a placeholder 1 when a grid selects it."""
+    kind = CLASSICAL_METHODS[method]
+    L = ring_laplacian(n_sources) if kind == "laplacian_ridge" else None
+    return PenaltySpec(kind=kind, lam=cfg.get("lam", 1.0), mu_mix=cfg.get("mu_mix"), L_operator=L)
+
+
 def _at_grid_edge(lam, grid):
     """True when GCV picked the smallest or largest lambda of its grid: the
     optimum may lie outside it."""
@@ -247,18 +269,16 @@ def _solve_payload(method, data, cfg):
             extras["alpha_final"] = float(sol.extras["alpha_final"])
         return sol.mu, files, extras
 
-    kind = CLASSICAL_METHODS[method]
+    family = _penalty_spec(method, cfg, data.n_sources)
     lam = cfg.get("lam")
     mm_kwargs = {key: cfg[key] for key in ("eps_lqa", "max_iter") if key in cfg}
-    L = ring_laplacian(data.n_sources) if kind == "laplacian_ridge" else None
-    family = PenaltySpec(kind=kind, lam=lam or 1.0, mu_mix=cfg.get("mu_mix"), L_operator=L)
     files, extras = {}, {}
     if lam is None:
         grid = cfg["lambda_grid"].values()
         lam, files["gcv_curve.csv"] = gcv_select(data, family, grid, **mm_kwargs)
         extras["selected_at_grid_edge"] = _at_grid_edge(lam, grid)
-    if kind in ("ridge", "laplacian_ridge"):
-        J, converged = ridge_solve(data, lam, L), True
+    if family.kind in ("ridge", "laplacian_ridge"):
+        J, converged = ridge_solve(data, lam, family.L_operator), True
     else:
         J, info = mm_solve(data, replace(family, lam=lam), return_info=True, **mm_kwargs)
         converged = info.converged
@@ -285,6 +305,7 @@ def cmd_solve(args):
             raise ConfigError(f"{args.replay}: config must be a JSON object")
         check_method_keys(args.method, raw, args.replay)
         cfg = _typed_json_config(raw, SOLVE_KEYS, args.replay)
+        check_method_values(args.method, cfg, args.replay)
     else:
         if not (args.method and args.K and args.V):
             raise ConfigError("solve needs --method, --K and --V (or --replay)")
@@ -294,6 +315,7 @@ def cmd_solve(args):
         source = f"solve flags and {args.config}" if args.config else "solve flags"
         check_method_keys(args.method, {**text, **flags}, source)
         cfg = {**_typed_config(text, SOLVE_KEYS, args.config), **flags}
+        check_method_values(args.method, cfg, source)
     t0 = time.perf_counter()
     data = ProblemData(K=read_matrix(args.K), V=read_matrix(args.V))
     out = _out_dir(args.out)
@@ -368,8 +390,9 @@ def _parse_sweep(path):
             tokens[k] = v
         method = tokens.pop("method", None)
         check_method_keys(method, tokens, f"{where}: arm {name!r}")
-        arms.append({"name": name, "method": method,
-                     "cfg": _typed_config(tokens, SOLVE_KEYS, where)})
+        cfg = _typed_config(tokens, SOLVE_KEYS, where)
+        check_method_values(method, cfg, f"{where}: arm {name!r}")
+        arms.append({"name": name, "method": method, "cfg": cfg})
     if not arms:
         raise ConfigError(f"{path}: sweep defines no arms")
     return globals_cfg, arms

@@ -33,8 +33,8 @@ class SolverConfig:
         solver; None (the default) learns alpha1 and the truncation
         coefficient k by empirical Bayes, a pair fixes both, with
         k = alpha2**2 / (4*alpha1).
-    fixed_alpha : optional fixed global scale for the mixed-norm solver;
-        None (the default) learns alpha, starting from 1.
+    fixed_alpha : optional fixed global scale > 0 for the mixed-norm
+        solver; None (the default) learns alpha, starting from 1.
     beta_mode : "fixed_one" keeps the noise variance pinned at 1 (the
         default), "learned" enables the closed-form update.
     epsilon_prior : epsilon > 0 in nu = epsilon * S, the rate of the Gamma
@@ -62,6 +62,8 @@ class SolverConfig:
             a1, a2 = self.fixed_hyper
             if a1 <= 0 or a2 < 0:
                 raise DomainError("fixed_hyper needs alpha1 > 0 and alpha2 >= 0")
+        if self.fixed_alpha is not None and not self.fixed_alpha > 0:
+            raise DomainError(f"fixed_alpha must be positive, got {self.fixed_alpha!r}")
 
 
 @dataclass

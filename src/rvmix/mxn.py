@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .enet import _Iteration, _ridge_mu, update_beta_enet, update_lambda_bar_enet
-from .errors import DomainError
+from .errors import DomainError, NumericError
 from .objective import neg_log_posterior_mxn, w_inverse_apply
 from .posterior import _rows
 from .rootfind import bracketed_root
@@ -84,6 +84,20 @@ def _alpha_gradient_terms(mu, sigma_diag, lam_bar, delta):
     return frozen, lb.size, d[d > 0.0] ** 2
 
 
+def _coupling_hazard(alpha, dp2):
+    """(x, h): the truncations x = alpha * dp2 and their hazard h.
+
+    Raises NumericError when a truncation underflows to 0, where the
+    hazard is undefined: the scale of the map lies below the range of a
+    float (K x 1e-150 on a small ring does this).
+    """
+    x = alpha * dp2
+    if x.size and not x.min() > 0.0:
+        raise NumericError(f"global scale update: alpha * delta**2 underflows to 0 at "
+                           f"alpha = {float(np.min(alpha)):.3e}")
+    return x, gamma_half_hazard(x)
+
+
 def alpha_gradient(alpha, mu, sigma_diag, lam_bar, delta, terms=None):
     """Derivative of the objective along the global scale, moments frozen.
 
@@ -91,12 +105,13 @@ def alpha_gradient(alpha, mu, sigma_diag, lam_bar, delta, terms=None):
         The root search passes it, so each of its evaluations computes
         only -S*T/(2 alpha) and the hazard term.
     Raises DomainError for fewer than two sources, where the coupling
-    algebra is undefined.
+    algebra is undefined, and NumericError when alpha * delta**2
+    underflows.
     """
     frozen, st, dp2 = terms or _alpha_gradient_terms(mu, sigma_diag, lam_bar, delta)
     total = frozen - st / (2.0 * alpha)
     if dp2.size:
-        total -= float(np.sum(dp2 * gamma_half_hazard(alpha * dp2)))
+        total -= float(np.sum(dp2 * _coupling_hazard(alpha, dp2)[1]))
     return total
 
 
@@ -107,19 +122,18 @@ def update_alpha_mxn(mu, sigma_diag, lam_bar, delta, alpha0=1.0):
     from [1e-10, 1e10], with the frozen-moment terms of alpha_gradient
     computed once per root.  Bracket points call alpha_gradient.  A Newton
     point computes the hazard over all couplings once for the value and
-    the slope.  Raises RootFindError when the search fails; its column is
-    None, as alpha is one root for the whole map.
+    the slope.  Raises RootFindError when the search fails, and
+    NumericError when alpha * delta**2 underflows on the way; the column
+    of either is None, as alpha is one root for the whole map.
     """
     terms = frozen, st, dp2 = _alpha_gradient_terms(mu, sigma_diag, lam_bar, delta)
 
     def fdf(a, _):
-        value = frozen - st / (2.0 * a)
-        x = a * dp2
-        h = gamma_half_hazard(x)
+        x, h = _coupling_hazard(a, dp2)
         hazard = float(np.sum(dp2 * h))
-        value -= hazard
-        slope = st / (2.0 * a * a) - np.sum(dp2 * dp2 * h * (h - 1.0 - 0.5 / x))
-        return value, slope, frozen + st / (2.0 * a) + hazard
+        return (frozen - st / (2.0 * a) - hazard,
+                st / (2.0 * a * a) - np.sum(dp2 * dp2 * h * (h - 1.0 - 0.5 / x)),
+                frozen + st / (2.0 * a) + hazard)
 
     return bracketed_root(lambda a, _: alpha_gradient(a, mu, sigma_diag, lam_bar, delta, terms),
                           fdf, alpha0, context="global scale update")
@@ -140,8 +154,6 @@ class _MxnIteration(_Iteration):
             raise DomainError("mixed-norm model needs at least two sources")
         self.learn_alpha = self.config.fixed_alpha is None
         self.alpha = 1.0 if self.learn_alpha else float(self.config.fixed_alpha)
-        if self.alpha <= 0:
-            raise DomainError("alpha must be positive")
         # the columns share alpha, so only an all-zero map stops after one sweep
         self.zero_data = np.full(t_count, not np.any(self.V))
         self.lam_bar = np.full((t_count, s), 0.5)

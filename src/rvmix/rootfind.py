@@ -4,10 +4,9 @@ import numpy as np
 
 from .errors import RootFindError
 
-#: a Newton point whose |f| is at most this many eps times the sum of the
-#: magnitudes of f's terms is within f's rounding noise, so it is a root
-NOISE_MULTIPLE = 16.0
-NOISE_BOUND = NOISE_MULTIPLE * np.finfo(float).eps
+#: a Newton point whose |f| is at most this times the sum of the magnitudes
+#: of f's terms is within the rounding noise of that sum, so it is a root
+NOISE_BOUND = 16.0 * np.finfo(float).eps
 
 
 def bracketed_root(f, fdf, x0, context=""):
@@ -61,7 +60,7 @@ def bracketed_root(f, fdf, x0, context=""):
         lo[act[low]], hi[act[~low]] = xa[low], xa[~low]
         inside = (lo[act] < new) & (new < hi[act]) | noise
         x[act] = new = np.where(inside, new, np.sqrt(lo[act]) * np.sqrt(hi[act]))
-        act = act[~noise & (np.abs(new - xa) > 2.0 * np.spacing(xa))]
+        act = act[np.abs(new - xa) > 2.0 * np.spacing(xa)]
         if not act.size:
             return x if named else float(x[0])
     j = int(act[0])

@@ -459,6 +459,21 @@ class TestEvalCommand:
         assert "objective is not finite" in capsys.readouterr().err
         assert not (tmp_path / "o" / "mu.mxio").exists()
 
+    def test_underflowing_global_scale_exit_4(self, tmp_path, capsys):
+        # mxn on K x 1e-150: alpha * delta**2 underflows in the alpha search
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text("s = 96\nn = 16\nt = 8\nseed = 0\n")
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "sim")]) == 0
+        tiny = tmp_path / "K_tiny.mxio"
+        write_matrix(tiny, read_matrix(tmp_path / "sim" / "K.mxio") * 1e-150)
+        capsys.readouterr()
+        code = main(["solve", "--method", "mxn-rvm", "--K", str(tiny),
+                     "--V", str(tmp_path / "sim" / "V.mxio"), "--out", str(tmp_path / "o")])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert "global scale update" in err and "underflows to 0" in err
+        assert not (tmp_path / "o" / "mu.mxio").exists()
+
     def test_mxn_fixed_alpha_flag(self, sim_dir, tmp_path):
         out = tmp_path / "mxnfix"
         code = main(["solve", "--method", "mxn-rvm", "--K", str(sim_dir / "K.mxio"),
@@ -645,14 +660,15 @@ class TestSweepCommand:
         spec.write_text(
             "s = 48\nn = 12\nt = 8\nc_sigma_space = 2.0\nseeds = 0\n"
             "arm = ok | method=ridge lam=1.0\n"
-            "arm = broken | method=enet-mm lam=1\n"  # missing mu_mix, found at run time
+            # learned noise fails at S >> N, which only the run finds
+            "arm = broken | method=enet-rvm beta_mode=learned\n"
         )
         out = tmp_path / "sweep"
         assert main(["sweep", "--spec", str(spec), "--out", str(out)]) == 0
         with open(out / "sweep.csv", newline="") as fh:
             rows = {r["arm"]: r for r in csv.DictReader(fh)}
         assert rows["ok"]["error"] == ""
-        assert "mu_mix" in rows["broken"]["error"]
+        assert "noise variance denominator" in rows["broken"]["error"]
 
 
 class TestFourEntryPoints:
@@ -712,6 +728,18 @@ _REJECTED = [
 ]
 
 
+#: a method, keys (as JSON values) whose values it rejects, and the rule's words
+_BAD_VALUES = [
+    ("enet-rvm", {"alpha1": 1.0}, "need both alpha1 and alpha2"),
+    ("enet-rvm", {"alpha1": -1.0, "alpha2": 1.0}, "alpha1 > 0"),
+    ("mxn-rvm", {"fixed_alpha": -2.0}, "fixed_alpha must be positive"),
+    ("mxn-rvm", {"max_iter": 0}, "max_iter must be >= 1"),
+    ("enet-mm", {"lam": 1.0, "mu_mix": 1.5}, "mu_mix in (0, 1)"),
+    ("enet-mm", {"lam": 1.0}, "mu_mix in (0, 1)"),
+    ("lasso-mm", {"lam": -1.0}, "lam must be positive"),
+]
+
+
 class TestMethodKeys:
     def test_table_covers_solve_keys(self):
         assert set(METHOD_KEYS) == {*RVM_METHODS, *CLASSICAL_METHODS}
@@ -756,6 +784,40 @@ class TestMethodKeys:
             assert repr(key) in err and repr(method) in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("entry", ["flag", "config", "arm", "replay"])
+    @pytest.mark.parametrize("method, given, rule", _BAD_VALUES)
+    def test_bad_value_rejected_before_any_output(self, sim_dir, tmp_path, capsys, entry,
+                                                  method, given, rule):
+        inputs = ["--method", method, "--K", str(sim_dir / "K.mxio"),
+                  "--V", str(sim_dir / "V.mxio")]
+        out = tmp_path / "o"
+        if entry == "flag":
+            source = "solve flags"
+            argv = ["solve", *inputs, "--out", str(out)]
+            argv += [x for k, v in given.items() for x in (f"--{k.replace('_', '-')}", str(v))]
+        elif entry == "config":
+            source = tmp_path / "solve.cfg"
+            source.write_text("".join(f"{k} = {v}\n" for k, v in given.items()))
+            argv = ["solve", *inputs, "--config", str(source), "--out", str(out)]
+        elif entry == "arm":
+            spec = tmp_path / "sweep.cfg"
+            spec.write_text("s = 48\nn = 12\nt = 8\nc_sigma_space = 2.0\n"
+                            f"arm = a | method={method} "
+                            + " ".join(f"{k}={v}" for k, v in given.items()) + "\n")
+            source = f"{spec}:5: arm 'a'"
+            argv = ["sweep", "--spec", str(spec), "--out", str(out)]
+        else:
+            source = tmp_path / "bad.json"
+            source.write_text(json.dumps({
+                "command": "solve", "method": method, "config": given,
+                "inputs": {"K": str(sim_dir / "K.mxio"), "V": str(sim_dir / "V.mxio")}}))
+            argv = ["solve", "--replay", str(source), "--out", str(out)]
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"{source}: " in err and rule in err
+        assert not out.exists()
+
     def test_classical_method_needs_lam_or_grid(self, sim_dir, tmp_path, capsys):
         out = tmp_path / "o"
         assert main(["solve", "--method", "loreta", "--K", str(sim_dir / "K.mxio"),
@@ -764,13 +826,25 @@ class TestMethodKeys:
         assert not out.exists()
 
 
-def test_batch_pipeline_demo_runs():
-    # the demo drives arm keys, --jobs 2 and replay through the CLI
+def run_demo(name):
+    """Run demos/<name> in a fresh interpreter that imports rvmix from src/."""
     root = Path(__file__).resolve().parents[1]
     path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, str(root / "demos" / "06_batch_pipeline.py")],
+    return subprocess.run([sys.executable, str(root / "demos" / name)],
                           env=dict(os.environ, PYTHONPATH=path), capture_output=True,
                           text=True, timeout=600)
+
+
+def test_batch_pipeline_demo_runs():
+    # the demo drives arm keys, --jobs 2 and replay through the CLI
+    proc = run_demo("06_batch_pipeline.py")
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("name", ["03_learned_vs_fixed_enet.py", "04_mixed_norm_solver.py"])
+def test_solver_demo_runs(name):
+    # the demos drive the learned k and alpha searches through the public API
+    proc = run_demo(name)
     assert proc.returncode == 0, proc.stderr
 
 

@@ -228,6 +228,18 @@ class TestSolveMxn:
                                                r"no sign change"):
             solve_mxn(data)
 
+    def test_underflowing_scale_is_a_numeric_error(self):
+        # on K x 1e-150 the alpha root lies where alpha * delta**2 underflows,
+        # so the hazard is undefined there
+        from rvmix.phantom import NoiseSpec, add_noise, make_phantom
+
+        ph = make_phantom(S=96, N=16, T=8)
+        V, _ = add_noise(ph.V_clean, NoiseSpec(42.0, 0))
+        with pytest.raises(NumericError, match=r"^iteration 1, global scale update: "
+                                               r"alpha \* delta\*\*2 underflows to 0") as info:
+            solve_mxn(ProblemData(K=ph.K * 1e-150, V=V))
+        assert info.value.column is None
+
     def test_zero_data(self):
         rng = np.random.default_rng(0)
         data = ProblemData(K=rng.standard_normal((4, 9)), V=np.zeros((4, 2)))
