@@ -116,7 +116,8 @@ def update_lambda_bar_enet(mu_i, sigma_ii, alpha1, k):
     Gaussian limit and returns the cap directly.  All arguments are
     scalars or arrays broadcast elementwise (the mixed-norm solver passes
     its truncations alpha * delta**2 as one array); entries with k == 0
-    get the cap.
+    get the cap.  Raises NumericError when (mu**2 + sigma) * alpha1 * k
+    overflows, naming the row of a (T, S) stack in ``column``.
     """
     mu_arr = np.asarray(mu_i, dtype=float)
     sig = np.asarray(sigma_ii, dtype=float)
@@ -125,7 +126,13 @@ def update_lambda_bar_enet(mu_i, sigma_ii, alpha1, k):
         raise DomainError("sigma_ii must be nonnegative")
     if np.any(np.asarray(alpha1) <= 0) or np.any(kk < 0):
         raise DomainError("alpha1 must be positive and k nonnegative")
-    c = (mu_arr * mu_arr + sig) * alpha1 * kk
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = (mu_arr * mu_arr + sig) * alpha1 * kk
+    bad = ~np.isfinite(c)
+    if np.any(bad):
+        raise NumericError("variance factor update: (mu**2 + sigma) * scale * truncation "
+                           "overflows; the data's scale is beyond the float range",
+                           column=int(np.nonzero(bad)[0][0]) if c.ndim == 2 else None)
     eta = c / (0.25 + np.sqrt(0.0625 + c))
     # eta > 0 implies k > 0, so the division never meets 0/0
     lam_bar = np.divide(eta, kk + eta, out=np.zeros_like(eta), where=eta > 0.0)

@@ -7,7 +7,6 @@ a scalar score is needed).  Percentages are reported in [0, 100].
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .errors import DomainError, UndefinedMetricError
 
@@ -92,19 +91,24 @@ def sens_spec(J_est, support_true, threshold_frac=0.01):
 def roc_auc(J_est, support_true):
     """Area under the ROC curve of |J_est| scoring the true support, in percent.
 
-    Computed with the rank statistic (tied scores share ranks), which
-    equals the threshold-sweep trapezoid area.
+    Computed as the Mann-Whitney count: each (support, off-support) pair
+    scores 1 when the support cell's score is larger and 1/2 on a tie,
+    which equals the threshold-sweep trapezoid area.
     """
     a = np.abs(np.asarray(J_est, dtype=float)).ravel()
     truth = np.asarray(support_true, dtype=bool).ravel()
     if a.shape != truth.shape:
         raise DomainError("shape mismatch between estimate and support")
+    if not np.all(np.isfinite(a)):
+        raise DomainError("J_est must be finite")
     npos = int(truth.sum())
     nneg = truth.size - npos
     if npos == 0 or nneg == 0:
         raise UndefinedMetricError("AUC undefined for empty or full true support")
-    ranks = rankdata(a)
-    u = ranks[truth].sum() - npos * (npos + 1) / 2.0
+    # off-support scores below each support score, plus half the ties
+    neg, pos = np.sort(a[~truth]), a[truth]
+    u = 0.5 * float(np.sum(np.searchsorted(neg, pos, "left"))
+                    + np.sum(np.searchsorted(neg, pos, "right")))
     return float(100.0 * u / (npos * nneg))
 
 

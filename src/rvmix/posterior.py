@@ -127,19 +127,6 @@ def _rowwise(A, X):
     return np.matmul(A, np.asarray(X, dtype=float)[..., None])[..., 0]
 
 
-def _not_spd(M, lam, beta, offset):
-    """NumericError naming the first matrix of the stack M that Cholesky
-    rejects; a stacked factorization does not say which."""
-    for j, m in enumerate(M):
-        try:
-            np.linalg.cholesky(m)
-        except np.linalg.LinAlgError:
-            break
-    return NumericError(
-        f"inner posterior system is not numerically SPD (cond ~ {np.linalg.cond(m):.3e}); "
-        f"beta={beta[j]:.3e}, max lam={lam[j].max():.3e}", column=offset + j)
-
-
 def posterior_moments(svd, lambda_col, beta, v_col):
     """Posterior mean, variance diagonal and determinant term via the SVD path.
 
@@ -157,8 +144,9 @@ def posterior_moments(svd, lambda_col, beta, v_col):
 
     Columns are processed as rows, in blocks whose (B, r, S) work array
     takes about BLOCK_BYTES, so a column's result is the same to the bit
-    alone or in any stack.  A non-SPD inner system raises NumericError
-    with the column's index in ``column``.
+    alone or in any stack.  A non-SPD inner system, or a variance that
+    overflows (lam too large to square), raises NumericError with the
+    column's index in ``column``.
     """
     ndim = np.ndim(lambda_col)
     lam, v = _rows(lambda_col), _rows(v_col)
@@ -186,36 +174,45 @@ def posterior_moments(svd, lambda_col, beta, v_col):
         # M = R^T diag(lam) R + beta D^{-2}, one r x r matrix per column
         M = np.matmul(Rt * lam_b[:, None, :], R)
         M[:, diag, diag] += beta[rows, None] / (D * D)
-        try:
-            C = np.linalg.cholesky(M)
-        except np.linalg.LinAlgError:
-            raise _not_spd(M, lam_b, beta[rows], lo) from None
+        # m.T is each matrix as a Fortran-ordered array, so LAPACK works on
+        # it in place: dpotrf leaves the factor C in m's lower triangle with
+        # the upper one zeroed, and dtrtri turns C into C^{-1}
+        c_diag = np.empty((len(M), r))
+        for j, m in enumerate(M):
+            info = lapack.dpotrf(m.T, lower=0, overwrite_a=1, clean=1)[1]
+            if info:
+                raise NumericError(
+                    f"inner posterior system is not numerically SPD (LAPACK dpotrf info {info}); "
+                    f"beta={beta[lo + j]:.3e}, max lam={lam_b[j].max():.3e}", column=lo + j)
+            c_diag[j] = np.diagonal(m)
+            info = lapack.dtrtri(m.T, lower=0, overwrite_c=1)[1]
+            if info:
+                raise NumericError(
+                    f"inverse of the inner posterior factor failed (LAPACK dtrtri info {info}); "
+                    f"beta={beta[lo + j]:.3e}, max lam={lam_b[j].max():.3e}", column=lo + j)
 
         # Y = C^{-1} R^T and z = C^{-1} D^{-1} L^T v, so that
         # mu = diag(lam) R M^{-1} D^{-1} L^T v = lam * (Y^T z); the small
         # C^{-1} keeps Y the only (B, r, S) array a solve allocates
-        C_inv = C.copy()
-        for j, c in enumerate(C_inv):
-            # c.T is the factor as a Fortran-ordered upper triangle, so
-            # LAPACK inverts it in place; scipy's batched solve_triangular
-            # is a Python loop that checks every matrix again
-            info = lapack.dtrtri(c.T, lower=0, overwrite_c=1)[1]
-            if info:
-                raise NumericError(
-                    f"inverse of the inner posterior factor failed (LAPACK info {info}); "
-                    f"beta={beta[lo + j]:.3e}, max lam={lam_b[j].max():.3e}", column=lo + j)
-        Y = np.matmul(C_inv, Rt)
-        z = np.matmul(C_inv, (_rowwise(svd.Lmat.T, v[rows]) / D)[:, :, None])
+        Y = np.matmul(M, Rt)
+        z = np.matmul(M, (_rowwise(svd.Lmat.T, v[rows]) / D)[:, :, None])
         mu[rows] = lam_b * np.matmul(z.transpose(0, 2, 1), Y)[:, 0]
 
         # sigma_diag = lam - lam^2 * columnwise ||Y||^2
         q = np.square(Y, out=Y).sum(axis=1)
         del Y  # so that it is gone before the next block allocates its own
+        with np.errstate(over="ignore", invalid="ignore"):
+            sig = lam_b - lam_b * lam_b * q
+        bad = np.flatnonzero(~np.all(np.isfinite(sig), axis=1))
+        if bad.size:
+            j = bad[0]
+            raise NumericError(f"posterior variance overflows: lam**2 is beyond the float range "
+                               f"(max lam={lam_b[j].max():.3e})", column=lo + j)
         # exact zeros stay exact; tiny negative values are roundoff from the subtraction
-        np.clip(lam_b - lam_b * lam_b * q, 0.0, None, out=sigma_diag[rows])
+        np.clip(sig, 0.0, None, out=sigma_diag[rows])
 
         # log det(I + (1/beta) diag(lam) K^T K) = log det M + 2 sum log D - r log beta
-        logdet[rows] = (2.0 * np.sum(np.log(np.diagonal(C, axis1=1, axis2=2)), axis=1)
+        logdet[rows] = (2.0 * np.sum(np.log(c_diag), axis=1)
                         + 2.0 * np.sum(np.log(D)) - r * np.log(beta[rows]))
     if ndim == 1:
         return PosteriorMoments(mu=mu[0], sigma_diag=sigma_diag[0], logdet_term=float(logdet[0]))

@@ -10,7 +10,6 @@ hyperparameter root searches rely on.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 from scipy import special as sp
 
 from .errors import DomainError, NumericError
@@ -125,6 +124,11 @@ def scale_mixture_density(x, alpha1, k, quad=QuadratureSpec()):
     The change of variable gamma = k + u**2 removes the inverse-sqrt
     endpoint singularity before the adaptive rule is applied.
     """
+    # imported here, not at the top: scipy.integrate pulls in scipy.optimize,
+    # scipy.sparse and more, which no solver path needs and every
+    # ``import rvmix`` would otherwise pay for
+    from scipy import integrate
+
     a1 = float(_as_float_array(alpha1, "alpha1", allow_zero=False))
     kk = float(_as_float_array(k, "k"))
     xx = float(x)

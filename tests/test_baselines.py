@@ -19,7 +19,7 @@ from rvmix.baselines import (
     ring_first_difference,
     ring_laplacian,
 )
-from rvmix.errors import DomainError, NumericError
+from rvmix.errors import DomainError, NumericError, SelectionError
 from rvmix.phantom import NoiseSpec, add_noise, make_phantom
 from rvmix.posterior import ProblemData, svd_decompose
 
@@ -259,6 +259,18 @@ class TestGCV:
         lam, curve = gcv_select(data, PenaltySpec(kind="ridge", lam=1.0), [0.37])
         assert lam == 0.37
         assert curve.shape == (1, 2)
+
+    def test_full_df_scores_inf_and_a_grid_of_them_raises(self):
+        # at lam = 1e-300 every D**2 / (D**2 + lam) rounds to 1, so df = N
+        # for a K of full row rank: that point scores inf, and a grid of
+        # only such points leaves nothing to select
+        data = make_data()
+        family = PenaltySpec(kind="ridge", lam=1.0)
+        lam, curve = gcv_select(data, family, [1e-300, 1.0])
+        assert lam == 1.0
+        assert curve[0, 1] == np.inf and np.isfinite(curve[1, 1])
+        with pytest.raises(SelectionError, match="whole grid"):
+            gcv_select(data, family, [1e-300])
 
     def test_pure_noise_prefers_heavy_shrinkage(self):
         rng = np.random.default_rng(7)

@@ -826,13 +826,93 @@ class TestMethodKeys:
         assert not out.exists()
 
 
-def run_demo(name):
-    """Run demos/<name> in a fresh interpreter that imports rvmix from src/."""
+class TestErrorExits:
+    """Usage errors exit 2 and name their source; numeric failures exit 4."""
+
+    @pytest.mark.parametrize("manifest, message", [
+        ({"command": "simulate"}, "is not a solve manifest"),
+        (["solve"], "is not a solve manifest"),
+        ({"command": "solve", "inputs": {"K": "K.mxio", "V": "V.mxio"}},
+         "method or inputs missing"),
+        ({"command": "solve", "method": "ridge"}, "method or inputs missing"),
+        ({"command": "solve", "method": "ridge", "inputs": {"K": "K.mxio", "V": "V.mxio"},
+          "config": ["lam", 1.0]}, "config must be a JSON object"),
+    ])
+    def test_bad_replay_manifest(self, tmp_path, capsys, manifest, message):
+        source = tmp_path / "manifest.json"
+        source.write_text(json.dumps(manifest))
+        assert main(["solve", "--replay", str(source), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert str(source) in err and message in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("drop", ["--method", "--K", "--V"])
+    def test_solve_needs_method_and_inputs(self, sim_dir, tmp_path, capsys, drop):
+        given = {"--method": "ridge", "--K": str(sim_dir / "K.mxio"),
+                 "--V": str(sim_dir / "V.mxio")}
+        del given[drop]
+        argv = ["solve", *[x for pair in given.items() for x in pair], "--lam", "1",
+                "--out", str(tmp_path / "o")]
+        assert main(argv) == 2
+        assert "solve needs --method, --K and --V" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("arm, message", [
+        ("ridge method=ridge lam=1", "arm needs 'name | key=value ...'"),
+        ("ridge | method=ridge lam", "bad arm token 'lam'"),
+    ])
+    def test_malformed_arm(self, tmp_path, capsys, arm, message):
+        spec = tmp_path / "sweep.cfg"
+        spec.write_text(f"s = 48\nn = 12\nt = 8\narm = {arm}\n")
+        assert main(["sweep", "--spec", str(spec), "--out", str(tmp_path / "sw")]) == 2
+        assert f"{spec}:4: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "sw").exists()
+
+    def test_eval_support_shape(self, sim_dir, tmp_path, capsys):
+        support = tmp_path / "support.mxio"
+        write_matrix(support, read_matrix(sim_dir / "support_true.mxio")[:, :-1])
+        assert main(["eval", "--mu", str(sim_dir / "J_true.mxio"),
+                     "--truth", str(sim_dir / "J_true.mxio"), "--support", str(support)]) == 2
+        assert "shape mismatch: support (48, 7) vs estimate (48, 8)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("method", ["enet-rvm", "mxn-rvm"])
+    def test_overflowing_scale_exit_4(self, tmp_path, capsys, method):
+        # V x 1e150 is beyond the float range of the variance updates
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text("s = 96\nn = 16\nt = 8\nseed = 0\nc_sigma_space = 2.0\n")
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "sim")]) == 0
+        huge = tmp_path / "V_huge.mxio"
+        write_matrix(huge, read_matrix(tmp_path / "sim" / "V.mxio") * 1e150)
+        capsys.readouterr()
+        code = main(["solve", "--method", method, "--K", str(tmp_path / "sim" / "K.mxio"),
+                     "--V", str(huge), "--out", str(tmp_path / "o")])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert "numeric failure: column 0: iteration 1, " in err and "overflows" in err
+        assert not (tmp_path / "o" / "mu.mxio").exists()
+
+
+def fresh_python(*args):
+    """Run a fresh interpreter that imports rvmix from src/."""
     root = Path(__file__).resolve().parents[1]
     path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, str(root / "demos" / name)],
-                          env=dict(os.environ, PYTHONPATH=path), capture_output=True,
-                          text=True, timeout=600)
+    return subprocess.run([sys.executable, *args], env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=600)
+
+
+def run_demo(name):
+    """Run demos/<name> in a fresh interpreter that imports rvmix from src/."""
+    return fresh_python(str(Path(__file__).resolve().parents[1] / "demos" / name))
+
+
+def test_import_leaves_out_stats_and_integrate():
+    # no solver path needs them, and they add hundreds of modules to the import
+    proc = fresh_python("-c", "import sys, rvmix; print(' '.join(sorted(sys.modules)))")
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert "rvmix.special" in loaded
+    for name in ("scipy.stats", "scipy.integrate", "scipy.optimize", "scipy.sparse"):
+        assert name not in loaded
 
 
 def test_batch_pipeline_demo_runs():
@@ -841,9 +921,11 @@ def test_batch_pipeline_demo_runs():
     assert proc.returncode == 0, proc.stderr
 
 
-@pytest.mark.parametrize("name", ["03_learned_vs_fixed_enet.py", "04_mixed_norm_solver.py"])
+@pytest.mark.parametrize("name", ["01_prior_mixture.py", "02_ring_phantom.py",
+                                  "03_learned_vs_fixed_enet.py", "04_mixed_norm_solver.py"])
 def test_solver_demo_runs(name):
-    # the demos drive the learned k and alpha searches through the public API
+    # the demos drive the public API: the quadrature oracle (01), the
+    # phantom (02), and the learned k and alpha searches (03, 04)
     proc = run_demo(name)
     assert proc.returncode == 0, proc.stderr
 

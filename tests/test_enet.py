@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy import optimize
 
-from rvmix import enet
+from rvmix import enet, posterior
 from rvmix.enet import (
     LAMBDA_BAR_CAP,
     SolverConfig,
@@ -124,6 +124,15 @@ class TestUpdateLambdaBar:
         with pytest.raises(DomainError):
             update_lambda_bar_enet(np.ones(3), np.ones(3), 1.0, np.array([1.0, -1e-12, 1.0]))
 
+    def test_overflow_names_the_row(self):
+        # (mu**2 + sigma) * alpha1 * k beyond the float range is a numeric
+        # failure, not a nan factor
+        mu = np.ones((3, 4))
+        mu[2, 1] = 1e160
+        with pytest.raises(NumericError, match="overflows") as info:
+            update_lambda_bar_enet(mu, np.zeros((3, 4)), 1.0, np.full((3, 1), 1e10))
+        assert info.value.column == 2
+
 
 class TestUpdateAlpha1:
     def test_two_coordinate_identity(self):
@@ -221,6 +230,18 @@ class TestUpdateK:
 
 class TestNewtonSearch:
     """update_k and update_alpha_mxn against the brentq search they replaced."""
+
+    def test_no_convergence_in_100_steps_names_the_element(self):
+        # element 1's slope is so steep that each Newton step moves it 4 ulps
+        # toward the root at 1: it neither reaches the root's rounding noise
+        # nor stalls, so the search gives up; element 0 takes true steps
+        def fdf(x, rows):
+            slope = np.where(rows == 1, (x - 1.0) / (4.0 * np.spacing(x)), 1.0)
+            return x - 1.0, slope, np.zeros_like(x)
+
+        with pytest.raises(RootFindError, match="no convergence in 100 steps") as info:
+            bracketed_root(lambda x, rows: x - 1.0, fdf, np.array([2.0, 2.0]))
+        assert info.value.column == 1
 
     @pytest.mark.parametrize("s", [3, 40, 200])
     def test_update_k_matches_oracle(self, s):
@@ -386,6 +407,13 @@ def ring_problem(s=40, n=12, t=4, seed=0, snr=0.02):
 
 
 class TestSolveEnet:
+    def test_config_rejects_unknown_beta_mode_and_nonpositive_tol_objective(self):
+        with pytest.raises(DomainError, match="beta_mode must be fixed_one or learned"):
+            SolverConfig(beta_mode="fixed")
+        for bad in (0.0, -1e-3):
+            with pytest.raises(DomainError, match="tol_objective must be positive"):
+                SolverConfig(tol_objective=bad)
+
     def test_nonpositive_epsilon_prior_rejected(self):
         # nu = epsilon_prior * S is the rate of k's Gamma prior
         for bad in (0.0, -1.0, float("nan")):
@@ -475,27 +503,41 @@ class TestSolveEnet:
         assert sol.iterations == max(sol.extras["column_iterations"])
 
     def test_non_spd_inner_system_names_column_and_iteration(self, monkeypatch):
-        # a stacked Cholesky failure does not say which matrix failed; the
-        # solver must still name the column.  Column 0 is all zero, so it
-        # stops after one sweep and stack row 1 is column 2 at iteration 3.
+        # LAPACK factors one matrix of the stack at a time; the solver must
+        # still name the column.  Column 0 is all zero, so it stops after
+        # one sweep and stack row 1 is column 2 at iteration 3.
         data, _ = ring_problem(t=4, seed=3)
         V = data.V.copy()
         V[:, 0] = 0.0
-        real = np.linalg.cholesky
-        stacked_calls = []
+        real = posterior.lapack.dpotrf
+        stacks = []
 
-        def corrupting(M, *args, **kwargs):
-            if M.ndim == 3:
-                stacked_calls.append(len(M))
-                if len(stacked_calls) == 3:
-                    M[1] = -np.eye(M.shape[-1])  # in place: the diagnosis sees it too
-            return real(M, *args, **kwargs)
+        def corrupting(a, *args, **kwargs):
+            # a views one matrix of a block's (B, r, r) stack, its base
+            if not stacks or a.base is not stacks[-1]:
+                stacks.append(a.base)
+            if len(stacks) == 3 and np.shares_memory(a, stacks[-1][1]):
+                a[...] = -np.eye(a.shape[-1])  # in place: LAPACK sees it
+            return real(a, *args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, "cholesky", corrupting)
+        monkeypatch.setattr(posterior.lapack, "dpotrf", corrupting)
         with pytest.raises(NumericError, match=r"column 2: iteration 3, "
                                                r"inner posterior system is not numerically SPD"):
             solve_enet(ProblemData(K=data.K, V=V))
-        assert stacked_calls == [4, 3, 3]
+        assert [len(M) for M in stacks] == [4, 3, 3]
+
+    @pytest.mark.parametrize("scale", [1e100, 1e150])
+    def test_overflowing_scale_is_a_numeric_error(self, scale):
+        # V x 1e100 puts the prior variances near 1e200, whose square
+        # overflows in the posterior variance: the run names the column
+        # instead of clipping -inf to 0 and running to max_iter
+        from rvmix.phantom import NoiseSpec, SourceSpec, add_noise, make_phantom
+
+        ph = make_phantom(S=96, N=16, T=8, source_spec=SourceSpec(c_sigma_space=2.0))
+        V, _ = add_noise(ph.V_clean, NoiseSpec(42.0, 0))
+        with pytest.raises(NumericError, match=r"^column 0: iteration 1, "
+                                               r"posterior variance overflows"):
+            solve_enet(ProblemData(K=ph.K, V=V * scale))
 
     def test_converged_state_is_coordinatewise_local_min(self):
         # at a tightly converged fixed point the full objective cannot be

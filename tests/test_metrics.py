@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from scipy.stats import rankdata
 
 from rvmix.errors import DomainError, UndefinedMetricError
 from rvmix.metrics import (
@@ -126,6 +127,25 @@ class TestRocAuc:
             assert roc_auc(scores, truth) == pytest.approx(
                 auc_threshold_sweep(scores, truth), abs=1e-10
             )
+
+    def test_equals_rank_statistic_on_ties(self):
+        # the Mann-Whitney count is the rank formula, to the bit, on
+        # scores with many ties across and within the two classes
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            n = int(rng.integers(2, 300))
+            scores = rng.integers(0, int(rng.integers(1, 10)), n) * rng.choice([1e-3, 1.0, 7.3])
+            truth = rng.uniform(size=n) < rng.uniform(0.05, 0.95)
+            npos = int(truth.sum())
+            if npos in (0, n):
+                continue
+            ranks = rankdata(scores)
+            u = ranks[truth].sum() - npos * (npos + 1) / 2.0
+            assert roc_auc(scores, truth) == float(100.0 * u / (npos * (n - npos)))
+
+    def test_non_finite_rejected(self):
+        with pytest.raises(DomainError):
+            roc_auc(np.array([1.0, np.nan, 0.5]), np.array([True, False, False]))
 
     def test_degenerate_rejected(self):
         with pytest.raises(UndefinedMetricError):

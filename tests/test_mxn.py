@@ -240,6 +240,20 @@ class TestSolveMxn:
             solve_mxn(ProblemData(K=ph.K * 1e-150, V=V))
         assert info.value.column is None
 
+    @pytest.mark.parametrize("scale", [1e100, 1e150])
+    def test_overflowing_scale_is_a_numeric_error(self, scale):
+        # on V x 1e100 the first variance factor update meets
+        # (mu**2 + sigma) * alpha * (alpha * delta**2) beyond the float
+        # range at the starting alpha = 1; it used to end in a nan factor
+        # and a DomainError about inconsistent moments
+        from rvmix.phantom import NoiseSpec, SourceSpec, add_noise, make_phantom
+
+        ph = make_phantom(S=96, N=16, T=8, source_spec=SourceSpec(c_sigma_space=2.0))
+        V, _ = add_noise(ph.V_clean, NoiseSpec(42.0, 0))
+        with pytest.raises(NumericError, match=r"iteration 1, variance factor update: .* "
+                                               r"overflows"):
+            solve_mxn(ProblemData(K=ph.K, V=V * scale))
+
     def test_zero_data(self):
         rng = np.random.default_rng(0)
         data = ProblemData(K=rng.standard_normal((4, 9)), V=np.zeros((4, 2)))

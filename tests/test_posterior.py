@@ -247,6 +247,16 @@ class TestStackedPosterior:
             posterior_moments(svd, lam, 1.0, np.ones((2, 2)))
         assert info.value.column == 1
 
+    def test_overflowing_variance_is_named(self):
+        # lam**2 beyond the float range would clip a -inf variance to 0
+        rng = np.random.default_rng(2)
+        svd = svd_decompose(rng.standard_normal((4, 6)))
+        lam = np.ones((6, 3))
+        lam[:, 2] = 1e200
+        with pytest.raises(posterior.NumericError, match="posterior variance overflows") as info:
+            posterior_moments(svd, lam, 1.0, rng.standard_normal((4, 3)))
+        assert info.value.column == 2
+
     def test_shape_checks(self):
         svd = svd_decompose(np.eye(3))
         with pytest.raises(DomainError):
