@@ -191,26 +191,25 @@ def cmd_simulate(args):
     return OK
 
 
+#: the arguments of make_phantom that a simulation config sets, as lowercase keys
+_PHANTOM_ARGS = ("S", "N", "T", "r_generators", "r_electrodes", "duration")
+
+
 def _simulate(cfg, out):
     """Simulate from a typed SIM_KEYS config into the directory out; returns
     the phantom."""
-    sim = {
-        "s": cfg.get("s", 200), "n": cfg.get("n", 31), "t": cfg.get("t", 64),
-        "seed": cfg.get("seed", 0), "peak_snr_db": cfg.get("peak_snr_db", 42.0),
-        "r_generators": cfg.get("r_generators", 0.65),
-        "r_electrodes": cfg.get("r_electrodes", 1.0),
-        "duration": cfg.get("duration", 1.0),
-    }
-    source_kwargs = {k: v for k, v in cfg.items() if k not in sim}
-    spec = SourceSpec(**source_kwargs)
+    # make_phantom and NoiseSpec own the defaults of the keys they take, and
+    # the phantom records the values it was built with
+    noise = NoiseSpec(**{f.name: cfg[f.name] for f in fields(NoiseSpec) if f.name in cfg})
+    spec = SourceSpec(**{f.name: cfg[f.name] for f in fields(SourceSpec) if f.name in cfg})
     t0 = time.perf_counter()
-    ph = make_phantom(S=sim["s"], N=sim["n"], T=sim["t"], source_spec=spec,
-                      r_generators=sim["r_generators"], r_electrodes=sim["r_electrodes"],
-                      duration=sim["duration"])
+    ph = make_phantom(source_spec=spec, **{arg: cfg[arg.lower()] for arg in _PHANTOM_ARGS
+                                           if arg.lower() in cfg})
+    sim = dict({arg.lower(): getattr(ph, arg) for arg in _PHANTOM_ARGS}, **asdict(noise))
     V_clean = ph.V_clean
     if np.all(V_clean == 0.0):
         raise ConfigError("all source amplitudes are zero; nothing to observe")
-    V, sigma = add_noise(V_clean, NoiseSpec(sim["peak_snr_db"], sim["seed"]))
+    V, sigma = add_noise(V_clean, noise)
     write_matrix(out / "K.mxio", ph.K)
     write_matrix(out / "V.mxio", V)
     write_matrix(out / "V_clean.mxio", V_clean)

@@ -159,42 +159,38 @@ def update_alpha1(mu_col, sigma_diag_col, lambda_bar_col):
 def k_gradient(k, lambda_bar, tau, nu):
     """Derivative of the objective along the truncation coefficient k > 0,
     of one column (S,) at a scalar k or of each row of a (T, S) stack at
-    its own entry of a (T,) k."""
+    its own entry of a (T,) k.
+
+    Returns (f, f', scale): the derivative, its slope and the sum of the
+    magnitudes of its terms, from one evaluation of the hazard h, whose
+    slope is h' = h (h - 1 - 1/(2k)).
+    """
     kk = np.asarray(k, dtype=float)
     if not np.all((kk > 0.0) & np.isfinite(kk)):
         raise DomainError(f"k must be positive and finite, got {k!r}")
     lb = np.asarray(lambda_bar, dtype=float)
     s = lb.shape[-1]
-    out = np.sum(1.0 / (1.0 - lb), axis=-1) + nu - (tau - 0.5 * s) / kk - s * gamma_half_hazard(kk)
-    return float(out) if out.ndim == 0 else out
+    total, c, h = np.sum(1.0 / (1.0 - lb), axis=-1) + nu, tau - 0.5 * s, gamma_half_hazard(kk)
+    with np.errstate(over="ignore"):  # k * k beyond the float range: c / k**2 is 0
+        out = (total - c / kk - s * h, c / (kk * kk) - s * h * (h - 1.0 - 0.5 / kk),
+               total + abs(c) / kk + s * h)
+    return tuple(map(float, out)) if np.ndim(out[0]) == 0 else out
 
 
 def update_k(lambda_bar, tau, nu, k0=1.0):
     """Truncation coefficient as the root of its gradient on (0, inf), of
     one column (S,) or of every row of a (T, S) stack in one search.
 
-    Newton steps from k0 (the current k; a scalar or (T,)) inside
-    brackets grown from [1e-10, 1e10]; with tau = S the gradient has a
-    single sign change.  Bracket points call k_gradient.  A Newton point
-    computes the hazard h once for the value and the slope, which uses
-    h' = h (h - 1 - 1/(2k)), and the per-row sum of 1/(1 - lambda_bar)
-    is taken once per search.  Raises RootFindError, naming the row in
+    Newton steps from k0 (the current k; a scalar or (T,)), each a call
+    of k_gradient.  With tau = S the gradient tends to -inf as k -> 0 and
+    has a single sign change.  Raises RootFindError, naming the row in
     ``column``, when the search fails (no sign change, for one).
     """
     lb = np.asarray(lambda_bar, dtype=float)
     if np.any(lb < 0) or np.any(lb >= 1):
         raise DomainError("lambda_bar must lie in [0, 1)")
-    s = lb.shape[-1]
-    rows_of = lb.reshape(-1, s)
-    inv_sum, c = np.sum(1.0 / (1.0 - rows_of), axis=-1), tau - 0.5 * s
-
-    def fdf(k, rows):
-        h = gamma_half_hazard(k)
-        total = inv_sum[rows] + nu
-        return (total - c / k - s * h, c / (k * k) - s * h * (h - 1.0 - 0.5 / k),
-                total + abs(c) / k + s * h)
-
-    return bracketed_root(lambda k, rows: k_gradient(k, rows_of[rows], tau, nu), fdf,
+    rows_of = lb.reshape(-1, lb.shape[-1])
+    return bracketed_root(lambda k, rows: k_gradient(k, rows_of[rows], tau, nu),
                           np.broadcast_to(k0, lb.shape[:-1]), context="truncation update")
 
 
@@ -339,12 +335,17 @@ class _EnetIteration(_Iteration):
         config, svd = self.config, self.svd
         t_count, s = data.n_times, data.n_sources
         self.tau, self.nu = float(s), config.epsilon_prior * s
-        self.zero_data = np.sum(self.V * self.V, axis=1) == 0.0
+        self.zero_data = ~np.any(self.V, axis=1)
         if config.fixed_hyper is not None:
             self.alpha1 = np.full(t_count, float(config.fixed_hyper[0]))
             self.k = np.full(t_count, truncation_coefficient(*config.fixed_hyper))
         else:
-            ss = np.sum(_ridge_mu(svd, self.V) ** 2, axis=1)
+            with np.errstate(over="ignore"):
+                ss = np.sum(_ridge_mu(svd, self.V) ** 2, axis=1)
+            if not np.all(np.isfinite(ss)):
+                j = int(np.flatnonzero(~np.isfinite(ss))[0])
+                raise NumericError(f"column {j}: starting variance scale: the squared ridge means "
+                                   f"overflow; the data's scale is beyond the float range", column=j)
             self.alpha1 = np.divide(s, 2.0 * ss, out=np.ones(t_count), where=ss > 0.0)
             self.k = np.ones(t_count)
         self.alpha1[self.zero_data] = self.k[self.zero_data] = 1.0

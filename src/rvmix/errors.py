@@ -33,7 +33,7 @@ class RankError(NumericError):
 
 
 class RootFindError(NumericError):
-    """A bracketed root search found no sign change after expansion."""
+    """A root search found no sign change on (0, inf), or did not converge."""
 
 
 class DegenerateStateError(NumericError):

@@ -84,59 +84,45 @@ def _alpha_gradient_terms(mu, sigma_diag, lam_bar, delta):
     return frozen, lb.size, d[d > 0.0] ** 2
 
 
-def _coupling_hazard(alpha, dp2):
-    """(x, h): the truncations x = alpha * dp2 and their hazard h.
-
-    Raises NumericError when a truncation underflows to 0, where the
-    hazard is undefined: the scale of the map lies below the range of a
-    float (K x 1e-150 on a small ring does this).
-    """
-    x = alpha * dp2
-    if x.size and not x.min() > 0.0:
-        raise NumericError(f"global scale update: alpha * delta**2 underflows to 0 at "
-                           f"alpha = {float(np.min(alpha)):.3e}")
-    return x, gamma_half_hazard(x)
-
-
 def alpha_gradient(alpha, mu, sigma_diag, lam_bar, delta, terms=None):
-    """Derivative of the objective along the global scale, moments frozen.
+    """Derivative of the objective along the global scale, moments frozen,
+    as (f, f', scale): the derivative, its slope and the sum of the
+    magnitudes of its terms, from one hazard evaluation over all couplings.
 
-    terms : optional _alpha_gradient_terms(mu, sigma_diag, lam_bar, delta).
-        The root search passes it, so each of its evaluations computes
-        only -S*T/(2 alpha) and the hazard term.
+    terms : optional _alpha_gradient_terms(mu, sigma_diag, lam_bar, delta),
+        which the root search computes once per root.
     Raises DomainError for fewer than two sources, where the coupling
     algebra is undefined, and NumericError when alpha * delta**2
-    underflows.
+    underflows, where the hazard is undefined (K x 1e-150 on a small
+    ring), or when the derivative overflows.
     """
     frozen, st, dp2 = terms or _alpha_gradient_terms(mu, sigma_diag, lam_bar, delta)
-    total = frozen - st / (2.0 * alpha)
-    if dp2.size:
-        total -= float(np.sum(dp2 * _coupling_hazard(alpha, dp2)[1]))
-    return total
+    x = alpha * dp2
+    if x.size and not x.min() >= np.finfo(float).tiny:
+        raise NumericError(f"global scale update: alpha * delta**2 underflows to 0 or to a "
+                           f"subnormal at alpha = {float(np.min(alpha)):.3e}")
+    h = gamma_half_hazard(x)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        hazard = np.sum(dp2 * h)
+        out = (frozen - 0.5 * st / alpha - hazard,
+               st / (2.0 * alpha * alpha) - np.sum(dp2 * dp2 * h * (h - 1.0 - 0.5 / x)),
+               frozen + 0.5 * st / alpha + hazard)
+    if not np.all(np.isfinite((out[0], out[2]))):
+        raise NumericError(f"global scale update: the gradient overflows at "
+                           f"alpha = {float(np.min(alpha)):.3e}")
+    return out
 
 
 def update_alpha_mxn(mu, sigma_diag, lam_bar, delta, alpha0=1.0):
-    """Global scale as the root of its gradient over the whole map.
-
-    Newton steps from alpha0 (the current alpha) inside a bracket grown
-    from [1e-10, 1e10], with the frozen-moment terms of alpha_gradient
-    computed once per root.  Bracket points call alpha_gradient.  A Newton
-    point computes the hazard over all couplings once for the value and
-    the slope.  Raises RootFindError when the search fails, and
-    NumericError when alpha * delta**2 underflows on the way; the column
-    of either is None, as alpha is one root for the whole map.
+    """Global scale as the root of its gradient over the whole map: Newton
+    steps from alpha0 (the current alpha), each a call of alpha_gradient.
+    Raises RootFindError when the search fails and NumericError when
+    alpha_gradient does; the column of either is None, as alpha is one
+    root for the whole map.
     """
-    terms = frozen, st, dp2 = _alpha_gradient_terms(mu, sigma_diag, lam_bar, delta)
-
-    def fdf(a, _):
-        x, h = _coupling_hazard(a, dp2)
-        hazard = float(np.sum(dp2 * h))
-        return (frozen - st / (2.0 * a) - hazard,
-                st / (2.0 * a * a) - np.sum(dp2 * dp2 * h * (h - 1.0 - 0.5 / x)),
-                frozen + st / (2.0 * a) + hazard)
-
+    terms = _alpha_gradient_terms(mu, sigma_diag, lam_bar, delta)
     return bracketed_root(lambda a, _: alpha_gradient(a, mu, sigma_diag, lam_bar, delta, terms),
-                          fdf, alpha0, context="global scale update")
+                          alpha0, context="global scale update")
 
 
 class _MxnIteration(_Iteration):

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, NumericError
 from .posterior import _rows, _rowwise, posterior_moments
 from .special import gamma_half_log_tail
 
@@ -166,7 +166,12 @@ def _mxn_hyperprior(lam_bar, delta, alpha):
     d = np.asarray(delta, dtype=float)
     if np.any(d < 0):
         raise DomainError("delta must be nonnegative")
-    trunc = alpha * d * d
+    with np.errstate(over="ignore"):
+        trunc = alpha * d * d
+    bad = np.flatnonzero(~np.all(np.isfinite(trunc), axis=-1))
+    if bad.size:
+        raise NumericError("objective: alpha * delta**2 overflows; the data's scale is beyond "
+                           "the float range", column=int(bad[0]))
     tail_part = np.sum(gamma_half_log_tail(trunc), axis=-1)
     one_m = 1.0 - lam_bar
     gamma_part = np.sum(trunc / one_m, axis=-1)

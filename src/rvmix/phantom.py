@@ -59,6 +59,9 @@ class RingPhantom:
     J_true: np.ndarray  # (S, T)
     support_true: np.ndarray  # (S, T) bool
     times: np.ndarray  # (T,)
+    r_generators: float
+    r_electrodes: float
+    duration: float
     source_spec: SourceSpec = field(default_factory=SourceSpec)
 
     @property
@@ -136,7 +139,8 @@ def make_phantom(S=200, N=31, T=64, source_spec=None, r_generators=0.65, r_elect
     return RingPhantom(
         S=S, N=N, T=T,
         generator_positions=gen, electrode_positions=ele,
-        K=K, J_true=J, support_true=support, times=times, source_spec=spec,
+        K=K, J_true=J, support_true=support, times=times, r_generators=r_generators,
+        r_electrodes=r_electrodes, duration=duration, source_spec=spec,
     )
 
 

@@ -4,63 +4,72 @@ import numpy as np
 
 from .errors import RootFindError
 
-#: a Newton point whose |f| is at most this times the sum of the magnitudes
-#: of f's terms is within the rounding noise of that sum, so it is a root
+#: a point whose |f| is at most this times the sum of the magnitudes of
+#: f's terms is within the rounding noise of that sum, so it is a root
 NOISE_BOUND = 16.0 * np.finfo(float).eps
 
+#: the ends of the search range: the normal floats short of the largest,
+#: which has no ulp above it
+_TINY, _HUGE = np.finfo(float).tiny, np.nextafter(np.finfo(float).max, 0.0)
 
-def bracketed_root(f, fdf, x0, context=""):
+
+def bracketed_root(fdf, x0, context=""):
     """One root of ``f`` on (0, inf) per element of ``x0``, all searched at once.
 
-    ``f(x, rows)`` gives the function at ``x`` for the elements ``rows``
-    (an index array); ``fdf(x, rows)`` gives ``(f, f', scale)`` there in
-    one evaluation, where ``scale`` is the sum of the magnitudes of the
-    terms that make up ``f``.  Bracket points call ``f``, Newton points
-    ``fdf``.  Each element's bracket starts at [1e-10, 1e10] and grows
-    tenfold per side until ``f`` changes sign across it.  Newton steps
-    then start from the element's ``x0``: every evaluation tightens its
-    bracket, a step that would leave the bracket goes to its geometric
-    midpoint instead.  An element stops at a Newton point whose ``|f|`` is
-    at most NOISE_BOUND times ``scale``, below which the sign of ``f`` is
-    rounding noise, or once its step is within two ulps.  Elements never
-    mix, so each root is, to the bit, the one its element gets alone.
+    ``fdf(x, rows)`` gives ``(f, f', scale)`` at ``x`` for the elements
+    ``rows`` (an index array) in one evaluation, where ``scale`` is the
+    sum of the magnitudes of the terms that make up ``f``.  The contract:
+    each element's ``f`` is negative below its root and positive above it.
+
+    Newton steps start from ``x0``, and the sign of ``f`` at each point
+    tightens the element's bracket, which starts as (0, inf).  A Newton
+    step is taken when it lands strictly inside the bracket (so an
+    infinite slope gives none) and is at most half the element's previous
+    step.  Otherwise the point moves toward an open end of the bracket
+    tenfold or by squaring, whichever goes further, or else to the
+    bracket's geometric midpoint.  An element stops at a point whose
+    ``|f|`` is at most NOISE_BOUND times ``scale``, below which the sign
+    of ``f`` is rounding noise, or once its step is within two ulps.
+    Elements never mix, so each root is, to the bit, the one its element
+    gets alone.
 
     Returns an array shaped like ``x0``, or a float for a scalar.  Raises
     one RootFindError, naming the first failing element in ``column``
-    (None for a scalar ``x0``), when an element finds no sign change after
-    30 expansions or does not stop within 100 steps.
+    (None for a scalar ``x0``), when an element's ``f`` keeps one sign out
+    to the end of the float range or the element does not stop within
+    100 steps.
     """
     prefix = f"{context}: " if context else ""
     named = np.ndim(x0) > 0
     x = np.array(x0, dtype=float, ndmin=1)
-    lo, hi = np.full(x.shape, 1e-10), np.full(x.shape, 1e10)
-    act = np.arange(x.size)
-    flo, fhi = f(lo, act), f(hi, act)
-    for expansion in range(31):
-        act = act[~(np.sign(flo[act]) * np.sign(fhi[act]) < 0.0)]
-        if not act.size:
-            break
-        if expansion == 30:
-            j = int(act[0])
-            raise RootFindError(f"{prefix}no sign change in [{lo[j]:.3e}, {hi[j]:.3e}] "
-                                f"(f(lo)={flo[j]:.6e}, f(hi)={fhi[j]:.6e})",
-                                column=j if named else None)
-        lo[act], hi[act] = lo[act] / 10.0, hi[act] * 10.0
-        flo[act], fhi[act] = f(lo[act], act), f(hi[act], act)
-    negative_lo = flo < 0.0
-    x = np.where((lo < x) & (x < hi), x, np.sqrt(lo) * np.sqrt(hi))
+    lo, hi = np.zeros(x.shape), np.full(x.shape, np.inf)
+    last = np.full(x.shape, np.inf)
     act = np.arange(x.size)
     for _ in range(100):
         xa = x[act]
         fx, dfx, scale = fdf(xa, act)
+        below = fx < 0.0
+        lo[act[below]], hi[act[~below]] = xa[below], xa[~below]
+        la, ha = lo[act], hi[act]
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            newton = xa - fx / dfx
+            toward = np.where(ha == np.inf, np.maximum(10.0 * xa, xa * xa),
+                              np.where(la == 0.0, np.minimum(xa / 10.0, xa * xa),
+                                       np.sqrt(la) * np.sqrt(ha)))
+        take = (la < newton) & (newton < ha) & (np.abs(newton - xa) <= 0.5 * last[act])
+        new = np.clip(np.where(take, newton, toward), _TINY, _HUGE)
         noise = np.abs(fx) <= NOISE_BOUND * scale
-        with np.errstate(divide="ignore", invalid="ignore"):
-            new = np.where(noise, xa, xa - fx / dfx)
-        low = (fx < 0.0) == negative_lo[act]
-        lo[act[low]], hi[act[~low]] = xa[low], xa[~low]
-        inside = (lo[act] < new) & (new < hi[act]) | noise
-        x[act] = new = np.where(inside, new, np.sqrt(lo[act]) * np.sqrt(hi[act]))
-        act = act[np.abs(new - xa) > 2.0 * np.spacing(xa)]
+        new[noise] = xa[noise]
+        # an element at an end of the float range that cannot move on
+        out = np.flatnonzero(~noise & (new == xa) & ((xa == _TINY) | (xa == _HUGE)))
+        if out.size:
+            j = int(act[out[0]])
+            raise RootFindError(f"{prefix}no sign change in (0, inf): f stays "
+                                f"{'negative' if below[out[0]] else 'positive'} out to "
+                                f"{xa[out[0]]:.3e} (f={fx[out[0]]:.6e})",
+                                column=j if named else None)
+        x[act], last[act] = new, np.abs(new - xa)
+        act = act[last[act] > 2.0 * np.spacing(xa)]
         if not act.size:
             return x if named else float(x[0])
     j = int(act[0])

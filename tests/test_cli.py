@@ -892,6 +892,24 @@ class TestErrorExits:
         assert not (tmp_path / "o" / "mu.mxio").exists()
 
 
+    @pytest.mark.parametrize("method, where", [("enet-rvm", "column 0: starting variance scale"),
+                                               ("mxn-rvm", "column 0: iteration 1, objective")])
+    def test_overflowing_data_exit_4(self, tmp_path, capsys, method, where):
+        # V x 1e200 overflows before any variance update: the elastic net's
+        # ridge start, the mixed norm's truncations in the first objective
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text("s = 96\nn = 16\nt = 8\nseed = 0\nc_sigma_space = 2.0\n")
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "sim")]) == 0
+        huge = tmp_path / "V_huge.mxio"
+        write_matrix(huge, read_matrix(tmp_path / "sim" / "V.mxio") * 1e200)
+        capsys.readouterr()
+        code = main(["solve", "--method", method, "--K", str(tmp_path / "sim" / "K.mxio"),
+                     "--V", str(huge), "--out", str(tmp_path / "o")])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert f"numeric failure: {where}" in err and "overflow" in err
+        assert not (tmp_path / "o" / "mu.mxio").exists()
+
 def fresh_python(*args):
     """Run a fresh interpreter that imports rvmix from src/."""
     root = Path(__file__).resolve().parents[1]

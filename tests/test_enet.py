@@ -5,6 +5,8 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import optimize
 
 from rvmix import enet, posterior
@@ -176,8 +178,8 @@ class TestUpdateK:
         lb = np.full(10, 0.3)
         tau, nu = 10.0, 0.1
         k = update_k(lb, tau, nu)
-        scale = max(abs(k_gradient(1e-10, lb, tau, nu)), abs(k_gradient(1e10, lb, tau, nu)))
-        assert abs(k_gradient(k, lb, tau, nu)) <= 1e-8 * scale
+        scale = max(abs(k_gradient(1e-10, lb, tau, nu)[0]), abs(k_gradient(1e10, lb, tau, nu)[0]))
+        assert abs(k_gradient(k, lb, tau, nu)[0]) <= 1e-8 * scale
 
     def test_flat_state_formula(self):
         # lambda_bar all zero, tau = nu = S: F(k) = 2S - (S/2)/k - S*hazard(k)
@@ -232,15 +234,15 @@ class TestNewtonSearch:
     """update_k and update_alpha_mxn against the brentq search they replaced."""
 
     def test_no_convergence_in_100_steps_names_the_element(self):
-        # element 1's slope is so steep that each Newton step moves it 4 ulps
-        # toward the root at 1: it neither reaches the root's rounding noise
-        # nor stalls, so the search gives up; element 0 takes true steps
+        # element 1's slope has the wrong sign, so every Newton step leaves
+        # its bracket; from 1e-300 the open end moves it up only tenfold per
+        # step (squaring a point below 1 goes down), so the root at 1 is
+        # 300 steps away and the search gives up; element 0 takes true steps
         def fdf(x, rows):
-            slope = np.where(rows == 1, (x - 1.0) / (4.0 * np.spacing(x)), 1.0)
-            return x - 1.0, slope, np.zeros_like(x)
+            return x - 1.0, np.where(rows == 1, -1.0, 1.0), np.zeros_like(x)
 
         with pytest.raises(RootFindError, match="no convergence in 100 steps") as info:
-            bracketed_root(lambda x, rows: x - 1.0, fdf, np.array([2.0, 2.0]))
+            bracketed_root(fdf, np.array([2.0, 1e-300]))
         assert info.value.column == 1
 
     @pytest.mark.parametrize("s", [3, 40, 200])
@@ -250,7 +252,7 @@ class TestNewtonSearch:
         tau, nu = float(s), 0.01 * s
         got = update_k(lb, tau, nu, rng.uniform(0.05, 20.0, 6))
         for t in range(6):
-            want = oracle_bracketed_root(lambda k: k_gradient(k, lb[t], tau, nu))
+            want = oracle_bracketed_root(lambda k: k_gradient(k, lb[t], tau, nu)[0])
             assert got[t] == pytest.approx(want, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("s", [3, 40, 200])
@@ -261,7 +263,7 @@ class TestNewtonSearch:
         sig = rng.uniform(0.01, 0.3, (s, t_count))
         lb = rng.uniform(0.05, 0.9, (s, t_count))
         delta = rng.uniform(0.0, 1.5, (s, t_count)) * (rng.random((s, t_count)) < 0.8)
-        want = oracle_bracketed_root(lambda a: alpha_gradient(a, mu, sig, lb, delta))
+        want = oracle_bracketed_root(lambda a: alpha_gradient(a, mu, sig, lb, delta)[0])
         for alpha0 in (1.0, want * 1.3, 1e-6, 1e6):
             got = update_alpha_mxn(mu, sig, lb, delta, alpha0)
             assert got == pytest.approx(want, rel=1e-12, abs=0.0)
@@ -278,12 +280,15 @@ class TestNewtonSearch:
         np.testing.assert_array_equal(update_k(lb[rows], 50.0, 0.5, k0[rows]), stacked[rows])
 
     def test_rootless_row_is_named(self):
-        # with every lambda_bar zero and nu = 0 the gradient is negative
-        # on all of (0, inf)
+        # with every lambda_bar zero the gradient is below nu = -1 on all of
+        # (0, inf), so the search runs out of the float range.  (With nu = 0
+        # it would tend to 0 from below, and k ~ 1e21, where it is within
+        # its rounding noise of 0, counts as a root.)
         lb = np.full((4, 10), 0.3)
         lb[2] = 0.0
-        with pytest.raises(RootFindError, match="no sign change") as info:
-            update_k(lb, 10.0, 0.0)
+        with pytest.raises(RootFindError, match="no sign change in \\(0, inf\\): f stays "
+                                                "negative") as info:
+            update_k(lb, 10.0, -1.0)
         assert info.value.column == 2
 
     def test_solver_names_column_and_iteration(self, monkeypatch):
@@ -296,30 +301,43 @@ class TestNewtonSearch:
         def row_1_rootless(lam_bar, tau, nu, k0):
             lam_bar = lam_bar.copy()
             lam_bar[1] = 0.0
-            return real(lam_bar, tau, 0.0, k0)
+            return real(lam_bar, tau, -1.0, k0)
 
         monkeypatch.setattr(enet, "update_k", row_1_rootless)
         with pytest.raises(NumericError, match=r"^column 2: iteration 1, truncation update: "
                                                r"no sign change"):
             solve_enet(data)
 
-    def test_f_at_bracket_points_fdf_at_newton_points(self):
-        # the root 1e12 lies outside [1e-10, 1e10]: three expansions, then
-        # one Newton step from x0 = 1 lands on it exactly
-        at_f, at_fdf = [], []
-
-        def f(x, rows):
-            at_f.extend(x)
-            return x - 1e12
+    def test_search_starts_at_x0_without_a_cold_bracket(self):
+        # a line's one Newton step from x0 = 1 lands on its root 1e12
+        # exactly: two evaluations, the first at x0, none at 1e-10 or 1e10
+        at = []
 
         def fdf(x, rows):
-            at_fdf.extend(x)
+            at.extend(x)
             return x - 1e12, np.ones_like(x), x + 1e12
 
-        assert bracketed_root(f, fdf, 1.0) == 1e12
-        assert at_f == pytest.approx([1e-10, 1e10, 1e-11, 1e11, 1e-12, 1e12, 1e-13, 1e13],
-                                     rel=1e-15)
-        assert at_fdf == [1.0, 1e12]
+        assert bracketed_root(fdf, 1.0) == 1e12
+        assert at == [1.0, 1e12]
+
+    @pytest.mark.parametrize("root", [1e-40, 1e40, 1e-101, 1e250])
+    def test_far_roots_are_reached_from_x0(self, root):
+        # from far below the root of 1 - root/x, Newton only doubles x per
+        # step, and from far above it, it lands below 0; a step that leaves
+        # the bracket or does not halve the one before goes to the open end
+        # tenfold or by squaring, or to the bracket's geometric midpoint, so
+        # the roots are found in a few dozen steps, beyond the old
+        # [1e-40, 1e40] cap too
+        at = []
+
+        def fdf(x, rows):
+            at.extend(x)
+            return 1.0 - root / x, root / x / x, 1.0 + root / x
+
+        got = bracketed_root(fdf, 1.0)
+        assert got == pytest.approx(root, rel=1e-15)
+        assert at[0] == 1.0 and len(at) <= 40
+        assert not {1e-10, 1e10} & set(at)
 
     def test_root_within_rounding_noise_stops_there(self):
         # f(x) = x - 2 with scale x + 2: 4 ulps above the root, |f| is far
@@ -327,20 +345,20 @@ class TestNewtonSearch:
         # of stepping onto 2; 1e-12 above it, |f| is not, and it steps
         for x0, path in [(2.0 + 4 * np.spacing(2.0), [2.0 + 4 * np.spacing(2.0)]),
                          (2.0 + 1e-12, [2.0 + 1e-12, 2.0])]:
-            at_fdf = []
+            at = []
 
             def fdf(x, rows):
-                at_fdf.extend(x)
+                at.extend(x)
                 return x - 2.0, np.ones_like(x), x + 2.0
 
-            assert bracketed_root(lambda x, rows: x - 2.0, fdf, x0) == path[-1]
-            assert at_fdf == path
+            assert bracketed_root(fdf, x0) == path[-1]
+            assert at == path
         assert 4 * np.spacing(2.0) <= NOISE_BOUND * 4.0 < 1e-12
 
     @pytest.mark.parametrize("module, search", [("mxn", "alpha"), ("enet", "k")])
     def test_one_hazard_per_evaluation(self, monkeypatch, module, search):
-        # every bracket point calls the gradient, every Newton point calls
-        # fdf, and each of them evaluates the hazard exactly once
+        # every point the search evaluates calls the gradient once, and
+        # each call evaluates the hazard exactly once
         from rvmix import mxn
 
         mod = {"mxn": mxn, "enet": enet}[module]
@@ -352,8 +370,8 @@ class TestNewtonSearch:
                 return fn(*args, **kwargs)
             return wrapper
 
-        def search_counting_fdf(f, fdf, x0, context=""):
-            return bracketed_root(f, counted("fdf", fdf), x0, context)
+        def search_counting_fdf(fdf, x0, context=""):
+            return bracketed_root(counted("fdf", fdf), x0, context)
 
         gradient = "alpha_gradient" if search == "alpha" else "k_gradient"
         monkeypatch.setattr(mod, "gamma_half_hazard", counted("hazard", mod.gamma_half_hazard))
@@ -371,8 +389,8 @@ class TestNewtonSearch:
             lb = rng.uniform(0.0, 0.999, (t_count, s))
             enet.update_k(lb, float(s), 0.01 * s, rng.uniform(0.05, 20.0, t_count))
         # 1e6 lies far from the root, so the search takes several steps
-        assert calls["gradient"] >= 2 and calls["fdf"] >= 3
-        assert calls["hazard"] == calls["gradient"] + calls["fdf"]
+        assert calls["fdf"] >= 3
+        assert calls["hazard"] == calls["gradient"] == calls["fdf"]
 
 
 class TestUpdateBeta:
@@ -464,25 +482,24 @@ class TestSolveEnet:
             sol_t = solve_enet(single)
             np.testing.assert_array_equal(sol_full.mu[:, t], sol_t.mu[:, 0])
 
-    def test_column_separability_is_exact(self):
+    @given(s=st.integers(20, 64), n=st.integers(4, 16), t=st.integers(2, 8),
+           seed=st.integers(0, 2**32 - 1), draw=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_column_separability_is_exact(self, s, n, t, seed, draw):
         # each column's result is the same to the bit whether it is solved
-        # alone, inside the batch, or after a permutation of the columns
-        data, _ = ring_problem(s=64, n=31, t=8, seed=0)
-        full = solve_enet(data)
-        keys = ("mu", "sigma_diag", "lambda_bar")
+        # inside the batch or in any subset of the columns, in any order
+        from rvmix.phantom import NoiseSpec, SourceSpec, add_noise, make_phantom
 
-        def column_outputs(sol):
-            return [getattr(sol, key) for key in keys] + [sol.extras["column_iterations"]]
-
-        want = column_outputs(full)
-        for t in range(8):
-            alone = column_outputs(solve_enet(ProblemData(K=data.K, V=data.V[:, [t]])))
-            for got, ref in zip(alone, want):
-                np.testing.assert_array_equal(got[..., 0], ref[..., t])
-        perm = np.random.default_rng(1).permutation(8)
-        permuted = column_outputs(solve_enet(ProblemData(K=data.K, V=data.V[:, perm])))
-        for got, ref in zip(permuted, want):
-            np.testing.assert_array_equal(got, ref[..., perm])
+        # patches narrow enough to stay disjoint on a ring of 20
+        ph = make_phantom(S=s, N=n, T=8, source_spec=SourceSpec(b_width=2, c_sigma_space=1.0))
+        V = add_noise(ph.V_clean, NoiseSpec(42.0, seed))[0][:, :t]
+        cols = draw.draw(st.permutations(range(t)))[:draw.draw(st.integers(1, t))]
+        full = solve_enet(ProblemData(K=ph.K, V=V))
+        part = solve_enet(ProblemData(K=ph.K, V=V[:, cols]))
+        for key in ("mu", "sigma_diag", "lambda_bar"):
+            np.testing.assert_array_equal(getattr(part, key), getattr(full, key)[:, cols])
+        np.testing.assert_array_equal(part.extras["column_iterations"],
+                                      full.extras["column_iterations"][cols])
 
     def test_stop_reasons(self):
         data, _ = ring_problem(t=4, seed=3)
@@ -538,6 +555,19 @@ class TestSolveEnet:
         with pytest.raises(NumericError, match=r"^column 0: iteration 1, "
                                                r"posterior variance overflows"):
             solve_enet(ProblemData(K=ph.K, V=V * scale))
+
+    def test_overflowing_ridge_start_is_a_numeric_error(self):
+        # V x 1e200 puts the squared ridge means that set the starting
+        # variance scale beyond the float range; it used to end in a
+        # DomainError about lambda_col after overflow warnings
+        from rvmix.phantom import NoiseSpec, SourceSpec, add_noise, make_phantom
+
+        ph = make_phantom(S=96, N=16, T=8, source_spec=SourceSpec(c_sigma_space=2.0))
+        V, _ = add_noise(ph.V_clean, NoiseSpec(42.0, 0))
+        with pytest.raises(NumericError, match=r"^column 0: starting variance scale: "
+                                               r"the squared ridge means overflow") as info:
+            solve_enet(ProblemData(K=ph.K, V=V * 1e200))
+        assert info.value.column == 0
 
     def test_converged_state_is_coordinatewise_local_min(self):
         # at a tightly converged fixed point the full objective cannot be
@@ -635,15 +665,12 @@ class TestRootSearchReleasesItsFunction:
             gc.enable()
 
     def test_bracketed_root(self):
-        def shifted(arr):
-            return lambda x, rows: x - arr[rows]
-
         def shifted_fdf(arr):
             return lambda x, rows: (x - arr[rows], np.ones_like(x), x + arr[rows])
 
         arr = np.array([2.0, 3.0])
         ref = weakref.ref(arr)
-        roots = bracketed_root(shifted(arr), shifted_fdf(arr), np.ones(2))
+        roots = bracketed_root(shifted_fdf(arr), np.ones(2))
         np.testing.assert_allclose(roots, [2.0, 3.0])
         del arr
         assert ref() is None

@@ -137,7 +137,7 @@ class TestAlphaUpdate:
         d = rng.uniform(0.0, 2.0, (s, t)) * (rng.random((s, t)) < 0.8)
         for alpha in (1e-6, 0.3, 2.0, 1e5):
             want = per_column_alpha_gradient(alpha, mu, sig, lb, d)
-            assert alpha_gradient(alpha, mu, sig, lb, d) == pytest.approx(want, rel=1e-12)
+            assert alpha_gradient(alpha, mu, sig, lb, d)[0] == pytest.approx(want, rel=1e-12)
 
     def test_single_source_rejected(self):
         one = np.full((1, 3), 0.5)
@@ -180,9 +180,9 @@ class TestAlphaUpdate:
         lam_bar = rng.uniform(0.05, 0.9, (s, t))
         delta = rng.uniform(0.0, 1.5, (s, t))
         alpha = update_alpha_mxn(mu, sig, lam_bar, delta)
-        scale = max(abs(alpha_gradient(1e-10, mu, sig, lam_bar, delta)),
-                    abs(alpha_gradient(1e10, mu, sig, lam_bar, delta)))
-        assert abs(alpha_gradient(alpha, mu, sig, lam_bar, delta)) <= 1e-8 * scale
+        scale = max(abs(alpha_gradient(1e-10, mu, sig, lam_bar, delta)[0]),
+                    abs(alpha_gradient(1e10, mu, sig, lam_bar, delta)[0]))
+        assert abs(alpha_gradient(alpha, mu, sig, lam_bar, delta)[0]) <= 1e-8 * scale
 
     def test_matches_grid_minimizer(self):
         rng = np.random.default_rng(4)
@@ -223,7 +223,8 @@ class TestSolveMxn:
 
     def test_alpha_search_failure_names_iteration(self, monkeypatch):
         data, _ = small_ring()
-        monkeypatch.setattr(mxn, "alpha_gradient", lambda alpha, *args: np.full_like(alpha, -1.0))
+        monkeypatch.setattr(mxn, "alpha_gradient", lambda alpha, *args: (
+            np.full_like(alpha, -1.0), np.ones_like(alpha), np.ones_like(alpha)))
         with pytest.raises(NumericError, match=r"^iteration 1, global scale update: "
                                                r"no sign change"):
             solve_mxn(data)
@@ -253,6 +254,18 @@ class TestSolveMxn:
         with pytest.raises(NumericError, match=r"iteration 1, variance factor update: .* "
                                                r"overflows"):
             solve_mxn(ProblemData(K=ph.K, V=V * scale))
+
+    def test_overflowing_truncation_is_a_numeric_error(self):
+        # on V x 1e200 the objective's truncations alpha * delta**2 are
+        # beyond the float range at the starting alpha = 1; it used to end
+        # in a DomainError about k after an overflow warning
+        from rvmix.phantom import NoiseSpec, SourceSpec, add_noise, make_phantom
+
+        ph = make_phantom(S=96, N=16, T=8, source_spec=SourceSpec(c_sigma_space=2.0))
+        V, _ = add_noise(ph.V_clean, NoiseSpec(42.0, 0))
+        with pytest.raises(NumericError, match=r"^column 0: iteration 1, objective: "
+                                               r"alpha \* delta\*\*2 overflows"):
+            solve_mxn(ProblemData(K=ph.K, V=V * 1e200))
 
     def test_zero_data(self):
         rng = np.random.default_rng(0)
