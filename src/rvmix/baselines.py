@@ -15,6 +15,7 @@ plain-L1 objectives are reported.
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.linalg import lapack
 
 from .errors import DomainError, NumericError, SelectionError
 from .posterior import svd_decompose
@@ -133,15 +134,37 @@ def mm_objective(data, J, spec, eps_lqa=0.0):
 
 
 def _product_table(K):
-    """(N*N, S) table of the products K[a, i] * K[b, i]: for any stack of
-    diagonal weights, every K D_t K' comes out of one product with it."""
-    n, s = K.shape
-    return (K[:, None, :] * K[None, :, :]).reshape(n * n, s)
+    """(N(N+1)/2, S) table of the products K[a, i] * K[b, i] with a <= b, and
+    the (N*N,) index of each Gram entry's row in it: for any stack of
+    diagonal weights, every K D_t K' comes out of one product with the
+    table and one gather."""
+    n = K.shape[0]
+    a, b = np.triu_indices(n)
+    index = np.empty((n, n), dtype=np.intp)
+    index[a, b] = index[b, a] = np.arange(a.size)
+    return K[a] * K[b], index.ravel()
 
 
 def _weighted_grams(table, inv_d, n):
-    """(T, N, N) stack of K diag(inv_d[:, t]) K', one GEMM on the table."""
-    return (table @ inv_d).T.reshape(inv_d.shape[1], n, n)
+    """(T, N, N) stack of K diag(inv_d[:, t]) K', exactly symmetric: one GEMM
+    on the _product_table pair, then one gather."""
+    products, index = table
+    return (products @ inv_d)[index].T.reshape(inv_d.shape[1], n, n)
+
+
+def _spd_solve(A, B, what):
+    """Solve A[t] X = B[t] for every t of an SPD stack, one LAPACK dposv per
+    column. Both stacks are overwritten: A by its Cholesky factors, B by the
+    solutions, which are returned. Raises NumericError naming the system and
+    the column when a factorization fails."""
+    for t, (a, b) in enumerate(zip(A, B)):
+        # a.T is a's matrix in Fortran order, so dposv factors it in place
+        _, x, info = lapack.dposv(a.T, b, lower=0, overwrite_a=1, overwrite_b=1)
+        if info:
+            raise NumericError(f"{what}: column {t} is not numerically SPD "
+                               f"(LAPACK dposv info {info})", column=t)
+        b[...] = x  # a copy only where LAPACK could not work on b in place
+    return B
 
 
 def _fusion_pattern(L):
@@ -173,7 +196,7 @@ class _MMSystem:
     alpha2: float
     eps: float
     L: np.ndarray | None
-    table: np.ndarray | None = None
+    table: tuple | None = None
     KtK: np.ndarray | None = None
     pattern: tuple | None = None
 
@@ -206,9 +229,13 @@ def _mm_step(system, J):
         M[:, np.arange(n), np.arange(n)] += 1.0
         # the right-hand side stays a batched product: forming it as
         # K @ (KtV / d) reorders its sums, and the capped small-lambda maps
-        # amplify that rounding over their steps to ~1e-10 relative
+        # amplify rounding over their steps (on the default phantom at
+        # lam = 0.01, a 1e-15 relative change of V moves the 100-step map by
+        # 4e-9 to 9e-9 of its largest entry)
         KtV_d = KtV.T[:, :, None] / d.T[:, :, None]  # (T, S, 1) = D^{-1}K'V
-        inner = np.linalg.solve(M, K[None, :, :] @ KtV_d)[:, :, 0]  # (T, N)
+        # I + M_t has every eigenvalue >= 1, so Cholesky fails only on overflow
+        rhs = K[None, :, :] @ KtV_d  # (T, N, 1)
+        inner = _spd_solve(M, rhs, "majorization step I + K D^{-1} K'")[:, :, 0]  # (T, N)
         return (KtV - K.T @ inner.T) / d
     A = _fusion_normals(system.KtK, system.pattern, system.weights(J), system.alpha2)
     try:
@@ -293,7 +320,8 @@ def _df_columns(system, J):
         # trace(K (K'K + D_t)^{-1} K') = trace((I + M_t)^{-1} M_t), M_t = K D_t^{-1} K'
         n = K.shape[0]
         M = _weighted_grams(system.table, 1.0 / system.weights(J), n)
-        return np.trace(np.linalg.solve(M + np.eye(n), M), axis1=1, axis2=2)
+        X = _spd_solve(M + np.eye(n), M, "degrees of freedom I + K D^{-1} K'")
+        return np.trace(X, axis1=1, axis2=2)
     A = _fusion_normals(system.KtK, system.pattern, system.weights(J), system.alpha2)
     X = np.linalg.solve(A, np.broadcast_to(K.T, (J.shape[1],) + K.T.shape))  # (T, S, N)
     return np.sum(K.T * X, axis=(1, 2))

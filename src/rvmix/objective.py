@@ -175,8 +175,14 @@ def _mxn_hyperprior(lam_bar, delta, alpha):
     tail_part = np.sum(gamma_half_log_tail(trunc), axis=-1)
     one_m = 1.0 - lam_bar
     gamma_part = np.sum(trunc / one_m, axis=-1)
-    # log(1) = 0 stands in for the coordinates with zero coupling
-    log_part = np.sum(0.5 * np.log(np.where(d > 0.0, d * d / one_m, 1.0)), axis=-1)
+    # log(1) = 0 stands in for the coordinates with zero coupling; where
+    # d * d underflows (d below ~1e-154) its log is taken as 2 log d instead
+    dd = d * d
+    under = (d > 0.0) & (dd < np.finfo(float).tiny)
+    logs = np.log(np.where((d > 0.0) & ~under, dd / one_m, 1.0))
+    if np.any(under):
+        logs[under] = 2.0 * np.log(d[under]) - np.log(one_m[under])
+    log_part = np.sum(0.5 * logs, axis=-1)
     coupling = alpha * np.sum(np.abs(w_inverse_apply(d)), axis=-1) ** 2
     return tail_part + gamma_part + log_part + coupling
 

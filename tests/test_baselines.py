@@ -191,6 +191,37 @@ class TestMMSolve:
         got = _mm_step(_mm_system(data, spec, 1e-8), J)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
+    def test_weighted_grams_are_symmetric_products(self):
+        # the half table stores each K[a]*K[b] once, so M[a, b] and M[b, a]
+        # are one number
+        rng = np.random.default_rng(21)
+        K = rng.standard_normal((9, 24))
+        w = rng.uniform(1e-3, 1e3, (24, 5))
+        M = baselines._weighted_grams(baselines._product_table(K), w, 9)
+        assert np.array_equal(M, M.transpose(0, 2, 1))
+        want = np.stack([(K * w[:, t]) @ K.T for t in range(5)])
+        assert np.max(np.abs(M - want)) <= 1e-14 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("call", ["step", "df"])
+    def test_failed_cholesky_names_the_column(self, monkeypatch, call):
+        # LAPACK reports a non-SPD matrix for the third system of the stack
+        dposv, calls = baselines.lapack.dposv, []
+
+        def failing(a, b, **kwargs):
+            calls.append(a)
+            c, x, info = dposv(a, b, **kwargs)
+            return c, x, 3 if len(calls) == 3 else info
+
+        monkeypatch.setattr(baselines.lapack, "dposv", failing)
+        data = make_data(seed=13, n=9, s=24, t=5)
+        system = _mm_system(data, PenaltySpec(kind="lasso", lam=0.7), 1e-8)
+        J = np.random.default_rng(14).standard_normal((24, 5))
+        with pytest.raises(NumericError, match=r"column 2 is not numerically SPD "
+                                               r"\(LAPACK dposv info 3\)") as info:
+            _mm_step(system, J) if call == "step" else _df_columns(system, J)
+        assert info.value.column == 2
+        assert len(calls) == 3
+
     def test_final_step_reported(self):
         data = make_data(seed=2)
         spec = PenaltySpec(kind="lasso", lam=0.9)

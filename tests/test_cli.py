@@ -931,6 +931,9 @@ def test_import_leaves_out_stats_and_integrate():
     assert "rvmix.special" in loaded
     for name in ("scipy.stats", "scipy.integrate", "scipy.optimize", "scipy.sparse"):
         assert name not in loaded
+    # the import is most of every run's set-up time: a new heavy dependency
+    # fails here before it shows as a slower start
+    assert len(loaded) <= 590, f"import rvmix loads {len(loaded)} modules"
 
 
 def test_batch_pipeline_demo_runs():

@@ -7,6 +7,7 @@ import pytest
 from rvmix.errors import DomainError
 from rvmix.objective import (
     ObjectiveBreakdown,
+    _mxn_hyperprior,
     aux_objective_enet,
     aux_objective_mxn,
     neg_log_posterior_enet,
@@ -189,6 +190,18 @@ class TestMxnObjective:
         assert out2.prior_quadratic == pytest.approx(c * c * base.prior_quadratic, rel=1e-12)
         assert out2.logdet == pytest.approx(base.logdet, rel=1e-12)
         assert out2.hyperprior == pytest.approx(base.hyperprior, rel=1e-12)
+
+    def test_underflowing_coupling_square_stays_finite(self):
+        # at delta ~ 1e-200, delta**2 underflows to 0, and with it
+        # alpha * delta**2 and the coupling term: what is left is
+        # 0.5 log(delta**2 / (1 - lambda_bar)) per positive coupling
+        rng = np.random.default_rng(7)
+        lb = rng.uniform(0.2, 0.8, size=(3, 6))
+        delta = 1e-200 * rng.uniform(0.1, 0.9, size=(3, 6))
+        delta[:, 0] = 0.0
+        assert np.all(delta * delta == 0.0)
+        want = np.sum(np.log(delta[:, 1:]) - 0.5 * np.log(1.0 - lb[:, 1:]), axis=1)
+        np.testing.assert_allclose(_mxn_hyperprior(lb, delta, 0.7), want, rtol=1e-14)
 
 
 class TestAuxiliaryObjectives:
