@@ -187,16 +187,17 @@ def _fusion_normals(KtK, pattern, w, alpha2):
 @dataclass(frozen=True)
 class _MMSystem:
     """The parts of a majorization step that do not depend on J, built once
-    per solve: the product table for a diagonal penalty (lasso, enet), K'K
-    and the L'diag(w)L pattern for fusion."""
+    per solve: V and the product table for a diagonal penalty (lasso, enet),
+    K'V, K'K and the L'diag(w)L pattern for fusion."""
 
     K: np.ndarray
-    KtV: np.ndarray
     alpha1: float
     alpha2: float
     eps: float
     L: np.ndarray | None
+    V: np.ndarray | None = None
     table: tuple | None = None
+    KtV: np.ndarray | None = None
     KtK: np.ndarray | None = None
     pattern: tuple | None = None
 
@@ -212,34 +213,31 @@ def _mm_system(data, spec, eps):
     """The _MMSystem of one penalty on one problem."""
     alpha1, alpha2, L = _penalty_weights(spec, data.n_sources)
     K = data.K
-    common = dict(K=K, KtV=K.T @ data.V, alpha1=alpha1, alpha2=alpha2, eps=eps, L=L)
+    common = dict(K=K, alpha1=alpha1, alpha2=alpha2, eps=eps, L=L)
     if L is None:
-        return _MMSystem(**common, table=_product_table(K))
-    return _MMSystem(**common, KtK=K.T @ K, pattern=_fusion_pattern(L))
+        return _MMSystem(**common, V=data.V, table=_product_table(K))
+    return _MMSystem(**common, KtV=K.T @ data.V, KtK=K.T @ K, pattern=_fusion_pattern(L))
 
 
 def _mm_step(system, J):
     """One majorization step over all columns; returns the updated (S, T) map."""
-    K, KtV = system.K, system.KtV
+    K = system.K
     if system.L is None:
-        # diagonal quadratic part: through the (N, N) systems I + K D_t^{-1} K'
+        # diagonal quadratic part, by push-through: with M_t = K D_t^{-1} K',
+        # (K'K + D_t)^{-1} K'v_t = D_t^{-1} K' (I + M_t)^{-1} v_t, so each
+        # column takes one (N, N) solve against v_t and nothing cancels
         n = K.shape[0]
         d = system.weights(J)
         M = _weighted_grams(system.table, 1.0 / d, n)  # (T, N, N)
         M[:, np.arange(n), np.arange(n)] += 1.0
-        # the right-hand side stays a batched product: forming it as
-        # K @ (KtV / d) reorders its sums, and the capped small-lambda maps
-        # amplify rounding over their steps (on the default phantom at
-        # lam = 0.01, a 1e-15 relative change of V moves the 100-step map by
-        # 4e-9 to 9e-9 of its largest entry)
-        KtV_d = KtV.T[:, :, None] / d.T[:, :, None]  # (T, S, 1) = D^{-1}K'V
-        # I + M_t has every eigenvalue >= 1, so Cholesky fails only on overflow
-        rhs = K[None, :, :] @ KtV_d  # (T, N, 1)
-        inner = _spd_solve(M, rhs, "majorization step I + K D^{-1} K'")[:, :, 0]  # (T, N)
-        return (KtV - K.T @ inner.T) / d
+        # I + M_t has every eigenvalue >= 1, so Cholesky fails only on overflow;
+        # _spd_solve overwrites its right-hand side, so it gets a copy of V
+        rhs = system.V.T[:, :, None].copy()  # (T, N, 1)
+        X = _spd_solve(M, rhs, "majorization step I + K D^{-1} K'")[:, :, 0]  # (T, N)
+        return (K.T @ X.T) / d
     A = _fusion_normals(system.KtK, system.pattern, system.weights(J), system.alpha2)
     try:
-        return np.linalg.solve(A, KtV.T[:, :, None])[:, :, 0].T
+        return np.linalg.solve(A, system.KtV.T[:, :, None])[:, :, 0].T
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"majorized normal equations are singular: {exc}") from exc
 

@@ -487,7 +487,7 @@ def build_parser():
     p.add_argument("--support")
     p.add_argument("--method", default="solution", help="label for the CSV row")
     p.add_argument("--zero-tol", dest="zero_tol", type=float, default=RVM_ZERO_TOL_REL,
-                   help="relative zero threshold; 0 counts only exact zeros "
+                   help="relative zero threshold in [0, 1); 0 counts only exact zeros "
                         "(majorization outputs)")
     p.add_argument("--threshold", type=float, default=0.01)
     p.add_argument("--out")

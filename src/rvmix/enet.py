@@ -237,11 +237,11 @@ class _Iteration:
 
     per_column = True
 
-    def __init__(self, data, config, svd):
+    def __init__(self, data, config):
         if not isinstance(data, ProblemData):
             raise DomainError("data must be a ProblemData")
         self.config = config = config or SolverConfig()
-        self.svd = svd or svd_decompose(data)
+        self.svd = svd_decompose(data)
         self.tol_objective = (config.tol_objective if config.tol_objective is not None
                               else self.default_tol_objective)
         self.K, self.V = data.K, np.ascontiguousarray(data.V.T)
@@ -330,8 +330,8 @@ class _EnetIteration(_Iteration):
 
     default_tol_objective = ENET_TOL_OBJECTIVE
 
-    def __init__(self, data, config, svd):
-        super().__init__(data, config, svd)
+    def __init__(self, data, config):
+        super().__init__(data, config)
         config, svd = self.config, self.svd
         t_count, s = data.n_times, data.n_sources
         self.tau, self.nu = float(s), config.epsilon_prior * s
@@ -392,7 +392,7 @@ class _EnetIteration(_Iteration):
         return collapsed
 
 
-def solve_enet(data, config=None, svd=None):
+def solve_enet(data, config=None):
     """Run the elastic-net Bayesian solver on every column independently.
 
     Returns a Solution whose objective_trace is the per-iteration total
@@ -401,7 +401,7 @@ def solve_enet(data, config=None, svd=None):
     and stop_reason: "tol", "max_iter", "collapsed" (every coordinate
     pruned) or "zero_data".  Numeric errors name the column and iteration.
     """
-    core = _EnetIteration(data, config, svd)
+    core = _EnetIteration(data, config)
     sol = core.run()
     last = {name: trace[-1] for name, trace in sol.hyper_trace.items()}
     sol.extras.update(tau=core.tau, nu=core.nu, state=EnetHyperState(

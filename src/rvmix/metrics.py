@@ -55,8 +55,11 @@ def one_minus_corr(J_est, J_true):
 def sparseness_pct(J, zero_tol_rel=RVM_ZERO_TOL_REL):
     """Percentage of entries with |J| <= zero_tol_rel * max|J|.
 
-    Use zero_tol_rel = 0 for solvers that produce exact zeros.
+    Use zero_tol_rel = 0 for solvers that produce exact zeros; it must lie
+    in [0, 1).
     """
+    if not 0.0 <= zero_tol_rel < 1.0:
+        raise DomainError(f"zero_tol_rel must lie in [0, 1), got {zero_tol_rel!r}")
     a = np.abs(np.asarray(J, dtype=float))
     if not np.all(np.isfinite(a)):
         raise DomainError("J must be finite")

@@ -133,8 +133,8 @@ class _MxnIteration(_Iteration):
     per_column = False
     default_tol_objective = MXN_TOL_OBJECTIVE
 
-    def __init__(self, data, config, svd):
-        super().__init__(data, config, svd)
+    def __init__(self, data, config):
+        super().__init__(data, config)
         t_count, s = data.n_times, data.n_sources
         if s < 2:
             raise DomainError("mixed-norm model needs at least two sources")
@@ -173,7 +173,7 @@ class _MxnIteration(_Iteration):
         return np.zeros(rows.size, dtype=bool)
 
 
-def solve_mxn(data, config=None, svd=None):
+def solve_mxn(data, config=None):
     """Run the mixed-norm solver: sweeps over all columns plus one alpha update.
 
     Requires at least two sources (the coupling algebra is undefined for
@@ -182,7 +182,7 @@ def solve_mxn(data, config=None, svd=None):
     "max_iter" or "zero_data" (an all-zero map, solved in one sweep), for
     the whole map.
     """
-    core = _MxnIteration(data, config, svd)
+    core = _MxnIteration(data, config)
     sol = core.run()
     sol.extras.update(alpha_final=core.alpha, learn_alpha=core.learn_alpha, state=MxnHyperState(
         lambda_bar=sol.lambda_bar, delta=np.ascontiguousarray(core.delta.T),

@@ -12,7 +12,7 @@ a five-generator block with a sinusoidal course, and a spatially Gaussian
 patch (truncated at 1% of its peak) with a second sinusoid.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -21,7 +21,9 @@ from .errors import ConfigError, DomainError
 
 @dataclass(frozen=True)
 class SourceSpec:
-    """Locations (fractions of the ring), widths, and time courses."""
+    """Locations (fractions of the ring), widths, and time courses.  Every
+    float must be finite, the two sigmas positive, b_width >= 0 and
+    c_truncate_frac in [0, 1); ConfigError otherwise."""
 
     a_center: float = 0.15
     a_amplitude: float = 1.0
@@ -41,11 +43,38 @@ class SourceSpec:
     c_phase: float = 1.1
     c_truncate_frac: float = 0.01
 
+    def __post_init__(self):
+        _check_finite(**{f.name: getattr(self, f.name) for f in fields(self) if f.type is float})
+        _check_positive(a_sigma_time=self.a_sigma_time, c_sigma_space=self.c_sigma_space)
+        if self.b_width < 0:
+            raise ConfigError(f"b_width must be >= 0, got {self.b_width!r}")
+        if not 0.0 <= self.c_truncate_frac < 1.0:
+            raise ConfigError(f"c_truncate_frac must be in [0, 1), got {self.c_truncate_frac!r}")
+
 
 @dataclass(frozen=True)
 class NoiseSpec:
+    """Peak signal-to-noise ratio in dB (+inf for noise-free data) and the
+    noise seed."""
+
     peak_snr_db: float = 42.0
     seed: int = 0
+
+    def __post_init__(self):
+        if self.peak_snr_db != np.inf:
+            _check_finite(peak_snr_db=self.peak_snr_db)
+
+
+def _check_finite(**values):
+    for name, value in values.items():
+        if not np.isfinite(value):
+            raise ConfigError(f"{name} must be finite, got {value!r}")
+
+
+def _check_positive(**values):
+    for name, value in values.items():
+        if not value > 0:
+            raise ConfigError(f"{name} must be positive, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -94,10 +123,13 @@ def make_phantom(S=200, N=31, T=64, source_spec=None, r_generators=0.65, r_elect
                  duration=1.0):
     """Assemble the ring phantom: geometry, lead field, and ground truth.
 
-    Requires S >= 20, N >= 4, T >= 8 and pairwise disjoint source patches.
+    Requires S >= 20, N >= 4, T >= 8, finite radii, a positive finite
+    duration and pairwise disjoint source patches.
     """
     if S < 20 or N < 4 or T < 8:
         raise ConfigError(f"phantom needs S >= 20, N >= 4, T >= 8 (got {S}, {N}, {T})")
+    _check_finite(r_generators=r_generators, r_electrodes=r_electrodes, duration=duration)
+    _check_positive(duration=duration)
     if r_electrodes <= r_generators:
         raise ConfigError("electrode radius must exceed generator radius")
     spec = source_spec or SourceSpec()

@@ -238,15 +238,29 @@ class TestMMSolve:
         with pytest.raises(DomainError, match="max_iter"):
             mm_solve(make_data(seed=2), PenaltySpec(kind="lasso", lam=0.9), max_iter=-3)
 
-    @pytest.mark.parametrize("scale, where", [(1e150, "after step 2"), (1e160, "at the start")])
+    @pytest.mark.parametrize("scale, where", [(1e145, "after step 3"), (1e151, "after step 2"),
+                                              (1e160, "at the start")])
     def test_non_finite_objective_raises(self, scale, where):
-        # at V x 1e150 the start objective is finite (~2.9e304) and the
-        # second step's is nan; at V x 1e160 ||V||^2 overflows at the start
+        # fusion at lam = 1e100: at V x 1e151 the start objective is finite
+        # (~2.9e306) and the second step's is nan, at V x 1e145 the third
+        # step's; at V x 1e160 ||V||^2 overflows at the start
         ph = make_phantom(S=96, N=16, T=8)
         V, _ = add_noise(ph.V_clean, NoiseSpec(42.0, 0))
         data = ProblemData(K=ph.K, V=V * scale)
         with pytest.raises(NumericError, match=f"not finite {where}"):
-            mm_solve(data, PenaltySpec(kind="lasso", lam=1.0))
+            mm_solve(data, PenaltySpec(kind="lasso_fusion", lam=1e100))
+
+    @pytest.mark.parametrize("t_count", [1, 8])
+    @pytest.mark.parametrize("spec", [PenaltySpec(kind="lasso", lam=0.7),
+                                      PenaltySpec(kind="enet", lam=0.7, mu_mix=0.3)],
+                             ids=["lasso", "enet"])
+    def test_data_left_unchanged(self, spec, t_count):
+        # _spd_solve overwrites the step's right-hand side with the solution,
+        # and that right-hand side is V's columns: only a copy keeps V intact
+        data = make_data(seed=5, t=t_count)
+        V = data.V.copy()
+        mm_solve(data, spec, max_iter=5)
+        assert np.array_equal(data.V, V)
 
     def test_enet_limits_match_neighbors(self):
         # mu_mix -> 1 approaches ridge, mu_mix -> 0 approaches lasso

@@ -124,6 +124,42 @@ class TestSimulateCommand:
         assert "key 'seed'" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("line, key", [
+        # non-finite values that used to write non-finite J_true and V
+        ("peak_snr_db = nan", "peak_snr_db"),
+        ("a_amplitude = nan", "a_amplitude"),
+        ("a_peak_time = nan", "a_peak_time"),
+        ("b_freq = inf", "b_freq"),
+        ("duration = 0", "duration"),
+        # -inf dB used to write noise-free data with noise_sigma 0
+        ("peak_snr_db = -inf", "peak_snr_db"),
+        # values that used to end in a traceback
+        ("r_electrodes = nan", "r_electrodes"),
+        ("r_electrodes = inf", "r_electrodes"),
+        ("c_center = nan", "c_center"),
+        ("b_center = inf", "b_center"),
+        # the range rules
+        ("a_sigma_time = 0", "a_sigma_time"),
+        ("c_sigma_space = -2", "c_sigma_space"),
+        ("b_width = -1", "b_width"),
+        ("c_truncate_frac = 1", "c_truncate_frac"),
+    ])
+    def test_bad_simulation_value_exit_2_before_any_matrix(self, tmp_path, capsys, line, key):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"s = 96\nn = 16\nt = 8\n{line}\n")
+        capsys.readouterr()
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert key in capsys.readouterr().err
+        assert not list((tmp_path / "o").glob("*.mxio"))
+
+    def test_infinite_snr_is_noise_free(self, tmp_path):
+        cfg = tmp_path / "clean.cfg"
+        cfg.write_text("s = 96\nn = 16\nt = 8\npeak_snr_db = inf\n")
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        assert json.loads((out / "manifest.json").read_text())["noise_sigma"] == 0.0
+        assert np.array_equal(read_matrix(out / "V.mxio"), read_matrix(out / "V_clean.mxio"))
+
 
 class TestSolveCommand:
     def test_enet_rvm_run(self, sim_dir, tmp_path):
@@ -445,16 +481,16 @@ class TestEvalCommand:
         assert code == 4
 
     def test_non_finite_mm_objective_exit_4(self, tmp_path, capsys):
-        # lasso at lam = 1 on V x 1e150 overflows to a nan objective on its
-        # second step; the run fails instead of writing a NaN map
+        # fusion at lam = 1e100 on V x 1e151 overflows to a nan objective on
+        # its second step; the run fails instead of writing a NaN map
         cfg = tmp_path / "sim.cfg"
         cfg.write_text("s = 96\nn = 16\nt = 8\nseed = 0\n")
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "sim")]) == 0
         huge = tmp_path / "V_huge.mxio"
-        write_matrix(huge, read_matrix(tmp_path / "sim" / "V.mxio") * 1e150)
+        write_matrix(huge, read_matrix(tmp_path / "sim" / "V.mxio") * 1e151)
         capsys.readouterr()
-        code = main(["solve", "--method", "lasso-mm", "--K", str(tmp_path / "sim" / "K.mxio"),
-                     "--V", str(huge), "--lam", "1", "--out", str(tmp_path / "o")])
+        code = main(["solve", "--method", "fusion-mm", "--K", str(tmp_path / "sim" / "K.mxio"),
+                     "--V", str(huge), "--lam", "1e100", "--out", str(tmp_path / "o")])
         assert code == 4
         assert "objective is not finite" in capsys.readouterr().err
         assert not (tmp_path / "o" / "mu.mxio").exists()
@@ -482,6 +518,17 @@ class TestEvalCommand:
         assert code == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["alpha_final"] == 2.0
+
+    @pytest.mark.parametrize("zero_tol", ["-1", "nan", "1", "2"])
+    def test_zero_tol_outside_unit_interval_exit_2(self, sim_dir, tmp_path, capsys, zero_tol):
+        capsys.readouterr()
+        code = main(["eval", "--mu", str(sim_dir / "J_true.mxio"),
+                     "--truth", str(sim_dir / "J_true.mxio"),
+                     "--support", str(sim_dir / "support_true.mxio"),
+                     "--zero-tol", zero_tol, "--out", str(tmp_path / "row.csv")])
+        assert code == 2
+        assert "zero_tol_rel" in capsys.readouterr().err
+        assert not (tmp_path / "row.csv").exists()
 
     def test_missing_support_exit_2(self, sim_dir, tmp_path):
         code = main(["eval", "--mu", str(sim_dir / "J_true.mxio"),
@@ -596,6 +643,19 @@ class TestSweepCommand:
         err = capsys.readouterr().err
         assert f"{spec}:6:" in err and key in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("line, key", [("duration = 0", "duration"),
+                                           ("b_freq = inf", "b_freq"),
+                                           ("peak_snr_db = nan", "peak_snr_db")])
+    def test_bad_simulation_value_exit_2_before_any_matrix(self, tmp_path, capsys, line, key):
+        spec = tmp_path / "sweep.cfg"
+        spec.write_text("s = 48\nn = 12\nt = 8\nc_sigma_space = 2.0\n"
+                        "arm = ok | method=ridge lam=1.0\n" + line + "\n")
+        out = tmp_path / "sweep"
+        capsys.readouterr()
+        assert main(["sweep", "--spec", str(spec), "--out", str(out)]) == 2
+        assert key in capsys.readouterr().err
+        assert not list(out.rglob("*.mxio"))
 
     @pytest.mark.parametrize("grid", ["abc", "-1,1"])
     def test_bad_lambda_grid_exit_2_before_any_run(self, tmp_path, capsys, grid):

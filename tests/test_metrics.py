@@ -66,6 +66,12 @@ class TestSparseness:
         with pytest.raises(DomainError):
             sparseness_pct(np.array([np.inf]))
 
+    @pytest.mark.parametrize("zero_tol_rel", [-1.0, np.nan, 1.0, 2.0])
+    def test_zero_tol_outside_unit_interval_rejected(self, zero_tol_rel):
+        # -1 and nan used to give Sp = 0, and 2 gave 100 %
+        with pytest.raises(DomainError, match="zero_tol_rel"):
+            sparseness_pct(np.array([[0.0, 0.5, 1.0]]), zero_tol_rel)
+
 
 class TestSensSpec:
     def test_perfect_recovery(self):

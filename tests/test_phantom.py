@@ -73,6 +73,21 @@ class TestMakePhantom:
         with pytest.raises(ConfigError):
             make_phantom(r_generators=1.2, r_electrodes=1.0)
 
+    @pytest.mark.parametrize("kwargs", [{"duration": 0.0}, {"duration": -1.0},
+                                        {"duration": np.inf}, {"r_generators": np.nan},
+                                        {"r_electrodes": np.inf}])
+    def test_geometry_values_checked(self, kwargs):
+        with pytest.raises(ConfigError, match=next(iter(kwargs))):
+            make_phantom(S=40, N=8, T=8, **kwargs)
+
+    @pytest.mark.parametrize("kwargs", [{"a_amplitude": np.nan}, {"b_freq": np.inf},
+                                        {"c_center": -np.inf}, {"a_sigma_time": 0.0},
+                                        {"c_sigma_space": -1.0}, {"b_width": -1},
+                                        {"c_truncate_frac": 1.0}, {"c_truncate_frac": -0.1}])
+    def test_source_values_checked(self, kwargs):
+        with pytest.raises(ConfigError, match=next(iter(kwargs))):
+            SourceSpec(**kwargs)
+
     def test_dipole_kernel_geometry(self):
         gen = np.array([[0.5, 0.0]])
         ele = np.array([[1.0, 0.0], [0.0, 1.0]])
@@ -90,6 +105,11 @@ class TestAddNoise:
         out, sigma = add_noise(V, NoiseSpec(peak_snr_db=np.inf, seed=3))
         np.testing.assert_array_equal(out, V)
         assert sigma == 0.0
+
+    @pytest.mark.parametrize("snr", [np.nan, -np.inf])
+    def test_snr_must_be_finite_or_plus_inf(self, snr):
+        with pytest.raises(ConfigError, match="peak_snr_db"):
+            NoiseSpec(peak_snr_db=snr)
 
     def test_snr_definition(self):
         V = np.array([[10.0, -20.0]])
