@@ -229,7 +229,9 @@ def _mm_step(system, J):
         n = K.shape[0]
         d = system.weights(J)
         M = _weighted_grams(system.table, 1.0 / d, n)  # (T, N, N)
-        M[:, np.arange(n), np.arange(n)] += 1.0
+        # add I through a strided view of the diagonals: M's rows of n*n entries
+        # are evenly strided, so this reshape is a view, not a copy
+        M.reshape(M.shape[0], n * n)[:, :: n + 1] += 1.0
         # I + M_t has every eigenvalue >= 1, so Cholesky fails only on overflow;
         # _spd_solve overwrites its right-hand side, so it gets a copy of V
         rhs = system.V.T[:, :, None].copy()  # (T, N, 1)
@@ -325,13 +327,16 @@ def _df_columns(system, J):
     return np.sum(K.T * X, axis=(1, 2))
 
 
-def gcv_select(data, penalty_family, lambda_grid, eps_lqa=1e-8, max_iter=200):
+def gcv_select(data, penalty_family, lambda_grid, eps_lqa=1e-8, max_iter=200,
+               return_fit=False):
     """Pick the regularization weight minimizing generalized cross-validation.
 
     GCV(lam) = (||V - K J_lam||^2 / (N*T)) / (1 - df(lam)/N)^2 with df the
     trace of the linearized hat matrix at the converged weights (averaged
     over columns for the majorization arms).  Returns the winning lambda
-    and the full (lambda, gcv) curve for audit.
+    and the full (lambda, gcv) curve for audit; with return_fit, also the
+    winning lambda's map and, for the majorization arms, its MMInfo (None
+    for the quadratic ones), so that the winner need not be solved again.
     """
     grid = [float(g) for g in np.atleast_1d(lambda_grid)]
     if not grid or any(g <= 0 for g in grid):
@@ -343,10 +348,11 @@ def gcv_select(data, penalty_family, lambda_grid, eps_lqa=1e-8, max_iter=200):
     best = None
     for lam in grid:
         spec = replace(penalty_family, lam=lam)
+        info = None
         if spec.kind in ("ridge", "laplacian_ridge"):
             J, df = _ridge_fit(data, lam, spec.L_operator, svd)
         else:
-            J = mm_solve(data, spec, eps_lqa=eps_lqa, max_iter=max_iter)
+            J, info = mm_solve(data, spec, eps_lqa=eps_lqa, max_iter=max_iter, return_info=True)
             df = float(np.mean(_df_columns(_mm_system(data, spec, eps_lqa), J)))
         if df >= n:
             curve.append((lam, np.inf))
@@ -355,7 +361,9 @@ def gcv_select(data, penalty_family, lambda_grid, eps_lqa=1e-8, max_iter=200):
         gcv = (rss / (n * t_count)) / (1.0 - df / n) ** 2
         curve.append((lam, gcv))
         if best is None or gcv < best[1]:
-            best = (lam, gcv)
+            best = (lam, gcv, J, info)
     if best is None:
         raise SelectionError("effective degrees of freedom reach N on the whole grid")
+    if return_fit:
+        return best[0], np.asarray(curve), best[2], best[3]
     return best[0], np.asarray(curve)

@@ -24,7 +24,8 @@ from .baselines import PenaltySpec, gcv_select, mm_solve, ridge_solve, ring_lapl
 from .enet import SolverConfig, solve_enet
 from .errors import ConfigError, ContainerError, DomainError, NumericError, RvmixError
 from .metrics import MM_ZERO_TOL_REL, RVM_ZERO_TOL_REL, EvalReport, evaluate
-from .mxio import coerce, config_entries, parse_config_file, read_matrix, write_matrix
+from .mxio import (coerce, config_entries, container_sha256, parse_config_file, read_matrix,
+                   write_matrix)
 from .mxn import solve_mxn
 from .phantom import NoiseSpec, SourceSpec, add_noise, make_phantom
 from .posterior import ProblemData
@@ -187,7 +188,8 @@ def _typed_json_config(raw, schema, source):
 
 def cmd_simulate(args):
     cfg = _typed_config(parse_config_file(args.config), SIM_KEYS, args.config) if args.config else {}
-    _simulate(cfg, _out_dir(args.out))
+    sim = _build_simulation(cfg)
+    _write_simulation(sim, _out_dir(args.out))
     return OK
 
 
@@ -195,9 +197,10 @@ def cmd_simulate(args):
 _PHANTOM_ARGS = ("S", "N", "T", "r_generators", "r_electrodes", "duration")
 
 
-def _simulate(cfg, out):
-    """Simulate from a typed SIM_KEYS config into the directory out; returns
-    the phantom."""
+def _build_simulation(cfg):
+    """Build a simulation from a typed SIM_KEYS config; every value is
+    checked here, and nothing is written.  Returns (phantom, noisy V,
+    manifest payload, seconds taken)."""
     # make_phantom and NoiseSpec own the defaults of the keys they take, and
     # the phantom records the values it was built with
     noise = NoiseSpec(**{f.name: cfg[f.name] for f in fields(NoiseSpec) if f.name in cfg})
@@ -206,24 +209,31 @@ def _simulate(cfg, out):
     ph = make_phantom(source_spec=spec, **{arg: cfg[arg.lower()] for arg in _PHANTOM_ARGS
                                            if arg.lower() in cfg})
     sim = dict({arg.lower(): getattr(ph, arg) for arg in _PHANTOM_ARGS}, **asdict(noise))
-    V_clean = ph.V_clean
-    if np.all(V_clean == 0.0):
+    if np.all(ph.V_clean == 0.0):
         raise ConfigError("all source amplitudes are zero; nothing to observe")
-    V, sigma = add_noise(V_clean, noise)
-    write_matrix(out / "K.mxio", ph.K)
-    write_matrix(out / "V.mxio", V)
-    write_matrix(out / "V_clean.mxio", V_clean)
-    write_matrix(out / "J_true.mxio", ph.J_true)
-    write_matrix(out / "support_true.mxio", ph.support_true.astype(float))
-    _write_manifest(out, {
+    V, sigma = add_noise(ph.V_clean, noise)
+    manifest = {
         "command": "simulate",
         "config": dict(sim, **asdict(spec)),
         "noise_sigma": sigma,
         "truth_sparseness_pct": float(100.0 * np.mean(ph.J_true == 0.0)),
         "lead_field_condition": float(np.linalg.cond(ph.K)),
-    })
-    _write_json(out / "timings.json", {"simulate_s": time.perf_counter() - t0})
-    return ph
+    }
+    return ph, V, manifest, time.perf_counter() - t0
+
+
+def _write_simulation(sim, out):
+    """Write a _build_simulation result's matrices, manifest and timings
+    into out."""
+    t0 = time.perf_counter()
+    ph, V, manifest, build_s = sim
+    write_matrix(out / "K.mxio", ph.K)
+    write_matrix(out / "V.mxio", V)
+    write_matrix(out / "V_clean.mxio", ph.V_clean)
+    write_matrix(out / "J_true.mxio", ph.J_true)
+    write_matrix(out / "support_true.mxio", ph.support_true.astype(float))
+    _write_manifest(out, manifest)
+    _write_json(out / "timings.json", {"simulate_s": build_s + time.perf_counter() - t0})
 
 
 def _solver_config(cfg):
@@ -272,14 +282,20 @@ def _solve_payload(method, data, cfg):
     lam = cfg.get("lam")
     mm_kwargs = {key: cfg[key] for key in ("eps_lqa", "max_iter") if key in cfg}
     files, extras = {}, {}
+    info = None
     if lam is None:
         grid = cfg["lambda_grid"].values()
-        lam, files["gcv_curve.csv"] = gcv_select(data, family, grid, **mm_kwargs)
+        # the selection solves every grid lambda, so its winning fit is the map
+        lam, files["gcv_curve.csv"], J, info = gcv_select(data, family, grid, return_fit=True,
+                                                          **mm_kwargs)
         extras["selected_at_grid_edge"] = _at_grid_edge(lam, grid)
     if family.kind in ("ridge", "laplacian_ridge"):
+        # a closed form, solved again at the winner: the benchmark's cli-sweep
+        # workload times ridge_solve here (ROADMAP item 6)
         J, converged = ridge_solve(data, lam, family.L_operator), True
     else:
-        J, info = mm_solve(data, replace(family, lam=lam), return_info=True, **mm_kwargs)
+        if info is None:
+            J, info = mm_solve(data, replace(family, lam=lam), return_info=True, **mm_kwargs)
         converged = info.converged
         extras.update(iterations=info.iterations, final_step=info.final_step)
     files["mu.mxio"] = J
@@ -287,7 +303,11 @@ def _solve_payload(method, data, cfg):
     return J, files, extras
 
 
-def cmd_solve(args):
+def cmd_solve(args, data=None):
+    """Run one solve.  data, when given, is the ProblemData already read from
+    args.K and args.V (a sweep reads each seed's once for all its arms); the
+    manifest still records the paths."""
+    recorded = {}
     if args.replay:
         with open(args.replay, "r", encoding="utf-8") as fh:
             manifest = json.load(fh)
@@ -295,8 +315,9 @@ def cmd_solve(args):
             raise ConfigError(f"{args.replay} is not a solve manifest")
         try:
             args.method = manifest["method"]
-            args.K = manifest["inputs"]["K"]
-            args.V = manifest["inputs"]["V"]
+            recorded = manifest["inputs"]
+            args.K = recorded["K"]
+            args.V = recorded["V"]
         except (KeyError, TypeError) as exc:
             raise ConfigError(f"{args.replay}: method or inputs missing ({exc!r})") from exc
         raw = manifest.get("config", {})
@@ -316,7 +337,15 @@ def cmd_solve(args):
         cfg = {**_typed_config(text, SOLVE_KEYS, args.config), **flags}
         check_method_values(args.method, cfg, source)
     t0 = time.perf_counter()
-    data = ProblemData(K=read_matrix(args.K), V=read_matrix(args.V))
+    if data is None:
+        data = ProblemData(K=read_matrix(args.K), V=read_matrix(args.V))
+    inputs = {"K": str(args.K), "V": str(args.V),
+              "K_sha256": container_sha256(data.K), "V_sha256": container_sha256(data.V)}
+    for name in ("K", "V"):
+        key = f"{name}_sha256"
+        if key in recorded and recorded[key] != inputs[key]:
+            raise ConfigError(f"{args.replay}: {name} file {inputs[name]} does not match "
+                              f"its recorded sha256")
     out = _out_dir(args.out)
     t1 = time.perf_counter()
     J, files, extras = _solve_payload(args.method, data, cfg)
@@ -329,7 +358,7 @@ def cmd_solve(args):
     _write_manifest(out, {
         "command": "solve",
         "method": args.method,
-        "inputs": {"K": str(args.K), "V": str(args.V)},
+        "inputs": inputs,
         "config": cfg,
         **extras,
     })
@@ -397,16 +426,17 @@ def _parse_sweep(path):
     return globals_cfg, arms
 
 
-def _run_arm(arm, seed, sim_dir, out_root, truth, support):
-    """Solve and score one arm on one seed's simulation; returns the
-    sweep.csv row, whose error holds the message of a failed run."""
+def _run_arm(arm, seed, sim_dir, out_root, truth, support, data):
+    """Solve and score one arm on one seed's simulation, whose ProblemData
+    is data; returns the sweep.csv row, whose error holds the message of a
+    failed run."""
     row = {"arm": arm["name"], "seed": seed, "method": arm["method"], "error": ""}
     run_dir = out_root / "runs" / f"{arm['name']}-seed{seed}"
     args = argparse.Namespace(method=arm["method"], K=str(sim_dir / "K.mxio"),
                               V=str(sim_dir / "V.mxio"), config=None, replay=None,
                               out=str(run_dir), **{k: arm["cfg"].get(k) for k in SOLVE_KEYS})
     try:
-        cmd_solve(args)
+        cmd_solve(args, data)
         J = read_matrix(run_dir / "mu.mxio")
         zero_tol = MM_ZERO_TOL_REL if arm["method"] in CLASSICAL_METHODS else RVM_ZERO_TOL_REL
         rep = evaluate(arm["name"], J, truth, support, zero_tol_rel=zero_tol)
@@ -427,14 +457,19 @@ def cmd_sweep(args):
         raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
     globals_cfg, arms = _parse_sweep(args.spec)
     seeds = globals_cfg.pop("seeds", [0])
+    # every seed's simulation is built, and so checked, before anything is written
+    sims = [(seed, _build_simulation(dict(globals_cfg, seed=seed))) for seed in seeds]
     out = _out_dir(args.out)
     jobs = []
-    for seed in seeds:
+    for seed, sim in sims:
         sim_dir = out / "sim" / f"seed{seed}"
         sim_dir.mkdir(parents=True, exist_ok=True)
-        ph = _simulate(dict(globals_cfg, seed=seed), sim_dir)
+        _write_simulation(sim, sim_dir)
+        # one read of K and V per seed, shared by all its arms
+        data = ProblemData(K=read_matrix(sim_dir / "K.mxio"), V=read_matrix(sim_dir / "V.mxio"))
+        ph = sim[0]
         support = ph.support_true.astype(bool)
-        jobs += [(arm, seed, sim_dir, out, ph.J_true, support) for arm in arms]
+        jobs += [(arm, seed, sim_dir, out, ph.J_true, support, data) for arm in arms]
 
     if args.jobs > 1:
         with ThreadPoolExecutor(max_workers=args.jobs) as pool:

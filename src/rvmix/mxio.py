@@ -6,6 +6,7 @@ payload as row-major IEEE-754 doubles (little endian).  CSV files are
 accepted on input and auto-detected by the missing magic.
 """
 
+import hashlib
 import struct
 
 import numpy as np
@@ -16,14 +17,30 @@ MAGIC = b"MXIO1"
 _HEADER = struct.Struct("<5sQQ")
 
 
-def write_matrix(path, arr):
-    """Write a 2-D float64 matrix in the binary container format."""
+def _container(arr):
+    """The container header of a 2-D float64 matrix and its payload as a
+    row-major little-endian array."""
     a = np.ascontiguousarray(np.atleast_2d(np.asarray(arr, dtype="<f8")))
     if a.ndim != 2:
         raise DomainError("only 2-D matrices are supported")
+    return _HEADER.pack(MAGIC, a.shape[0], a.shape[1]), a
+
+
+def write_matrix(path, arr):
+    """Write a 2-D float64 matrix in the binary container format."""
+    head, a = _container(arr)
     with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(MAGIC, a.shape[0], a.shape[1]))
+        fh.write(head)
         fh.write(a.tobytes(order="C"))
+
+
+def container_sha256(arr):
+    """The hex sha256 of the container bytes write_matrix writes for arr, so
+    a matrix read from CSV hashes as the same matrix read from a container."""
+    head, a = _container(arr)
+    digest = hashlib.sha256(head)
+    digest.update(a)
+    return digest.hexdigest()
 
 
 def read_matrix(path):

@@ -411,6 +411,29 @@ class TestGCV:
             want = (rss / (n * t)) / (1 - np.mean(df) / n) ** 2 if np.mean(df) < n else np.inf
             np.testing.assert_allclose(gcv, want, rtol=rtol)
 
+    @pytest.mark.parametrize("spec", [
+        PenaltySpec(kind="ridge", lam=1.0),
+        PenaltySpec(kind="lasso", lam=1.0),
+        PenaltySpec(kind="lasso_fusion", lam=1.0),
+    ], ids=["ridge", "lasso", "fusion"])
+    def test_return_fit_is_the_winners_solve(self, spec):
+        # return_fit adds the winning map (and the MMInfo of a majorization
+        # arm) to the same lambda and curve
+        data = make_data(seed=16, t=4)
+        grid = [0.05, 0.5, 5.0]
+        lam, curve = gcv_select(data, spec, grid, max_iter=40)
+        lam_fit, curve_fit, J, info = gcv_select(data, spec, grid, max_iter=40, return_fit=True)
+        assert lam_fit == lam
+        np.testing.assert_array_equal(curve_fit, curve)
+        if spec.kind == "ridge":
+            np.testing.assert_allclose(J, ridge_solve(data, lam), rtol=1e-12, atol=0)
+            assert info is None
+        else:
+            fresh, fresh_info = mm_solve(data, replace(spec, lam=lam), max_iter=40,
+                                         return_info=True)
+            assert J.tobytes() == fresh.tobytes()
+            assert info == fresh_info
+
     def test_empty_grid_rejected(self):
         data = make_data()
         with pytest.raises(DomainError):

@@ -1,6 +1,7 @@
 """File formats, manifests, and the four batch commands."""
 
 import csv
+import hashlib
 import json
 import os
 import subprocess
@@ -13,6 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from rvmix import cli
+from rvmix.baselines import PenaltySpec, mm_solve
 from rvmix.cli import CLASSICAL_METHODS, METHOD_KEYS, RVM_METHODS, SOLVE_KEYS, build_parser, main
 from rvmix.enet import SolverConfig, solve_enet
 from rvmix.errors import ConfigError, ContainerError, DomainError
@@ -150,7 +153,7 @@ class TestSimulateCommand:
         capsys.readouterr()
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert key in capsys.readouterr().err
-        assert not list((tmp_path / "o").glob("*.mxio"))
+        assert not (tmp_path / "o").exists()
 
     def test_infinite_snr_is_noise_free(self, tmp_path):
         cfg = tmp_path / "clean.cfg"
@@ -198,6 +201,64 @@ class TestSolveCommand:
         assert (out / "gcv_curve.csv").exists()
         curve = np.loadtxt(out / "gcv_curve.csv", delimiter=",", ndmin=2)
         assert curve.shape == (3, 2)
+
+    @pytest.mark.parametrize("method, mu_mix", [("lasso-mm", None), ("enet-mm", 0.2),
+                                                ("fusion-mm", None)])
+    def test_gcv_arm_is_the_selected_solve(self, sim_dir, tmp_path, method, mu_mix):
+        # the map and the manifest's solve fields come from the selection's
+        # winning fit: they are those of a fresh solve at the selected lambda
+        out = tmp_path / method
+        flags = ["--mu-mix", str(mu_mix)] if mu_mix else []
+        assert main(["solve", "--method", method, "--K", str(sim_dir / "K.mxio"),
+                     "--V", str(sim_dir / "V.mxio"), "--lambda-grid", "0.01,0.1,1,10",
+                     "--max-iter", "30", *flags, "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        data = ProblemData(K=read_matrix(sim_dir / "K.mxio"), V=read_matrix(sim_dir / "V.mxio"))
+        spec = PenaltySpec(kind=CLASSICAL_METHODS[method], lam=manifest["selected_lambda"],
+                           mu_mix=mu_mix)
+        J, info = mm_solve(data, spec, max_iter=30, return_info=True)
+        assert read_matrix(out / "mu.mxio").tobytes() == J.tobytes()
+        assert manifest["iterations"] == info.iterations
+        assert manifest["final_step"] == info.final_step
+        assert manifest["converged"] is info.converged
+
+    def test_inputs_hash_the_container_bytes(self, sim_dir, tmp_path):
+        # a CSV copy of V hashes as the container it was written from
+        v_csv = tmp_path / "V.csv"
+        np.savetxt(v_csv, read_matrix(sim_dir / "V.mxio"), delimiter=",", fmt="%.17g")
+        inputs = {}
+        for name, v_path in (("mxio", sim_dir / "V.mxio"), ("csv", v_csv)):
+            out = tmp_path / name
+            assert main(["solve", "--method", "ridge", "--K", str(sim_dir / "K.mxio"),
+                         "--V", str(v_path), "--lam", "1", "--out", str(out)]) == 0
+            inputs[name] = json.loads((out / "manifest.json").read_text())["inputs"]
+        for name in ("K", "V"):
+            digest = hashlib.sha256((sim_dir / f"{name}.mxio").read_bytes()).hexdigest()
+            assert inputs["mxio"][f"{name}_sha256"] == digest
+            assert inputs["csv"][f"{name}_sha256"] == digest
+        assert inputs["csv"]["V"] == str(v_csv)
+
+    def test_replay_of_an_edited_input_exit_2(self, sim_dir, tmp_path, capsys):
+        for name in ("K.mxio", "V.mxio"):
+            (tmp_path / name).write_bytes((sim_dir / name).read_bytes())
+        first = tmp_path / "first"
+        assert main(["solve", "--method", "ridge", "--K", str(tmp_path / "K.mxio"),
+                     "--V", str(tmp_path / "V.mxio"), "--lam", "1", "--out", str(first)]) == 0
+        again = tmp_path / "again"
+        assert main(["solve", "--replay", str(first / "manifest.json"),
+                     "--out", str(again)]) == 0
+        for name in ("mu.mxio", "manifest.json"):
+            assert (first / name).read_bytes() == (again / name).read_bytes()
+        V = read_matrix(tmp_path / "V.mxio")
+        V[0, 0] += 1e-12
+        write_matrix(tmp_path / "V.mxio", V)
+        capsys.readouterr()
+        edited = tmp_path / "edited"
+        assert main(["solve", "--replay", str(first / "manifest.json"),
+                     "--out", str(edited)]) == 2
+        err = capsys.readouterr().err
+        assert str(tmp_path / "V.mxio") in err and "sha256" in err
+        assert not edited.exists()
 
     def test_mm_capped_run_reports_not_converged(self, sim_dir, tmp_path):
         out = tmp_path / "capped"
@@ -646,16 +707,46 @@ class TestSweepCommand:
 
     @pytest.mark.parametrize("line, key", [("duration = 0", "duration"),
                                            ("b_freq = inf", "b_freq"),
-                                           ("peak_snr_db = nan", "peak_snr_db")])
+                                           ("peak_snr_db = nan", "peak_snr_db"),
+                                           ("t = 4", "T >= 8")])
     def test_bad_simulation_value_exit_2_before_any_matrix(self, tmp_path, capsys, line, key):
+        # every seed's simulation is checked before the sweep makes out/
         spec = tmp_path / "sweep.cfg"
-        spec.write_text("s = 48\nn = 12\nt = 8\nc_sigma_space = 2.0\n"
+        spec.write_text("s = 48\nn = 12\nt = 8\nc_sigma_space = 2.0\nseeds = 0,1\n"
                         "arm = ok | method=ridge lam=1.0\n" + line + "\n")
         out = tmp_path / "sweep"
         capsys.readouterr()
         assert main(["sweep", "--spec", str(spec), "--out", str(out)]) == 2
         assert key in capsys.readouterr().err
-        assert not list(out.rglob("*.mxio"))
+        assert not out.exists()
+
+    def test_each_seed_reads_k_and_v_once(self, tmp_path, monkeypatch):
+        # the sweep reads a seed's K and V once and hands them to every arm
+        reads = {}
+        real = cli.read_matrix
+
+        def counting(path):
+            key = (Path(path).parent.name, Path(path).name)
+            reads[key] = reads.get(key, 0) + 1
+            return real(path)
+
+        monkeypatch.setattr(cli, "read_matrix", counting)
+        spec = tmp_path / "sweep.cfg"
+        spec.write_text("s = 48\nn = 12\nt = 8\nc_sigma_space = 2.0\nseeds = 0,1\n"
+                        "arm = ridge | method=ridge lam=1.0\n"
+                        "arm = loreta | method=loreta lambda_grid=0.1,1,10\n"
+                        "arm = lasso | method=lasso-mm lam=1 max_iter=5\n")
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--spec", str(spec), "--out", str(out)]) == 0
+        for seed in (0, 1):
+            assert reads[(f"seed{seed}", "K.mxio")] == 1
+            assert reads[(f"seed{seed}", "V.mxio")] == 1
+        with open(out / "sweep.csv", newline="") as fh:
+            assert [r["error"] for r in csv.DictReader(fh)] == [""] * 6
+        manifest = json.loads((out / "runs" / "lasso-seed1" / "manifest.json").read_text())
+        assert manifest["inputs"]["V"] == str(out / "sim" / "seed1" / "V.mxio")
+        assert manifest["inputs"]["V_sha256"] == hashlib.sha256(
+            (out / "sim" / "seed1" / "V.mxio").read_bytes()).hexdigest()
 
     @pytest.mark.parametrize("grid", ["abc", "-1,1"])
     def test_bad_lambda_grid_exit_2_before_any_run(self, tmp_path, capsys, grid):

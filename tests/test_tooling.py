@@ -19,3 +19,38 @@ def test_per_layer_names_are_functions_of_their_module():
                if not inspect.isfunction(getattr(importlib.import_module(f"rvmix.{parts[0]}"),
                                                  parts[1], None))]
     assert not missing, f"per_layer names without a function: {missing}"
+
+
+#: the spans of the benchmark's layer trace that only its cli-sweep workload
+#: emits: each is a function the sweep calls through a name rvmix.cli holds
+SWEEP_ONLY_SPANS = ("cli.cmd_solve", "mxio.read_matrix", "mxio.write_matrix",
+                    "metrics.evaluate", "baselines.ridge_solve")
+
+
+def test_sweep_reaches_the_spans_only_cli_sweep_emits(tmp_path, monkeypatch):
+    # perfbench/spans.py replaces each public rvmix function that rvmix.cli
+    # holds with a wrapper named <defining module>.<function>; a sweep that
+    # stops calling one through cli then fails here, not only in
+    # perfbench/run.py --smoke
+    from rvmix import cli
+
+    per_layer = [m["name"] for m in json.loads(BENCHMARK.read_text(encoding="utf-8"))["per_layer"]]
+    for span in SWEEP_ONLY_SPANS:
+        assert any(name.startswith(span + ".") for name in per_layer), span
+    reached = set()
+
+    def wrap(fn, span):
+        def traced(*args, **kwargs):
+            reached.add(span)
+            return fn(*args, **kwargs)
+        return traced
+
+    for attr, fn in list(vars(cli).items()):
+        if inspect.isfunction(fn) and fn.__module__.startswith("rvmix.") and not attr.startswith("_"):
+            monkeypatch.setattr(cli, attr, wrap(fn, f"{fn.__module__.rsplit('.', 1)[-1]}.{attr}"))
+    spec = tmp_path / "sweep.cfg"
+    spec.write_text("s = 48\nn = 12\nt = 8\nc_sigma_space = 2.0\nseeds = 0\n"
+                    "arm = ridge | method=ridge lambda_grid=0.1,1,10\n")
+    assert cli.main(["sweep", "--spec", str(spec), "--out", str(tmp_path / "sweep")]) == 0
+    missing = [span for span in SWEEP_ONLY_SPANS if span not in reached]
+    assert not missing, f"spans the sweep no longer reaches: {missing}"
