@@ -256,6 +256,16 @@ class MMInfo:
     final_step: float | None
 
 
+def check_mm_settings(eps_lqa=None, max_iter=None):
+    """mm_solve's rule for its smoothing width and step cap: eps_lqa finite
+    and positive, max_iter at least 0 (0 returns the all-zero start).  A
+    setting left at None is not given, so not checked."""
+    if eps_lqa is not None and not 0.0 < eps_lqa < np.inf:
+        raise DomainError(f"eps_lqa must be positive and finite, got {eps_lqa!r}")
+    if max_iter is not None and max_iter < 0:
+        raise DomainError(f"max_iter must be >= 0, got {max_iter!r}")
+
+
 def mm_solve(data, penalty, eps_lqa=1e-8, max_iter=200, tol=1e-6, return_trace=False,
              return_info=False):
     """Majorization-minimization solver for the L1-bearing penalties.
@@ -269,10 +279,7 @@ def mm_solve(data, penalty, eps_lqa=1e-8, max_iter=200, tol=1e-6, return_trace=F
     Returns J, or a tuple of J followed by the objective trace
     (return_trace) and an MMInfo (return_info), in that order.
     """
-    if eps_lqa <= 0:
-        raise DomainError("eps_lqa must be positive")
-    if max_iter < 0:
-        raise DomainError(f"max_iter must be >= 0, got {max_iter}")
+    check_mm_settings(eps_lqa, max_iter)
     system = _mm_system(data, penalty, eps_lqa)
     J = np.zeros((data.n_sources, data.n_times))
     converged = False

@@ -15,12 +15,13 @@ import re
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
 
-from .baselines import PenaltySpec, gcv_select, mm_solve, ridge_solve, ring_laplacian
+from .baselines import (PenaltySpec, check_mm_settings, gcv_select, mm_solve, ridge_solve,
+                        ring_laplacian)
 from .enet import SolverConfig, solve_enet
 from .errors import ConfigError, ContainerError, DomainError, NumericError, RvmixError
 from .metrics import MM_ZERO_TOL_REL, RVM_ZERO_TOL_REL, EvalReport, evaluate
@@ -89,32 +90,49 @@ METHOD_KEYS = {
 }
 
 
-def check_method_keys(method, keys, source):
-    """The method and key set of one solve, checked before anything is read
-    or written: the method is known, it reads each key, and a classical
-    method has exactly one of lam and lambda_grid."""
+#: the JSON values each solve key's type accepts in a replayed manifest; a
+#: bool, which is an int to Python, is none of them
+_JSON_TYPES = {int: (int,), float: (int, float), str: (str,), LambdaGrid: (str,)}
+
+
+def solve_config(method, raw, source, json=False):
+    """The typed settings of one solve, checked before anything is read or
+    written; a ConfigError names source.  The method is known, it reads each
+    key, and a classical method has exactly one of lam and lambda_grid.  raw
+    holds text (config lines, flags, arm tokens), which converts by coerce;
+    with json, a manifest's values, each of its key's type: an int (not a
+    bool) for an int key, any number for a float key, text for a text key,
+    which then converts as text does.  The values are then checked by the
+    objects that own the rules: SolverConfig and the alpha1/alpha2 pair rule
+    for a Bayesian method, PenaltySpec (whose rules do not depend on the
+    number of sources) and check_mm_settings for a classical one."""
     if method not in METHOD_KEYS:
         raise ConfigError(f"{source}: unknown method {method!r}")
-    for key in keys:
+    for key in raw:
         if key not in METHOD_KEYS[method]:
             raise ConfigError(f"{source}: method {method!r} does not read key {key!r}")
-    if method in CLASSICAL_METHODS and ("lam" in keys) == ("lambda_grid" in keys):
+    if method in CLASSICAL_METHODS and ("lam" in raw) == ("lambda_grid" in raw):
         raise ConfigError(f"{source}: method {method!r} needs exactly one of 'lam' "
                           "and 'lambda_grid'")
-
-
-def check_method_values(method, cfg, source):
-    """The values of one typed solve config, checked before anything is read
-    or written by the objects that own them: SolverConfig and the
-    alpha1/alpha2 pair rule for a Bayesian method, PenaltySpec for a
-    classical one, whose rules do not depend on the number of sources."""
+    cfg = {}
+    for key, value in raw.items():
+        kind = SOLVE_KEYS[key]
+        if json and (isinstance(value, bool) or not isinstance(value, _JSON_TYPES[kind])):
+            raise ConfigError(f"{source}: key {key!r} must be of type {kind.__name__}, "
+                              f"got {value!r}")
+        try:
+            cfg[key] = coerce(value, kind) if isinstance(value, str) else kind(value)
+        except ConfigError as exc:
+            raise ConfigError(f"{source}: key {key!r}: {exc}") from exc
     try:
         if method in RVM_METHODS:
             _solver_config(cfg)
         else:
             _penalty_spec(method, cfg, 2)
+            check_mm_settings(cfg.get("eps_lqa"), cfg.get("max_iter"))
     except (ConfigError, DomainError) as exc:
         raise ConfigError(f"{source}: {exc}") from exc
+    return cfg
 
 
 def _seed_list(text):
@@ -163,34 +181,10 @@ def _typed_config(raw, schema, source):
     return out
 
 
-#: the JSON values each schema type accepts; a bool, which is an int to
-#: Python, is none of them
-_JSON_TYPES = {int: (int,), float: (int, float), str: (str,), LambdaGrid: (str,)}
-
-
-def _typed_json_config(raw, schema, source):
-    """A manifest's config dict, whose keys check_method_keys has passed,
-    typed by schema.  JSON values are typed already, so each must have its
-    key's type: an int (not a bool) for an int key, any number for a float
-    key, text for a text key, which then converts as config text does."""
-    out = {}
-    for key, value in raw.items():
-        kind = schema[key]
-        if isinstance(value, bool) or not isinstance(value, _JSON_TYPES[kind]):
-            raise ConfigError(f"{source}: key {key!r} must be of type {kind.__name__}, "
-                              f"got {value!r}")
-        if isinstance(value, str):
-            out.update(_typed_config({key: value}, schema, source))
-        else:
-            out[key] = float(value) if kind is float else value
-    return out
-
-
 def cmd_simulate(args):
     cfg = _typed_config(parse_config_file(args.config), SIM_KEYS, args.config) if args.config else {}
     sim = _build_simulation(cfg)
     _write_simulation(sim, _out_dir(args.out))
-    return OK
 
 
 #: the arguments of make_phantom that a simulation config sets, as lowercase keys
@@ -303,69 +297,89 @@ def _solve_payload(method, data, cfg):
     return J, files, extras
 
 
-def cmd_solve(args, data=None):
-    """Run one solve.  data, when given, is the ProblemData already read from
-    args.K and args.V (a sweep reads each seed's once for all its arms); the
-    manifest still records the paths."""
-    recorded = {}
-    if args.replay:
-        with open(args.replay, "r", encoding="utf-8") as fh:
-            manifest = json.load(fh)
-        if not isinstance(manifest, dict) or manifest.get("command") != "solve":
-            raise ConfigError(f"{args.replay} is not a solve manifest")
-        try:
-            args.method = manifest["method"]
-            recorded = manifest["inputs"]
-            args.K = recorded["K"]
-            args.V = recorded["V"]
-        except (KeyError, TypeError) as exc:
-            raise ConfigError(f"{args.replay}: method or inputs missing ({exc!r})") from exc
-        raw = manifest.get("config", {})
-        if not isinstance(raw, dict):
-            raise ConfigError(f"{args.replay}: config must be a JSON object")
-        check_method_keys(args.method, raw, args.replay)
-        cfg = _typed_json_config(raw, SOLVE_KEYS, args.replay)
-        check_method_values(args.method, cfg, args.replay)
-    else:
+@dataclass(frozen=True)
+class SolveRequest:
+    """One solve whose settings solve_config has checked: the method, its
+    typed cfg, the K and V paths, the output directory, and for a replay the
+    manifest's path and its recorded inputs, whose hashes the data must
+    match."""
+
+    method: str
+    cfg: dict
+    K: str
+    V: str
+    out: str
+    replay: str | None = None
+    recorded: dict = field(default_factory=dict)
+
+
+def _solve_request(args):
+    """The SolveRequest of a solve command line: from the --replay manifest
+    alone, or from --method, --K, --V and the key flags over the --config
+    text (flags win).  Nothing is read but the manifest or config file."""
+    if not args.replay:
         if not (args.method and args.K and args.V):
             raise ConfigError("solve needs --method, --K and --V (or --replay)")
         text = parse_config_file(args.config) if args.config else {}
-        flags = {key: getattr(args, key) for key in SOLVE_KEYS
-                 if getattr(args, key, None) is not None}
+        flags = {key: getattr(args, key) for key in SOLVE_KEYS if getattr(args, key) is not None}
         source = f"solve flags and {args.config}" if args.config else "solve flags"
-        check_method_keys(args.method, {**text, **flags}, source)
-        cfg = {**_typed_config(text, SOLVE_KEYS, args.config), **flags}
-        check_method_values(args.method, cfg, source)
+        return SolveRequest(args.method, solve_config(args.method, {**text, **flags}, source),
+                            args.K, args.V, args.out)
+    given = [f"--{name.replace('_', '-')}" for name in ("method", "K", "V", "config", *SOLVE_KEYS)
+             if getattr(args, name) is not None]
+    if given:
+        raise ConfigError(f"--replay takes no other solve input, got {' '.join(given)}")
+    with open(args.replay, "r", encoding="utf-8") as fh:
+        try:
+            manifest = json.load(fh)
+        except ValueError as exc:
+            raise ConfigError(f"{args.replay} is not JSON ({exc})") from exc
+    if not isinstance(manifest, dict) or manifest.get("command") != "solve":
+        raise ConfigError(f"{args.replay} is not a solve manifest")
+    method, recorded = manifest.get("method"), manifest.get("inputs")
+    if not (isinstance(method, str) and isinstance(recorded, dict)
+            and all(isinstance(recorded.get(name), str) for name in ("K", "V"))):
+        raise ConfigError(f"{args.replay}: method or inputs missing: need a text method "
+                          "and the paths inputs.K and inputs.V")
+    raw = manifest.get("config", {})
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{args.replay}: config must be a JSON object")
+    return SolveRequest(method, solve_config(method, raw, args.replay, json=True),
+                        recorded["K"], recorded["V"], args.out, args.replay, recorded)
+
+
+def cmd_solve(request, data=None):
+    """Run one SolveRequest and write its outputs into request.out; returns
+    the map J and the manifest written.  data, when given, is the
+    ProblemData already read from request.K and request.V (a sweep reads
+    each seed's once for all its arms); the manifest still records the
+    paths."""
     t0 = time.perf_counter()
     if data is None:
-        data = ProblemData(K=read_matrix(args.K), V=read_matrix(args.V))
-    inputs = {"K": str(args.K), "V": str(args.V),
+        data = ProblemData(K=read_matrix(request.K), V=read_matrix(request.V))
+    inputs = {"K": str(request.K), "V": str(request.V),
               "K_sha256": container_sha256(data.K), "V_sha256": container_sha256(data.V)}
     for name in ("K", "V"):
         key = f"{name}_sha256"
-        if key in recorded and recorded[key] != inputs[key]:
-            raise ConfigError(f"{args.replay}: {name} file {inputs[name]} does not match "
+        if key in request.recorded and request.recorded[key] != inputs[key]:
+            raise ConfigError(f"{request.replay}: {name} file {inputs[name]} does not match "
                               f"its recorded sha256")
-    out = _out_dir(args.out)
+    out = _out_dir(request.out)
     t1 = time.perf_counter()
-    J, files, extras = _solve_payload(args.method, data, cfg)
+    J, files, extras = _solve_payload(request.method, data, request.cfg)
     t2 = time.perf_counter()
     for name, payload in files.items():
         if name.endswith(".mxio"):
             write_matrix(out / name, payload)
         else:
             np.savetxt(out / name, payload, delimiter=",", fmt="%.17g")
-    _write_manifest(out, {
-        "command": "solve",
-        "method": args.method,
-        "inputs": inputs,
-        "config": cfg,
-        **extras,
-    })
+    manifest = {"command": "solve", "method": request.method, "inputs": inputs,
+                "config": request.cfg, **extras}
+    _write_manifest(out, manifest)
     _write_json(out / "timings.json", {
         "read_s": t1 - t0, "solve_s": t2 - t1, "write_s": time.perf_counter() - t2,
         "blas_env": {name: os.environ.get(name) for name in BLAS_ENV}})
-    return OK
+    return J, manifest
 
 
 def cmd_eval(args):
@@ -388,7 +402,6 @@ def cmd_eval(args):
     finally:
         if args.out:
             writer_target.close()
-    return OK
 
 
 def _parse_sweep(path):
@@ -417,10 +430,8 @@ def _parse_sweep(path):
                 raise ConfigError(f"{where}: bad arm token {token!r}")
             tokens[k] = v
         method = tokens.pop("method", None)
-        check_method_keys(method, tokens, f"{where}: arm {name!r}")
-        cfg = _typed_config(tokens, SOLVE_KEYS, where)
-        check_method_values(method, cfg, f"{where}: arm {name!r}")
-        arms.append({"name": name, "method": method, "cfg": cfg})
+        arms.append({"name": name, "method": method,
+                     "cfg": solve_config(method, tokens, f"{where}: arm {name!r}")})
     if not arms:
         raise ConfigError(f"{path}: sweep defines no arms")
     return globals_cfg, arms
@@ -431,24 +442,20 @@ def _run_arm(arm, seed, sim_dir, out_root, truth, support, data):
     is data; returns the sweep.csv row, whose error holds the message of a
     failed run."""
     row = {"arm": arm["name"], "seed": seed, "method": arm["method"], "error": ""}
-    run_dir = out_root / "runs" / f"{arm['name']}-seed{seed}"
-    args = argparse.Namespace(method=arm["method"], K=str(sim_dir / "K.mxio"),
-                              V=str(sim_dir / "V.mxio"), config=None, replay=None,
-                              out=str(run_dir), **{k: arm["cfg"].get(k) for k in SOLVE_KEYS})
+    request = SolveRequest(arm["method"], arm["cfg"], str(sim_dir / "K.mxio"),
+                           str(sim_dir / "V.mxio"),
+                           str(out_root / "runs" / f"{arm['name']}-seed{seed}"))
     try:
-        cmd_solve(args, data)
-        J = read_matrix(run_dir / "mu.mxio")
+        J, manifest = cmd_solve(request, data)
         zero_tol = MM_ZERO_TOL_REL if arm["method"] in CLASSICAL_METHODS else RVM_ZERO_TOL_REL
         rep = evaluate(arm["name"], J, truth, support, zero_tol_rel=zero_tol)
-        with open(run_dir / "manifest.json", "r", encoding="utf-8") as fh:
-            manifest = json.load(fh)
     except (RvmixError, OSError) as exc:
         row["error"] = _failure(exc)[1]
         return row
     row.update(zip(EvalReport.CSV_HEADER[1:], rep.as_row()[1:]))
     if "selected_lambda" in manifest:
         row["selected_lambda"] = manifest["selected_lambda"]
-    row["converged"] = manifest.get("converged", True)
+    row["converged"] = manifest["converged"]
     return row
 
 
@@ -484,15 +491,6 @@ def cmd_sweep(args):
         writer.writeheader()
         for row in rows:
             writer.writerow(row)
-    return OK
-
-
-def _flag_type(kind):
-    """argparse type for a solve key: flag text converts as config text does."""
-    def convert(text):
-        return coerce(text, kind)
-    convert.__name__ = kind.__name__
-    return convert
 
 
 def build_parser():
@@ -511,10 +509,10 @@ def build_parser():
     p.add_argument("--config", help="key = value solver configuration")
     p.add_argument("--out", required=True)
     p.add_argument("--replay", help="re-run from a solve manifest")
-    for key, kind in SOLVE_KEYS.items():
-        p.add_argument(f"--{key.replace('_', '-')}", dest=key, type=_flag_type(kind),
+    for key in SOLVE_KEYS:  # text, which solve_config converts as config text
+        p.add_argument(f"--{key.replace('_', '-')}", dest=key,
                        help="fixed_one | learned" if key == "beta_mode" else None)
-    p.set_defaults(func=cmd_solve)
+    p.set_defaults(func=lambda args: cmd_solve(_solve_request(args)))
 
     p = sub.add_parser("eval", help="score a solution against the truth")
     p.add_argument("--mu", required=True)
@@ -554,11 +552,12 @@ def main(argv=None):
     except SystemExit as exc:
         return USAGE if exc.code not in (0, None) else OK
     try:
-        return args.func(args)
+        args.func(args)
     except (RvmixError, OSError) as exc:
         code, message = _failure(exc)
         print(f"rvmix: {message}", file=sys.stderr)
         return code
+    return OK
 
 
 def entrypoint():

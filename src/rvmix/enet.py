@@ -52,18 +52,20 @@ class SolverConfig:
     def __post_init__(self):
         if self.beta_mode not in ("fixed_one", "learned"):
             raise DomainError(f"beta_mode must be fixed_one or learned, got {self.beta_mode!r}")
-        if self.max_iter < 1 or self.tol_mu <= 0:
-            raise DomainError("max_iter must be >= 1 and tolerances positive")
-        if self.tol_objective is not None and self.tol_objective <= 0:
-            raise DomainError("tol_objective must be positive")
-        if not self.epsilon_prior > 0:
-            raise DomainError(f"epsilon_prior must be positive, got {self.epsilon_prior!r}")
+        if self.max_iter < 1:
+            raise DomainError(f"max_iter must be >= 1, got {self.max_iter!r}")
+        optional = ("tol_objective", "fixed_alpha")  # None: the solver's default, or learned
+        for name in ("tol_mu", "epsilon_prior", *optional):
+            value = getattr(self, name)
+            if value is None and name in optional:
+                continue
+            if not 0.0 < value < np.inf:
+                raise DomainError(f"{name} must be positive and finite, got {value!r}")
         if self.fixed_hyper is not None:
             a1, a2 = self.fixed_hyper
-            if a1 <= 0 or a2 < 0:
-                raise DomainError("fixed_hyper needs alpha1 > 0 and alpha2 >= 0")
-        if self.fixed_alpha is not None and not self.fixed_alpha > 0:
-            raise DomainError(f"fixed_alpha must be positive, got {self.fixed_alpha!r}")
+            if not (0.0 < a1 < np.inf and 0.0 <= a2 < np.inf):
+                raise DomainError(f"fixed_hyper needs finite alpha1 > 0 and alpha2 >= 0, "
+                                  f"got {self.fixed_hyper!r}")
 
 
 @dataclass

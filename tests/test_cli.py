@@ -16,7 +16,7 @@ from hypothesis.extra import numpy as hnp
 
 from rvmix import cli
 from rvmix.baselines import PenaltySpec, mm_solve
-from rvmix.cli import CLASSICAL_METHODS, METHOD_KEYS, RVM_METHODS, SOLVE_KEYS, build_parser, main
+from rvmix.cli import CLASSICAL_METHODS, METHOD_KEYS, RVM_METHODS, SOLVE_KEYS, main
 from rvmix.enet import SolverConfig, solve_enet
 from rvmix.errors import ConfigError, ContainerError, DomainError
 from rvmix.mxio import MAGIC
@@ -308,13 +308,23 @@ class TestSolveCommand:
                      "--V", str(bad), "--lam", "1", "--out", str(tmp_path / "o")])
         assert code == 3
 
-    def test_every_solve_key_has_a_flag(self, tmp_path):
-        sample = {int: "3", float: "0.5", str: "learned",
-                  SOLVE_KEYS["lambda_grid"]: "0.1,1"}
+    def test_every_solve_key_has_a_flag(self, sim_dir, tmp_path):
+        # a flag stays text until solve_config converts it as config text,
+        # so each key's flag text reaches the manifest typed
+        sample = {int: ("3", 3), float: ("0.5", 0.5), str: ("fixed_one", "fixed_one"),
+                  SOLVE_KEYS["lambda_grid"]: ("0.1,1", "0.1,1")}
+        # what the first method that reads the key needs beside it
+        companion = {"alpha1": ["--alpha2", "1"], "alpha2": ["--alpha1", "1"],
+                     "mu_mix": ["--lam", "1"], "eps_lqa": ["--lam", "1"]}
         for key, kind in SOLVE_KEYS.items():
-            args = build_parser().parse_args(
-                ["solve", "--out", str(tmp_path), f"--{key.replace('_', '-')}", sample[kind]])
-            assert isinstance(getattr(args, key), kind), key
+            method = next(m for m, keys in METHOD_KEYS.items() if key in keys)
+            text, typed = sample[kind]
+            out = tmp_path / key
+            assert main(["solve", "--method", method, "--K", str(sim_dir / "K.mxio"),
+                         "--V", str(sim_dir / "V.mxio"), f"--{key.replace('_', '-')}", text,
+                         *companion.get(key, []), "--out", str(out)]) == 0, key
+            config = json.loads((out / "manifest.json").read_text())["config"]
+            assert config[key] == typed and type(config[key]) is type(typed), key
 
     @pytest.mark.parametrize("entry", ["flag", "config", "replay"])
     def test_bad_lambda_grid_exit_2(self, sim_dir, tmp_path, capsys, entry):
@@ -721,8 +731,9 @@ class TestSweepCommand:
         assert not out.exists()
 
     def test_each_seed_reads_k_and_v_once(self, tmp_path, monkeypatch):
-        # the sweep reads a seed's K and V once and hands them to every arm
-        reads = {}
+        # the sweep reads a seed's K and V once and hands them to every arm,
+        # which it scores from memory: no run's mu.mxio or manifest is read back
+        reads, opened = {}, []
         real = cli.read_matrix
 
         def counting(path):
@@ -730,7 +741,12 @@ class TestSweepCommand:
             reads[key] = reads.get(key, 0) + 1
             return real(path)
 
+        def recording_open(path, mode="r", *args, **kwargs):
+            opened.append((str(path), mode))
+            return open(path, mode, *args, **kwargs)
+
         monkeypatch.setattr(cli, "read_matrix", counting)
+        monkeypatch.setattr(cli, "open", recording_open, raising=False)
         spec = tmp_path / "sweep.cfg"
         spec.write_text("s = 48\nn = 12\nt = 8\nc_sigma_space = 2.0\nseeds = 0,1\n"
                         "arm = ridge | method=ridge lam=1.0\n"
@@ -741,6 +757,9 @@ class TestSweepCommand:
         for seed in (0, 1):
             assert reads[(f"seed{seed}", "K.mxio")] == 1
             assert reads[(f"seed{seed}", "V.mxio")] == 1
+        assert set(reads) == {(f"seed{seed}", f"{name}.mxio")
+                              for seed in (0, 1) for name in ("K", "V")}
+        assert [path for path, mode in opened if "r" in mode] == [str(spec)]
         with open(out / "sweep.csv", newline="") as fh:
             assert [r["error"] for r in csv.DictReader(fh)] == [""] * 6
         manifest = json.loads((out / "runs" / "lasso-seed1" / "manifest.json").read_text())
@@ -888,6 +907,14 @@ _BAD_VALUES = [
     ("enet-mm", {"lam": 1.0, "mu_mix": 1.5}, "mu_mix in (0, 1)"),
     ("enet-mm", {"lam": 1.0}, "mu_mix in (0, 1)"),
     ("lasso-mm", {"lam": -1.0}, "lam must be positive"),
+    ("enet-rvm", {"tol_mu": float("nan")}, "tol_mu must be positive and finite"),
+    ("mxn-rvm", {"tol_objective": float("nan")}, "tol_objective must be positive and finite"),
+    ("enet-rvm", {"epsilon_prior": float("inf")}, "epsilon_prior must be positive and finite"),
+    ("enet-rvm", {"alpha1": float("nan"), "alpha2": 1.0}, "finite alpha1 > 0"),
+    ("lasso-mm", {"lam": 1.0, "eps_lqa": -1.0}, "eps_lqa must be positive and finite"),
+    ("enet-mm", {"lam": 1.0, "mu_mix": 0.2, "eps_lqa": float("nan")},
+     "eps_lqa must be positive and finite"),
+    ("fusion-mm", {"lam": 1.0, "max_iter": -3}, "max_iter must be >= 0"),
 ]
 
 
@@ -986,6 +1013,13 @@ class TestErrorExits:
         ({"command": "solve", "inputs": {"K": "K.mxio", "V": "V.mxio"}},
          "method or inputs missing"),
         ({"command": "solve", "method": "ridge"}, "method or inputs missing"),
+        ({"command": "solve", "method": ["ridge"], "inputs": {"K": "K.mxio", "V": "V.mxio"}},
+         "method or inputs missing"),
+        ({"command": "solve", "method": "ridge", "inputs": {"K": None, "V": "V.mxio"}},
+         "method or inputs missing"),
+        # a path of 0 would open file descriptor 0, stdin
+        ({"command": "solve", "method": "ridge", "inputs": {"K": 0, "V": "V.mxio"}},
+         "method or inputs missing"),
         ({"command": "solve", "method": "ridge", "inputs": {"K": "K.mxio", "V": "V.mxio"},
           "config": ["lam", 1.0]}, "config must be a JSON object"),
     ])
@@ -996,6 +1030,34 @@ class TestErrorExits:
         err = capsys.readouterr().err
         assert str(source) in err and message in err
         assert not (tmp_path / "o").exists()
+
+    def test_replay_manifest_not_json(self, tmp_path, capsys):
+        source = tmp_path / "manifest.json"
+        source.write_text('{"command": "solve",')
+        assert main(["solve", "--replay", str(source), "--out", str(tmp_path / "o")]) == 2
+        assert f"{source} is not JSON" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("given", [
+        ["--max-iter", "2", "--method", "ridge"],
+        ["--K", "K.mxio", "--V", "V.mxio"],
+        ["--config", "missing.cfg"],
+        ["--tol-mu", "0.5"],
+    ])
+    def test_replay_takes_no_other_input(self, sim_dir, tmp_path, capsys, given):
+        # the manifest alone sets a replay; the check comes before the
+        # manifest or a config file is read
+        first = tmp_path / "first"
+        assert main(["solve", "--method", "enet-rvm", "--K", str(sim_dir / "K.mxio"),
+                     "--V", str(sim_dir / "V.mxio"), "--max-iter", "3", "--out", str(first)]) == 0
+        capsys.readouterr()
+        out = tmp_path / "o"
+        for replay in (first / "manifest.json", tmp_path / "missing.json"):
+            assert main(["solve", "--replay", str(replay), *given, "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert "--replay takes no other solve input" in err
+            assert all(flag in err for flag in given if flag.startswith("--"))
+        assert not out.exists()
 
     @pytest.mark.parametrize("drop", ["--method", "--K", "--V"])
     def test_solve_needs_method_and_inputs(self, sim_dir, tmp_path, capsys, drop):

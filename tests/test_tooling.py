@@ -1,9 +1,12 @@
-"""The benchmark's per-layer metrics name functions that exist."""
+"""The benchmark's per-layer metrics name functions that exist, and the sweep
+calls them as its layer trace expects."""
 
 import importlib
 import inspect
 import json
 from pathlib import Path
+
+import pytest
 
 BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
 
@@ -54,3 +57,27 @@ def test_sweep_reaches_the_spans_only_cli_sweep_emits(tmp_path, monkeypatch):
     assert cli.main(["sweep", "--spec", str(spec), "--out", str(tmp_path / "sweep")]) == 0
     missing = [span for span in SWEEP_ONLY_SPANS if span not in reached]
     assert not missing, f"spans the sweep no longer reaches: {missing}"
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_cmd_solve_runs_once_per_arm_into_its_run_directory(tmp_path, monkeypatch, jobs):
+    # perfbench/spans.py records str(args[0].out) of each cli.cmd_solve call,
+    # and perfbench/workloads.py sweep_counters matches those runs to
+    # sweep.csv rows by out/runs/<arm>-seed<seed>
+    from rvmix import cli
+
+    outs = []
+    real = cli.cmd_solve
+
+    def recording(*args, **kwargs):
+        outs.append(str(args[0].out))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "cmd_solve", recording)
+    spec = tmp_path / "sweep.cfg"
+    spec.write_text("s = 48\nn = 12\nt = 8\nc_sigma_space = 2.0\nseeds = 0\n"
+                    "arm = ridge | method=ridge lambda_grid=0.1,1,10\n"
+                    "arm = lasso | method=lasso-mm lam=1 max_iter=5\n")
+    out = tmp_path / "sweep"
+    assert cli.main(["sweep", "--spec", str(spec), "--out", str(out), "--jobs", jobs]) == 0
+    assert sorted(outs) == [str(out / "runs" / f"{arm}-seed0") for arm in ("lasso", "ridge")]
