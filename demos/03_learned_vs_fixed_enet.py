@@ -45,8 +45,8 @@ for name, val in finals.items():
     print(f"  {name:16s} {val:14.1f}{marker}")
 
 sol = solve_enet(data)
-state = sol.extras["state"]
-a1, k, a2 = state.alpha1, state.k, state.alpha2_equivalent()
+a1, k = sol.hyper_trace["alpha1"][-1], sol.hyper_trace["k"][-1]
+a2 = np.sqrt(4 * a1 * k)  # the equivalent absolute-penalty weight
 print("\nlearned per-column hyperparameters (summary over the 64 columns):")
 print(f"  variance scale:     median {np.median(a1):.3g}, range [{a1.min():.3g}, {a1.max():.3g}]")
 print(f"  truncation:         median {np.median(k):.3g}, range [{k.min():.3g}, {k.max():.3g}]")

@@ -19,7 +19,6 @@ from .baselines import (
     ring_laplacian,
 )
 from .enet import (
-    EnetHyperState,
     SolverConfig,
     Solution,
     solve_enet,
@@ -52,7 +51,6 @@ from .metrics import (
 )
 from .mxio import read_matrix, write_matrix
 from .mxn import (
-    MxnHyperState,
     solve_mxn,
     update_alpha_mxn,
     update_delta,
@@ -60,8 +58,6 @@ from .mxn import (
 )
 from .objective import (
     ObjectiveBreakdown,
-    aux_objective_enet,
-    aux_objective_mxn,
     neg_log_posterior_enet,
     neg_log_posterior_mxn,
     w_inverse_apply,
@@ -78,7 +74,6 @@ from .posterior import (
     LeadFieldSVD,
     PosteriorMoments,
     ProblemData,
-    posterior_direct,
     posterior_moments,
     svd_decompose,
 )

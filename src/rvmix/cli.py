@@ -25,8 +25,8 @@ from .baselines import (PenaltySpec, check_mm_settings, gcv_select, mm_solve, ri
 from .enet import SolverConfig, solve_enet
 from .errors import ConfigError, ContainerError, DomainError, NumericError, RvmixError
 from .metrics import MM_ZERO_TOL_REL, RVM_ZERO_TOL_REL, EvalReport, evaluate
-from .mxio import (coerce, config_entries, container_sha256, parse_config_file, read_matrix,
-                   write_matrix)
+from .mxio import (coerce, config_entries, container_sha256, parse_config_file,
+                   read_config_text, read_matrix, write_matrix)
 from .mxn import solve_mxn
 from .phantom import NoiseSpec, SourceSpec, add_noise, make_phantom
 from .posterior import ProblemData
@@ -253,6 +253,12 @@ def _at_grid_edge(lam, grid):
     return lam in (min(grid), max(grid))
 
 
+#: every file _solve_payload can write; a solve removes those it does not
+#: write, so none is left from an earlier solve into the same directory
+SOLVE_FILES = ("mu.mxio", "sigma_diag.mxio", "lambda_bar.mxio", "objective_trace.csv",
+               "hyper_trace.csv", "gcv_curve.csv")
+
+
 def _solve_payload(method, data, cfg):
     """Run one solver; returns (J, files, manifest_extras)."""
     if method in RVM_METHODS:
@@ -373,6 +379,8 @@ def cmd_solve(request, data=None):
             write_matrix(out / name, payload)
         else:
             np.savetxt(out / name, payload, delimiter=",", fmt="%.17g")
+    for name in set(SOLVE_FILES) - set(files):
+        (out / name).unlink(missing_ok=True)
     manifest = {"command": "solve", "method": request.method, "inputs": inputs,
                 "config": request.cfg, **extras}
     _write_manifest(out, manifest)
@@ -407,10 +415,8 @@ def cmd_eval(args):
 def _parse_sweep(path):
     """A sweep spec's typed globals and its arms.  Every key and value is
     checked here, so a bad one stops the sweep before anything runs."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
     globals_cfg, arms = {}, []
-    for lineno, key, value in config_entries(text, path):
+    for lineno, key, value in config_entries(read_config_text(path), path):
         where = f"{path}:{lineno}"
         if key != "arm":
             globals_cfg.update(_typed_config({key: value}, SWEEP_KEYS, where))

@@ -82,32 +82,6 @@ class Solution:
     extras: dict = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
-class EnetHyperState:
-    """Final hyperparameter state of the elastic-net solver.
-
-    lambda_bar holds the unit-interval variance factors; alpha1, k and
-    beta are per-column.  The mixing variable gamma and the equivalent
-    absolute-penalty weight are derived, never stored.
-    """
-
-    lambda_bar: np.ndarray  # (S, T) in [0, 1)
-    alpha1: np.ndarray  # (T,)
-    k: np.ndarray  # (T,)
-    beta: np.ndarray  # (T,)
-    tau: float
-    nu: float
-
-    def effective_variances(self):
-        return self.lambda_bar / (2.0 * self.alpha1)
-
-    def gamma(self):
-        return self.k / (1.0 - self.lambda_bar)
-
-    def alpha2_equivalent(self):
-        return np.sqrt(4.0 * self.alpha1 * self.k)
-
-
 def update_lambda_bar_enet(mu_i, sigma_ii, alpha1, k):
     """Stationary unit-interval variance factor given frozen moments.
 
@@ -399,13 +373,13 @@ def solve_enet(data, config=None):
 
     Returns a Solution whose objective_trace is the per-iteration total
     over columns (columns that finished early are held at their final
-    value); extras holds each column's iteration count (column_iterations)
-    and stop_reason: "tol", "max_iter", "collapsed" (every coordinate
-    pruned) or "zero_data".  Numeric errors name the column and iteration.
+    value) and whose last hyper_trace rows hold the final alpha1, k and
+    beta; extras holds each column's iteration count (column_iterations),
+    stop_reason ("tol", "max_iter", "collapsed": every coordinate pruned,
+    or "zero_data") and the prior's tau and nu.  Numeric errors name the
+    column and iteration.
     """
     core = _EnetIteration(data, config)
     sol = core.run()
-    last = {name: trace[-1] for name, trace in sol.hyper_trace.items()}
-    sol.extras.update(tau=core.tau, nu=core.nu, state=EnetHyperState(
-        lambda_bar=sol.lambda_bar, tau=core.tau, nu=core.nu, **last))
+    sol.extras.update(tau=core.tau, nu=core.nu)
     return sol

@@ -95,9 +95,19 @@ def parse_config_text(text, source="<config>"):
     return {key: value for _lineno, key, value in config_entries(text, source)}
 
 
+def read_config_text(path):
+    """The text of a config or sweep spec file; one that is not UTF-8
+    raises ConfigError naming the file."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path} is not UTF-8 text ({exc})") from exc
+
+
 def parse_config_file(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config_text(fh.read(), source=str(path))
+    return parse_config_text(read_config_text(path), source=str(path))
 
 
 def coerce(value, kind):

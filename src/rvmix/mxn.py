@@ -11,8 +11,6 @@ Coupling magnitudes are refreshed from the posterior means rather than
 optimized (the objective is not differentiable in them).
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .enet import _Iteration, _ridge_mu, update_beta_enet, update_lambda_bar_enet
@@ -24,22 +22,6 @@ from .special import gamma_half_hazard
 
 #: objective-stagnation stop for the coupled whole-map solver
 MXN_TOL_OBJECTIVE = 5e-3
-
-
-@dataclass(frozen=True)
-class MxnHyperState:
-    """Final hyperparameter state of the mixed-norm solver."""
-
-    lambda_bar: np.ndarray  # (S, T) in [0, 1)
-    delta: np.ndarray  # (S, T) nonnegative coupling magnitudes
-    alpha: float  # global scale
-    beta: np.ndarray  # (T,)
-
-    def effective_variances(self):
-        return self.lambda_bar / (2.0 * self.alpha)
-
-    def gamma(self):
-        return self.alpha * self.delta**2 / (1.0 - self.lambda_bar)
 
 
 def update_lambda_bar_mxn(mu_i, sigma_ii, alpha, delta_i):
@@ -180,11 +162,9 @@ def solve_mxn(data, config=None):
     S = 1).  A single-column problem degenerates to a purely spatial
     solver and is fully supported.  extras["stop_reason"] is "tol",
     "max_iter" or "zero_data" (an all-zero map, solved in one sweep), for
-    the whole map.
+    the whole map, and extras["alpha_final"] is alpha after the last step.
     """
     core = _MxnIteration(data, config)
     sol = core.run()
-    sol.extras.update(alpha_final=core.alpha, learn_alpha=core.learn_alpha, state=MxnHyperState(
-        lambda_bar=sol.lambda_bar, delta=np.ascontiguousarray(core.delta.T),
-        alpha=core.alpha, beta=core.beta))
+    sol.extras["alpha_final"] = core.alpha
     return sol

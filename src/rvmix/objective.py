@@ -1,20 +1,11 @@
 """Negative log-posterior of the hyperparameters, with both prior branches.
 
-Two families of evaluators live here:
-
-* ``neg_log_posterior_enet`` / ``neg_log_posterior_mxn`` - the true
-  objective used as the convergence monitor.  The determinant piece is
-  the combined form log det(I + (1/beta) diag(lam) K^T K) from the
-  posterior module, which stays finite when prior variances hit zero.
-  Every column is evaluated at once, and the breakdown keeps each
-  column's total, which the solvers' per-column stop test uses.
-
-* ``aux_objective_enet`` / ``aux_objective_mxn`` - the coordinate-descent
-  auxiliary in which the posterior moments (mu, diag Sigma) are frozen.
-  Each closed-form hyperparameter update is an exact stationary point of
-  this auxiliary along its own coordinate, and the auxiliary majorizes
-  the true objective, which is what makes the outer iteration descend.
-  These are the stationarity oracles used by the tests.
+``neg_log_posterior_enet`` / ``neg_log_posterior_mxn`` are the true
+objective used as the convergence monitor.  The determinant piece is the
+combined form log det(I + (1/beta) diag(lam) K^T K) from the posterior
+module, which stays finite when prior variances hit zero.  Every column
+is evaluated at once, and the breakdown keeps each column's total, which
+the solvers' per-column stop test uses.
 
 Values are reported up to additive model constants; the constants dropped
 are (documented per branch):
@@ -202,45 +193,3 @@ def neg_log_posterior_mxn(data, svd, mu, lambda_bar, delta, alpha, beta, logdet_
         raise DomainError("beta must be positive")
     return _breakdown(data, svd, mu, lb, 2.0 * alpha, bv, logdet_terms,
                       _mxn_hyperprior(_rows(lb), _rows(delta), alpha))
-
-
-def _aux_frozen_part(mu, sigma_diag, lam_bar, alpha):
-    """alpha sum (mu^2 + sigma) / lambda_bar + (1/2) sum log lambda_bar
-    - (size/2) log(2 alpha): the part of both auxiliaries that holds the
-    frozen moments, for one column or an (S, T) map.  Returns it with the
-    (T, S) rows of lambda_bar, which must lie strictly inside (0, 1)."""
-    mu, sig, lb = (_rows(x) for x in (mu, sigma_diag, lam_bar))
-    if np.any(lb <= 0) or np.any(lb >= 1):
-        raise DomainError("auxiliary objective needs lambda_bar strictly inside (0, 1)")
-    part = (alpha * float(np.sum((mu * mu + sig) / lb))
-            + 0.5 * float(np.sum(np.log(lb)))
-            - 0.5 * lb.size * np.log(2.0 * alpha))
-    return part, lb
-
-
-def aux_objective_enet(mu_col, sigma_diag_col, lam_bar_col, alpha1, k, tau, nu):
-    """Frozen-moments auxiliary for one column, Normal/Laplace branch.
-
-    With (mu, diag Sigma) held at their current values this is, up to
-    terms constant in (lambda_bar, alpha1, k), an upper bound of the true
-    objective that touches it at the current state.  The closed-form
-    updates are exact stationary points of this function along their own
-    coordinates.  Requires lambda_bar strictly inside (0, 1).
-    """
-    if alpha1 <= 0 or k <= 0:
-        raise DomainError("alpha1 and k must be positive")
-    part, lb = _aux_frozen_part(mu_col, sigma_diag_col, lam_bar_col, alpha1)
-    return part + float(_enet_hyperprior(lb, np.array([k], dtype=float), tau, nu)[0])
-
-
-def aux_objective_mxn(mu, sigma_diag, lam_bar, delta, alpha):
-    """Frozen-moments auxiliary over the whole map, mixed-norm branch.
-
-    Same construction as the elastic-net auxiliary; the single alpha
-    couples all columns, so the auxiliary is evaluated over the full
-    spatio-temporal state.  A 1-D argument is one column.
-    """
-    if alpha <= 0:
-        raise DomainError("alpha must be positive")
-    part, lb = _aux_frozen_part(mu, sigma_diag, lam_bar, alpha)
-    return part + float(np.sum(_mxn_hyperprior(lb, _rows(delta), alpha)))

@@ -14,8 +14,7 @@ identity
 
 so the only dense solve is an r x r SPD system (r = rank of K).  Zero
 prior variances enter multiplicatively, so pruned coordinates come out
-exactly zero instead of dividing by zero.  A dense O(S^3) reference
-implementation is kept as an oracle for tests.
+exactly zero instead of dividing by zero.
 """
 
 from dataclasses import dataclass
@@ -73,9 +72,6 @@ class LeadFieldSVD:
     @property
     def n_sources(self):
         return self.R.shape[0]
-
-    def reconstruct(self):
-        return (self.Lmat * self.D) @ self.R.T
 
 
 @dataclass(frozen=True)
@@ -217,32 +213,3 @@ def posterior_moments(svd, lambda_col, beta, v_col):
     if ndim == 1:
         return PosteriorMoments(mu=mu[0], sigma_diag=sigma_diag[0], logdet_term=float(logdet[0]))
     return PosteriorMoments(mu=mu.T, sigma_diag=sigma_diag.T, logdet_term=logdet)
-
-
-def posterior_direct(K, lambda_col, beta, v_col):
-    """Dense O(S^3) oracle: invert (1/beta) K^T K + diag(lam)^{-1} directly.
-
-    Zero prior variances are floored at 1e-300 so the inverse exists; this
-    routine exists for tests and small problems only.
-    """
-    K = np.atleast_2d(np.asarray(K, dtype=float))
-    lam = np.maximum(np.asarray(lambda_col, dtype=float), 1e-300)
-    v = np.asarray(v_col, dtype=float)
-    if np.any(~np.isfinite(lam)):
-        raise DomainError("lambda_col must be finite")
-    if beta <= 0:
-        raise DomainError("beta must be positive")
-    prec = K.T @ K / beta
-    prec[np.diag_indices_from(prec)] += 1.0 / lam
-    try:
-        sigma = np.linalg.inv(prec)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(f"direct posterior inversion failed: {exc}") from exc
-    # a solve, not sigma @ K'v: the mean keeps its accuracy when beta is
-    # small and the precision ill-conditioned
-    mu = np.linalg.solve(prec, K.T @ v) / beta
-    sign, logdet_prec = np.linalg.slogdet(prec)
-    if sign <= 0:
-        raise NumericError("direct posterior precision is not positive definite")
-    logdet = float(np.sum(np.log(lam)) + logdet_prec)
-    return PosteriorMoments(mu=mu, sigma_diag=np.diag(sigma).copy(), logdet_term=logdet)

@@ -19,14 +19,11 @@ from rvmix import (
     QuadratureSpec,
     SolverConfig,
     add_noise,
-    aux_objective_enet,
-    aux_objective_mxn,
     gcv_select,
     make_phantom,
     mixed_norm,
     mm_solve,
     normal_laplace_log_z,
-    posterior_direct,
     posterior_moments,
     roc_auc,
     scale_mixture_density,
@@ -41,6 +38,8 @@ from rvmix import (
     update_lambda_bar_enet,
     update_lambda_bar_mxn,
 )
+
+from oracles import aux_objective_enet, aux_objective_mxn, posterior_direct
 
 
 def report(num, label, ok, detail=""):

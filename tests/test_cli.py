@@ -20,7 +20,7 @@ from rvmix.cli import CLASSICAL_METHODS, METHOD_KEYS, RVM_METHODS, SOLVE_KEYS, m
 from rvmix.enet import SolverConfig, solve_enet
 from rvmix.errors import ConfigError, ContainerError, DomainError
 from rvmix.mxio import MAGIC
-from rvmix.mxio import parse_config_text, read_matrix, write_matrix
+from rvmix.mxio import parse_config_text, read_config_text, read_matrix, write_matrix
 from rvmix.mxn import solve_mxn
 from rvmix.posterior import ProblemData
 
@@ -477,6 +477,8 @@ class TestSolveOutputs:
             if method.endswith("-mm"):
                 keys |= {"iterations", "final_step"}
         assert {path.name for path in out.iterdir()} == files
+        # a solve removes the names of cli.SOLVE_FILES it does not write
+        assert files - {"manifest.json", "timings.json"} <= set(cli.SOLVE_FILES)
         assert set(json.loads((out / "manifest.json").read_text())) == keys
         if method in RVM_METHODS:
             solver = solve_enet if method == "enet-rvm" else solve_mxn
@@ -490,6 +492,19 @@ class TestSolveOutputs:
             np.testing.assert_array_equal(hyper[:, 0], np.arange(1, sol.iterations + 1))
             want = np.column_stack([sol.hyper_trace[name] for name in _HYPER_COLUMNS[method]])
             np.testing.assert_array_equal(hyper[:, 1:], want)
+
+    @pytest.mark.parametrize("first, second", [
+        (["--method", "lasso-mm", "--lambda-grid", "0.1,1,10"], ["--method", "lasso-mm",
+                                                                 "--lam", "1"]),
+        (["--method", "enet-rvm"], ["--method", "ridge", "--lam", "1"]),
+    ])
+    def test_no_file_left_from_an_earlier_solve(self, sim_dir, tmp_path, first, second):
+        out = tmp_path / "run"
+        for flags in (first, second):
+            assert main(["solve", *flags, "--K", str(sim_dir / "K.mxio"),
+                         "--V", str(sim_dir / "V.mxio"), "--out", str(out)]) == 0
+        assert {path.name for path in out.iterdir()} == {"mu.mxio", "manifest.json",
+                                                         "timings.json"}
 
     def test_timings_phases_and_blas_env(self, sim_dir, tmp_path, monkeypatch):
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
@@ -745,8 +760,13 @@ class TestSweepCommand:
             opened.append((str(path), mode))
             return open(path, mode, *args, **kwargs)
 
+        def recording_read_text(path):
+            opened.append((str(path), "r"))
+            return read_config_text(path)
+
         monkeypatch.setattr(cli, "read_matrix", counting)
         monkeypatch.setattr(cli, "open", recording_open, raising=False)
+        monkeypatch.setattr(cli, "read_config_text", recording_read_text)
         spec = tmp_path / "sweep.cfg"
         spec.write_text("s = 48\nn = 12\nt = 8\nc_sigma_space = 2.0\nseeds = 0,1\n"
                         "arm = ridge | method=ridge lam=1.0\n"
@@ -1036,6 +1056,17 @@ class TestErrorExits:
         source.write_text('{"command": "solve",')
         assert main(["solve", "--replay", str(source), "--out", str(tmp_path / "o")]) == 2
         assert f"{source} is not JSON" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command, flag", [("simulate", "--config"),
+                                               ("solve", "--config"), ("sweep", "--spec")])
+    def test_config_not_utf8_exit_2(self, sim_dir, tmp_path, capsys, command, flag):
+        source = tmp_path / "bad.cfg"
+        source.write_bytes(b"s = 48\n\xff\n")
+        inputs = (["--method", "ridge", "--K", str(sim_dir / "K.mxio"),
+                   "--V", str(sim_dir / "V.mxio")] if command == "solve" else [])
+        assert main([command, *inputs, flag, str(source), "--out", str(tmp_path / "o")]) == 2
+        assert f"{source} is not UTF-8 text" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("given", [

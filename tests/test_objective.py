@@ -8,13 +8,13 @@ from rvmix.errors import DomainError
 from rvmix.objective import (
     ObjectiveBreakdown,
     _mxn_hyperprior,
-    aux_objective_enet,
-    aux_objective_mxn,
     neg_log_posterior_enet,
     neg_log_posterior_mxn,
     w_inverse_apply,
 )
 from rvmix.posterior import ProblemData, posterior_moments, svd_decompose
+
+from oracles import aux_objective_enet, aux_objective_mxn
 
 
 def make_data(K, V):

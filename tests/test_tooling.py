@@ -1,5 +1,6 @@
-"""The benchmark's per-layer metrics name functions that exist, and the sweep
-calls them as its layer trace expects."""
+"""The benchmark's per-layer metrics name functions that exist, the sweep
+calls them as its layer trace expects, and the README's method/key table
+matches the CLI."""
 
 import importlib
 import inspect
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_per_layer_names_are_functions_of_their_module():
@@ -81,3 +83,22 @@ def test_cmd_solve_runs_once_per_arm_into_its_run_directory(tmp_path, monkeypatc
     out = tmp_path / "sweep"
     assert cli.main(["sweep", "--spec", str(spec), "--out", str(out), "--jobs", jobs]) == 0
     assert sorted(outs) == [str(out / "runs" / f"{arm}-seed0") for arm in ("lasso", "ridge")]
+
+
+def test_readme_method_table_matches_method_keys():
+    # the table under "`solve` methods and the keys each one reads" lists
+    # cli.METHOD_KEYS method by method and in order; a key added to or
+    # dropped from a method fails here before the README drifts
+    from rvmix.cli import METHOD_KEYS
+
+    lines = README.read_text(encoding="utf-8").splitlines()
+    start = next(i for i, line in enumerate(lines)
+                 if line.startswith("`solve` methods and the keys each one reads"))
+    rows = []
+    for line in lines[start + 1:]:
+        if line.startswith("| `"):
+            method, keys = (cell.strip().strip("`") for cell in line.strip("|").split("|"))
+            rows.append((method.split("`")[0], tuple(key.strip() for key in keys.split(","))))
+        elif rows:
+            break
+    assert rows == list(METHOD_KEYS.items())
