@@ -8,8 +8,7 @@ regularization weight.
 
 The majorization step replaces each |x| by the quadratic
 x**2 / (2*(|x0| + eps)) + const, whose exact descent objective is the
-smoothed penalty |x| - eps*log(1 + |x|/eps); both the smoothed and the
-plain-L1 objectives are reported.
+smoothed penalty |x| - eps*log(1 + |x|/eps).
 """
 
 from dataclasses import dataclass, replace
@@ -18,7 +17,7 @@ import numpy as np
 from scipy.linalg import lapack
 
 from .errors import DomainError, NumericError, SelectionError
-from .posterior import svd_decompose
+from .posterior import svd_decompose, svd_ridge
 
 PENALTY_KINDS = ("ridge", "laplacian_ridge", "lasso", "enet", "lasso_fusion")
 
@@ -80,9 +79,7 @@ def _ridge_fit(data, lam, L_operator, svd=None):
     K, V = data.K, data.V
     if L_operator is None:
         svd = svd or svd_decompose(data)
-        D2 = svd.D**2
-        coef = svd.D / (D2 + lam)
-        return svd.R @ (coef[:, None] * (svd.Lmat.T @ V)), float(np.sum(D2 / (D2 + lam)))
+        return svd_ridge(svd, lam, V.T).T, float(np.sum(svd.D**2 / (svd.D**2 + lam)))
     L = np.asarray(L_operator, dtype=float)
     A = K.T @ K + lam * L.T @ L
     try:
@@ -334,16 +331,15 @@ def _df_columns(system, J):
     return np.sum(K.T * X, axis=(1, 2))
 
 
-def gcv_select(data, penalty_family, lambda_grid, eps_lqa=1e-8, max_iter=200,
-               return_fit=False):
+def gcv_select(data, penalty_family, lambda_grid, eps_lqa=1e-8, max_iter=200):
     """Pick the regularization weight minimizing generalized cross-validation.
 
     GCV(lam) = (||V - K J_lam||^2 / (N*T)) / (1 - df(lam)/N)^2 with df the
     trace of the linearized hat matrix at the converged weights (averaged
-    over columns for the majorization arms).  Returns the winning lambda
-    and the full (lambda, gcv) curve for audit; with return_fit, also the
-    winning lambda's map and, for the majorization arms, its MMInfo (None
-    for the quadratic ones), so that the winner need not be solved again.
+    over columns for the majorization arms).  Returns (lam, curve, J, info):
+    the winning lambda, the full (lambda, gcv) curve for audit, the winning
+    lambda's map and, for the majorization arms, its MMInfo (None for the
+    quadratic ones), so that the winner need not be solved again.
     """
     grid = [float(g) for g in np.atleast_1d(lambda_grid)]
     if not grid or any(g <= 0 for g in grid):
@@ -371,6 +367,4 @@ def gcv_select(data, penalty_family, lambda_grid, eps_lqa=1e-8, max_iter=200,
             best = (lam, gcv, J, info)
     if best is None:
         raise SelectionError("effective degrees of freedom reach N on the whole grid")
-    if return_fit:
-        return best[0], np.asarray(curve), best[2], best[3]
-    return best[0], np.asarray(curve)
+    return best[0], np.asarray(curve), best[2], best[3]

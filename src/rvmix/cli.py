@@ -253,8 +253,8 @@ def _at_grid_edge(lam, grid):
     return lam in (min(grid), max(grid))
 
 
-#: every file _solve_payload can write; a solve removes those it does not
-#: write, so none is left from an earlier solve into the same directory
+#: every file _solve_payload can write; a solve removes them, the manifest and
+#: the timings before it runs, so no earlier solve outlives a failed one there
 SOLVE_FILES = ("mu.mxio", "sigma_diag.mxio", "lambda_bar.mxio", "objective_trace.csv",
                "hyper_trace.csv", "gcv_curve.csv")
 
@@ -286,8 +286,7 @@ def _solve_payload(method, data, cfg):
     if lam is None:
         grid = cfg["lambda_grid"].values()
         # the selection solves every grid lambda, so its winning fit is the map
-        lam, files["gcv_curve.csv"], J, info = gcv_select(data, family, grid, return_fit=True,
-                                                          **mm_kwargs)
+        lam, files["gcv_curve.csv"], J, info = gcv_select(data, family, grid, **mm_kwargs)
         extras["selected_at_grid_edge"] = _at_grid_edge(lam, grid)
     if family.kind in ("ridge", "laplacian_ridge"):
         # a closed form, solved again at the winner: the benchmark's cli-sweep
@@ -371,6 +370,8 @@ def cmd_solve(request, data=None):
             raise ConfigError(f"{request.replay}: {name} file {inputs[name]} does not match "
                               f"its recorded sha256")
     out = _out_dir(request.out)
+    for name in ("manifest.json", "timings.json", *SOLVE_FILES):
+        (out / name).unlink(missing_ok=True)
     t1 = time.perf_counter()
     J, files, extras = _solve_payload(request.method, data, request.cfg)
     t2 = time.perf_counter()
@@ -379,8 +380,6 @@ def cmd_solve(request, data=None):
             write_matrix(out / name, payload)
         else:
             np.savetxt(out / name, payload, delimiter=",", fmt="%.17g")
-    for name in set(SOLVE_FILES) - set(files):
-        (out / name).unlink(missing_ok=True)
     manifest = {"command": "solve", "method": request.method, "inputs": inputs,
                 "config": request.cfg, **extras}
     _write_manifest(out, manifest)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DegenerateStateError, DomainError, NumericError
 from .objective import neg_log_posterior_enet
-from .posterior import ProblemData, _rowwise, posterior_moments, svd_decompose
+from .posterior import ProblemData, _rowwise, posterior_moments, svd_decompose, svd_ridge
 from .rootfind import bracketed_root
 from .special import gamma_half_hazard, truncation_coefficient
 
@@ -30,11 +30,12 @@ class SolverConfig:
     """Knobs shared by the Bayesian solvers.
 
     fixed_hyper : optional (alpha1, alpha2) pair for the elastic-net
-        solver; None (the default) learns alpha1 and the truncation
+        solver only; None (the default) learns alpha1 and the truncation
         coefficient k by empirical Bayes, a pair fixes both, with
         k = alpha2**2 / (4*alpha1).
     fixed_alpha : optional fixed global scale > 0 for the mixed-norm
-        solver; None (the default) learns alpha, starting from 1.
+        solver only; None (the default) learns alpha, starting from 1.
+        Each solver raises DomainError when the other's setting is given.
     beta_mode : "fixed_one" keeps the noise variance pinned at 1 (the
         default), "learned" enables the closed-form update.
     epsilon_prior : epsilon > 0 in nu = epsilon * S, the rate of the Gamma
@@ -192,14 +193,6 @@ def update_beta_enet(v_col, K, mu_col, sigma_diag_col, lambda_bar_col, alpha1, m
     return float(beta) if beta.ndim == 0 else beta
 
 
-def _ridge_mu(svd, v):
-    """Cheap ridge pass (lambda = 1e-2 mean(D**2)) used only to seed the
-    hyperparameters; v is one column (N,) or a stack of columns as rows (T, N)."""
-    lam_r = 1e-2 * float(np.mean(svd.D**2))
-    coef = svd.D / (svd.D**2 + lam_r)
-    return _rowwise(svd.R, coef * _rowwise(svd.Lmat.T, v))
-
-
 class _Iteration:
     """The iteration both Bayesian solvers share, on (T, S) state with one
     contiguous row per column.  A sweep computes the posterior moments and
@@ -208,7 +201,7 @@ class _Iteration:
     A model sets lam_bar (T, S), beta (T,) and zero_data (T,), the columns
     that stop after one sweep, and provides scale (twice the variance
     scale of given rows), objective (their per-column values), record and
-    step.
+    step, and names in unread the SolverConfig field it rejects when set.
     """
 
     per_column = True
@@ -217,10 +210,16 @@ class _Iteration:
         if not isinstance(data, ProblemData):
             raise DomainError("data must be a ProblemData")
         self.config = config = config or SolverConfig()
-        self.svd = svd_decompose(data)
+        if getattr(config, self.unread) is not None:
+            raise DomainError(f"this solver does not read {self.unread}; the other one does")
         self.tol_objective = (config.tol_objective if config.tol_objective is not None
                               else self.default_tol_objective)
         self.K, self.V = data.K, np.ascontiguousarray(data.V.T)
+
+    def ridge_start(self):
+        """(T, S) ridge means at lambda = 1e-2 mean(D**2), D the singular values of K."""
+        svd = svd_decompose(self.K)
+        return svd_ridge(svd, 1e-2 * float(np.mean(svd.D**2)), self.V)
 
     def refresh(self, rows, mu, sigma):
         """Model state updated before the stop test: none by default."""
@@ -258,7 +257,7 @@ class _Iteration:
             try:
                 live_data = ProblemData(K=self.K, V=self.V[rows].T)
                 lam = self.lam_bar[rows] / self.scale(rows)[:, None]
-                post = posterior_moments(self.svd, lam.T, self.beta[rows], live_data.V)
+                post = posterior_moments(self.K, lam.T, self.beta[rows], live_data.V)
                 mu[rows], sigma[rows] = post.mu.T, post.sigma_diag.T
                 objective[rows] = self.objective(rows, live_data, post)
                 iterations[rows] += 1
@@ -305,10 +304,11 @@ class _EnetIteration(_Iteration):
     on its own, and an all-zero column after one sweep."""
 
     default_tol_objective = ENET_TOL_OBJECTIVE
+    unread = "fixed_alpha"
 
     def __init__(self, data, config):
         super().__init__(data, config)
-        config, svd = self.config, self.svd
+        config = self.config
         t_count, s = data.n_times, data.n_sources
         self.tau, self.nu = float(s), config.epsilon_prior * s
         self.zero_data = ~np.any(self.V, axis=1)
@@ -317,7 +317,7 @@ class _EnetIteration(_Iteration):
             self.k = np.full(t_count, truncation_coefficient(*config.fixed_hyper))
         else:
             with np.errstate(over="ignore"):
-                ss = np.sum(_ridge_mu(svd, self.V) ** 2, axis=1)
+                ss = np.sum(self.ridge_start() ** 2, axis=1)
             if not np.all(np.isfinite(ss)):
                 j = int(np.flatnonzero(~np.isfinite(ss))[0])
                 raise NumericError(f"column {j}: starting variance scale: the squared ridge means "
@@ -334,7 +334,7 @@ class _EnetIteration(_Iteration):
 
     def objective(self, rows, data, post):
         return neg_log_posterior_enet(
-            data, self.svd, post.mu, self.lam_bar[rows].T, self.alpha1[rows], self.k[rows],
+            data, post.mu, self.lam_bar[rows].T, self.alpha1[rows], self.k[rows],
             self.beta[rows], self.tau, self.nu, logdet_terms=post.logdet_term).columns
 
     def record(self):

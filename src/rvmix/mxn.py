@@ -13,7 +13,7 @@ optimized (the objective is not differentiable in them).
 
 import numpy as np
 
-from .enet import _Iteration, _ridge_mu, update_beta_enet, update_lambda_bar_enet
+from .enet import _Iteration, update_beta_enet, update_lambda_bar_enet
 from .errors import DomainError, NumericError
 from .objective import neg_log_posterior_mxn, w_inverse_apply
 from .posterior import _rows
@@ -114,6 +114,7 @@ class _MxnIteration(_Iteration):
 
     per_column = False
     default_tol_objective = MXN_TOL_OBJECTIVE
+    unread = "fixed_hyper"
 
     def __init__(self, data, config):
         super().__init__(data, config)
@@ -125,7 +126,7 @@ class _MxnIteration(_Iteration):
         # the columns share alpha, so only an all-zero map stops after one sweep
         self.zero_data = np.full(t_count, not np.any(self.V))
         self.lam_bar = np.full((t_count, s), 0.5)
-        self.delta = update_delta(_ridge_mu(self.svd, self.V))
+        self.delta = update_delta(self.ridge_start())
         self.beta = np.ones(t_count)
         self.traces = {"alpha": [], "beta": [], "delta_l1": []}
 
@@ -134,7 +135,7 @@ class _MxnIteration(_Iteration):
 
     def objective(self, rows, data, post):
         return neg_log_posterior_mxn(
-            data, self.svd, post.mu, self.lam_bar[rows].T, self.delta[rows].T, self.alpha,
+            data, post.mu, self.lam_bar[rows].T, self.delta[rows].T, self.alpha,
             self.beta[rows], logdet_terms=post.logdet_term).columns
 
     def refresh(self, rows, mu, sigma):

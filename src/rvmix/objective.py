@@ -85,13 +85,13 @@ def _as_t_vector(x, t, name):
     return arr
 
 
-def _breakdown(data, svd, mu, lam_bar, scale, beta, logdet_terms, hyperprior):
+def _breakdown(data, mu, lam_bar, scale, beta, logdet_terms, hyperprior):
     """The ObjectiveBreakdown of all columns, from (S, T) mu and lam_bar,
     scale = 2*alpha and beta per column, the posterior's logdet_terms at
     lam_bar / scale (None computes them) and the branch's (T,) hyperprior.
     """
     if logdet_terms is None:
-        logdet_terms = posterior_moments(svd, lam_bar / scale, beta, data.V).logdet_term
+        logdet_terms = posterior_moments(data.K, lam_bar / scale, beta, data.V).logdet_term
     elif len(logdet_terms) != data.n_times:
         raise DomainError(f"logdet_terms must have length {data.n_times}")
     V, mu, lb = _rows(data.V), _rows(mu), _rows(lam_bar)
@@ -119,14 +119,12 @@ def _enet_hyperprior(lam_bar, k, tau, nu):
     return np.where(truncated, out, 0.0)
 
 
-def neg_log_posterior_enet(data, svd, mu, lambda_bar, alpha1, k, beta, tau, nu,
-                           logdet_terms=None):
+def neg_log_posterior_enet(data, mu, lambda_bar, alpha1, k, beta, tau, nu, logdet_terms=None):
     """Hyperparameter negative log-posterior, Normal/Laplace (elastic-net) branch.
 
     Parameters
     ----------
     data : ProblemData
-    svd : LeadFieldSVD of data.K
     mu : (S, T) current posterior means
     lambda_bar : (S, T) unit-interval variance factors, entries in [0, 1)
     alpha1, k, beta : scalars or (T,) vectors (variance scale, truncation
@@ -143,7 +141,7 @@ def neg_log_posterior_enet(data, svd, mu, lambda_bar, alpha1, k, beta, tau, nu,
     bv = _as_t_vector(beta, t_count, "beta")
     if np.any(a1 <= 0) or np.any(bv <= 0) or np.any(kv < 0):
         raise DomainError("alpha1 and beta must be positive, k nonnegative")
-    return _breakdown(data, svd, mu, lb, 2.0 * a1, bv, logdet_terms,
+    return _breakdown(data, mu, lb, 2.0 * a1, bv, logdet_terms,
                       _enet_hyperprior(_rows(lb), kv, tau, nu))
 
 
@@ -178,7 +176,7 @@ def _mxn_hyperprior(lam_bar, delta, alpha):
     return tail_part + gamma_part + log_part + coupling
 
 
-def neg_log_posterior_mxn(data, svd, mu, lambda_bar, delta, alpha, beta, logdet_terms=None):
+def neg_log_posterior_mxn(data, mu, lambda_bar, delta, alpha, beta, logdet_terms=None):
     """Hyperparameter negative log-posterior, mixed-norm (elitist) branch.
 
     delta is the (S, T) matrix of coupling magnitudes; alpha is the single
@@ -191,5 +189,5 @@ def neg_log_posterior_mxn(data, svd, mu, lambda_bar, delta, alpha, beta, logdet_
     bv = _as_t_vector(beta, data.n_times, "beta")
     if np.any(bv <= 0):
         raise DomainError("beta must be positive")
-    return _breakdown(data, svd, mu, lb, 2.0 * alpha, bv, logdet_terms,
+    return _breakdown(data, mu, lb, 2.0 * alpha, bv, logdet_terms,
                       _mxn_hyperprior(_rows(lb), _rows(delta), alpha))

@@ -5,16 +5,16 @@ j ~ N(0, diag(lam)).  The posterior covariance is
 
     Sigma = ((1/beta) K^T K + diag(lam)^{-1})^{-1}
 
-which is never formed directly on solver paths.  Instead we factor
-K = L D R^T once (economy SVD, rank-truncated) and use the Woodbury
-identity
+which is never formed directly on solver paths.  With N sensors and
+S >> N sources it lives in sensor space instead: by the Woodbury identity
 
-    Sigma = diag(lam) - diag(lam) R M^{-1} R^T diag(lam),
-    M     = R^T diag(lam) R + beta D^{-2}
+    Sigma = diag(lam) - diag(lam) K^T A^{-1} K diag(lam),
+    A     = K diag(lam) K^T + beta I
 
-so the only dense solve is an r x r SPD system (r = rank of K).  Zero
-prior variances enter multiplicatively, so pruned coordinates come out
-exactly zero instead of dividing by zero.
+so the only dense solve is an N x N SPD system, which beta I keeps
+positive definite whatever the rank of K.  Zero prior variances enter
+multiplicatively, so pruned coordinates come out exactly zero instead of
+dividing by zero.  The SVD of K serves the ridge maps (svd_ridge).
 """
 
 from dataclasses import dataclass
@@ -69,10 +69,6 @@ class LeadFieldSVD:
     def rank(self):
         return self.D.size
 
-    @property
-    def n_sources(self):
-        return self.R.shape[0]
-
 
 @dataclass(frozen=True)
 class PosteriorMoments:
@@ -107,7 +103,7 @@ def svd_decompose(data):
     return LeadFieldSVD(Lmat=U[:, :r].copy(), D=s[:r].copy(), R=Vt[:r].T.copy())
 
 
-#: bytes of one column block's (B, r, S) work array
+#: bytes of one column block's (B, N, S) work array
 BLOCK_BYTES = 1 << 20
 
 
@@ -123,12 +119,18 @@ def _rowwise(A, X):
     return np.matmul(A, np.asarray(X, dtype=float)[..., None])[..., 0]
 
 
-def posterior_moments(svd, lambda_col, beta, v_col):
-    """Posterior mean, variance diagonal and determinant term via the SVD path.
+def svd_ridge(svd, lam, v):
+    """(K'K + lam I)^{-1} K'v from the SVD of K, for v (N,) or row by row of v (T, N)."""
+    coef = svd.D / (svd.D**2 + lam)
+    return _rowwise(svd.R, coef * _rowwise(svd.Lmat.T, v))
+
+
+def posterior_moments(K, lambda_col, beta, v_col):
+    """Posterior mean, variance diagonal and determinant term in sensor space.
 
     Parameters
     ----------
-    svd : LeadFieldSVD
+    K : (N, S) finite lead field
     lambda_col : (S,) or (S, T) nonnegative prior variances
     beta : positive noise variance, a scalar or (T,)
     v_col : (N,) or (N, T) observations
@@ -138,18 +140,22 @@ def posterior_moments(svd, lambda_col, beta, v_col):
     PosteriorMoments shaped like lambda_col, with mu_i = sigma_diag_i = 0
     wherever lambda_col_i = 0.
 
-    Columns are processed as rows, in blocks whose (B, r, S) work array
+    Columns are processed as rows, in blocks whose (B, N, S) work array
     takes about BLOCK_BYTES, so a column's result is the same to the bit
-    alone or in any stack.  A non-SPD inner system, or a variance that
-    overflows (lam too large to square), raises NumericError with the
-    column's index in ``column``.
+    alone or in any stack.  A system A that overflows or is not
+    numerically SPD, or a variance that overflows (lam too large to
+    square), raises NumericError with the column's index in ``column``.
     """
+    K = np.asarray(K, dtype=float)
+    if K.ndim != 2 or not np.all(np.isfinite(K)):
+        raise DomainError("lead field must be a finite 2-D array")
+    n, s = K.shape
     ndim = np.ndim(lambda_col)
     lam, v = _rows(lambda_col), _rows(v_col)
-    t_count, s, r = lam.shape[0], svd.n_sources, svd.rank
+    t_count = lam.shape[0]
     if ndim not in (1, 2) or np.ndim(v_col) != ndim or lam.shape[1] != s \
-            or v.shape != (t_count, svd.Lmat.shape[0]):
-        raise DomainError(f"lambda_col and v_col must be ({s},) and (N,) or ({s}, T) and (N, T)")
+            or v.shape != (t_count, n):
+        raise DomainError(f"need lambda_col ({s},) and v_col ({n},), or ({s}, T) and ({n}, T)")
     if not np.all(np.isfinite(lam)) or np.any(lam < 0):
         raise DomainError("lambda_col must be finite and nonnegative")
     beta = np.asarray(beta, dtype=float)
@@ -157,46 +163,48 @@ def posterior_moments(svd, lambda_col, beta, v_col):
         raise DomainError("beta must be positive, a scalar or one per column")
     beta = np.broadcast_to(beta, (t_count,))
 
-    R, D = svd.R, svd.D
-    # R^T in C order: the (B, r, S) products below run faster on it than
-    # on the Fortran-ordered view R.T
-    Rt = np.ascontiguousarray(R.T)
-    diag = np.arange(r)
     mu, sigma_diag, logdet = np.empty((t_count, s)), np.empty((t_count, s)), np.empty(t_count)
-    block = max(1, BLOCK_BYTES // (8 * s * r))
+    block = max(1, BLOCK_BYTES // (8 * n * s))
     for lo in range(0, t_count, block):
         rows = slice(lo, lo + block)
         lam_b = lam[rows]
-        # M = R^T diag(lam) R + beta D^{-2}, one r x r matrix per column
-        M = np.matmul(Rt * lam_b[:, None, :], R)
-        M[:, diag, diag] += beta[rows, None] / (D * D)
-        # m.T is each matrix as a Fortran-ordered array, so LAPACK works on
-        # it in place: dpotrf leaves the factor C in m's lower triangle with
+        # A = K diag(lam) K' + beta I per column, beta added on a strided view of the diagonals
+        with np.errstate(over="ignore", invalid="ignore"):
+            work = K * lam_b[:, None, :]  # the block's (B, N, S) array
+            A = np.matmul(work, K.T)
+        A.reshape(len(A), n * n)[:, :: n + 1] += beta[rows, None]
+        # a.T is each matrix as a Fortran-ordered array, so LAPACK works on
+        # it in place: dpotrf leaves the factor C in a's lower triangle with
         # the upper one zeroed, and dtrtri turns C into C^{-1}
-        c_diag = np.empty((len(M), r))
-        for j, m in enumerate(M):
-            info = lapack.dpotrf(m.T, lower=0, overwrite_a=1, clean=1)[1]
+        c_diag = np.empty((len(A), n))
+        for j, a in enumerate(A):
+            info = lapack.dpotrf(a.T, lower=0, overwrite_a=1, clean=1)[1]
             if info:
                 raise NumericError(
                     f"inner posterior system is not numerically SPD (LAPACK dpotrf info {info}); "
                     f"beta={beta[lo + j]:.3e}, max lam={lam_b[j].max():.3e}", column=lo + j)
-            c_diag[j] = np.diagonal(m)
-            info = lapack.dtrtri(m.T, lower=0, overwrite_c=1)[1]
+            c_diag[j] = np.diagonal(a)
+            info = lapack.dtrtri(a.T, lower=0, overwrite_c=1)[1]
             if info:
                 raise NumericError(
                     f"inverse of the inner posterior factor failed (LAPACK dtrtri info {info}); "
                     f"beta={beta[lo + j]:.3e}, max lam={lam_b[j].max():.3e}", column=lo + j)
+        # dpotrf factors an infinite A without complaint, but an inf or nan
+        # in the triangle it reads always reaches the diagonal of C
+        bad = np.flatnonzero(~np.all(np.isfinite(c_diag), axis=1))
+        if bad.size:
+            raise NumericError(f"inner posterior system K diag(lam) K' + beta I overflows "
+                               f"(max lam={lam_b[bad[0]].max():.3e})", column=lo + bad[0])
 
-        # Y = C^{-1} R^T and z = C^{-1} D^{-1} L^T v, so that
-        # mu = diag(lam) R M^{-1} D^{-1} L^T v = lam * (Y^T z); the small
-        # C^{-1} keeps Y the only (B, r, S) array a solve allocates
-        Y = np.matmul(M, Rt)
-        z = np.matmul(M, (_rowwise(svd.Lmat.T, v[rows]) / D)[:, :, None])
+        # Y = C^{-1} K and z = C^{-1} v, so that mu = diag(lam) K' A^{-1} v
+        # = lam * (Y' z); Y takes the place of the block's work array
+        Y = np.matmul(A, K, out=work)
+        z = np.matmul(A, v[rows, :, None])
         mu[rows] = lam_b * np.matmul(z.transpose(0, 2, 1), Y)[:, 0]
 
         # sigma_diag = lam - lam^2 * columnwise ||Y||^2
         q = np.square(Y, out=Y).sum(axis=1)
-        del Y  # so that it is gone before the next block allocates its own
+        del Y, work  # so that it is gone before the next block allocates its own
         with np.errstate(over="ignore", invalid="ignore"):
             sig = lam_b - lam_b * lam_b * q
         bad = np.flatnonzero(~np.all(np.isfinite(sig), axis=1))
@@ -207,9 +215,8 @@ def posterior_moments(svd, lambda_col, beta, v_col):
         # exact zeros stay exact; tiny negative values are roundoff from the subtraction
         np.clip(sig, 0.0, None, out=sigma_diag[rows])
 
-        # log det(I + (1/beta) diag(lam) K^T K) = log det M + 2 sum log D - r log beta
-        logdet[rows] = (2.0 * np.sum(np.log(c_diag), axis=1)
-                        + 2.0 * np.sum(np.log(D)) - r * np.log(beta[rows]))
+        # log det(I + (1/beta) diag(lam) K'K) = log det(A / beta)
+        logdet[rows] = 2.0 * np.sum(np.log(c_diag), axis=1) - n * np.log(beta[rows])
     if ndim == 1:
         return PosteriorMoments(mu=mu[0], sigma_diag=sigma_diag[0], logdet_term=float(logdet[0]))
     return PosteriorMoments(mu=mu.T, sigma_diag=sigma_diag.T, logdet_term=logdet)

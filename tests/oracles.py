@@ -1,8 +1,9 @@
 """Reference implementations that only the tests call.
 
 * ``posterior_direct`` - the dense O(S^3) posterior, against which the
-  SVD/Woodbury path of ``rvmix.posterior`` is checked.
-* ``reconstruct`` - K rebuilt from its rank-truncated SVD.
+  sensor-space (N x N) path of ``rvmix.posterior`` is checked.
+* ``reconstruct`` - K rebuilt from its rank-truncated SVD, which the
+  ridge maps use.
 * ``aux_objective_enet`` / ``aux_objective_mxn`` - the coordinate-descent
   auxiliary in which the posterior moments (mu, diag Sigma) are frozen.
   Each closed-form hyperparameter update is an exact stationary point of

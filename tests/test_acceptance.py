@@ -30,7 +30,6 @@ from rvmix import (
     solve_enet,
     solve_mxn,
     sparseness_pct,
-    svd_decompose,
     truncation_coefficient,
     update_alpha1,
     update_alpha_mxn,
@@ -154,7 +153,7 @@ def test_criterion_03_posterior_equivalence():
         lam = 10.0 ** rng.uniform(-6, 2, size=s)
         beta = float(10.0 ** rng.uniform(-1, 1))
         v = rng.standard_normal(n)
-        fast = posterior_moments(svd_decompose(K), lam, beta, v)
+        fast = posterior_moments(K, lam, beta, v)
         ref = posterior_direct(K, lam, beta, v)
         scale_mu = max(np.max(np.abs(ref.mu)), 1e-30)
         scale_sd = max(np.max(np.abs(ref.sigma_diag)), 1e-30)
@@ -165,7 +164,7 @@ def test_criterion_03_posterior_equivalence():
     K = np.random.default_rng(0).standard_normal((6, 15))
     lam = np.random.default_rng(1).uniform(0.1, 1.0, 15)
     lam[[2, 7, 11]] = 0.0
-    post = posterior_moments(svd_decompose(K), lam, 1.0, np.ones(6))
+    post = posterior_moments(K, lam, 1.0, np.ones(6))
     zeros_exact = bool(np.all(post.mu[[2, 7, 11]] == 0.0)
                        and np.all(post.sigma_diag[[2, 7, 11]] == 0.0))
     report(3, "factored posterior equals dense inversion; pruning exact",
@@ -284,8 +283,8 @@ def test_criterion_07_method_ordering(phantom):
         lasso_auc.append(best)
         best = -np.inf
         for mu_mix in (0.1, 0.01, 0.001):
-            lam, _ = gcv_select(data, PenaltySpec(kind="enet", lam=1.0, mu_mix=mu_mix),
-                                grid, max_iter=100)
+            lam, _, _, _ = gcv_select(data, PenaltySpec(kind="enet", lam=1.0, mu_mix=mu_mix),
+                                      grid, max_iter=100)
             J = mm_solve(data, PenaltySpec(kind="enet", lam=lam, mu_mix=mu_mix),
                          max_iter=100)
             best = max(best, roc_auc(J, phantom.support_true))
@@ -329,7 +328,7 @@ def test_criterion_08_baseline_sanity():
     data2 = ProblemData(K=rng.standard_normal((14, 12)),
                         V=rng.standard_normal((14, 2)))
     grid = np.logspace(-3, 3, 13)
-    lam_sel, curve = gcv_select(data2, PenaltySpec(kind="ridge", lam=1.0), grid)
+    lam_sel, curve, _, _ = gcv_select(data2, PenaltySpec(kind="ridge", lam=1.0), grid)
     brute = []
     for g in grid:
         A = data2.K.T @ data2.K + g * np.eye(12)

@@ -301,7 +301,7 @@ class TestMMSolve:
 class TestGCV:
     def test_single_element_grid(self):
         data = make_data()
-        lam, curve = gcv_select(data, PenaltySpec(kind="ridge", lam=1.0), [0.37])
+        lam, curve, _, _ = gcv_select(data, PenaltySpec(kind="ridge", lam=1.0), [0.37])
         assert lam == 0.37
         assert curve.shape == (1, 2)
 
@@ -311,7 +311,7 @@ class TestGCV:
         # only such points leaves nothing to select
         data = make_data()
         family = PenaltySpec(kind="ridge", lam=1.0)
-        lam, curve = gcv_select(data, family, [1e-300, 1.0])
+        lam, curve, _, _ = gcv_select(data, family, [1e-300, 1.0])
         assert lam == 1.0
         assert curve[0, 1] == np.inf and np.isfinite(curve[1, 1])
         with pytest.raises(SelectionError, match="whole grid"):
@@ -322,14 +322,14 @@ class TestGCV:
         data = ProblemData(K=rng.standard_normal((10, 30)),
                            V=rng.standard_normal((10, 4)))
         grid = np.logspace(-4, 4, 9)
-        lam, _ = gcv_select(data, PenaltySpec(kind="ridge", lam=1.0), grid)
+        lam, _, _, _ = gcv_select(data, PenaltySpec(kind="ridge", lam=1.0), grid)
         assert lam >= grid[-3]
 
     def test_ridge_matches_brute_force(self):
         # oracle: dense hat matrix and residuals computed from scratch
         data = make_data(seed=8, n=14, s=12, t=2, noise=0.3)
         grid = np.logspace(-3, 3, 13)
-        lam, curve = gcv_select(data, PenaltySpec(kind="ridge", lam=1.0), grid)
+        lam, curve, _, _ = gcv_select(data, PenaltySpec(kind="ridge", lam=1.0), grid)
         n, t = 14, 2
 
         def brute(lamb):
@@ -357,7 +357,7 @@ class TestGCV:
             return svd_decompose(arg)
 
         monkeypatch.setattr(baselines, "svd_decompose", counted)
-        lam, curve = gcv_select(data, family, grid)
+        lam, curve, _, _ = gcv_select(data, family, grid)
         assert len(calls) == 1
         np.testing.assert_array_equal(curve, fresh)
         assert lam == grid[int(np.argmin(fresh[:, 1]))]
@@ -368,8 +368,8 @@ class TestGCV:
         L = (ring_laplacian(12) if operator == "ring"
              else np.random.default_rng(10).standard_normal((15, 12)))
         grid = np.logspace(-3, 3, 7)
-        _, curve = gcv_select(data, PenaltySpec(kind="laplacian_ridge", lam=1.0, L_operator=L),
-                              grid)
+        family = PenaltySpec(kind="laplacian_ridge", lam=1.0, L_operator=L)
+        _, curve, _, _ = gcv_select(data, family, grid)
         n, t = 14, 3
         for lam, gcv in curve:
             A = data.K.T @ data.K + lam * L.T @ L
@@ -381,8 +381,8 @@ class TestGCV:
 
     def test_mm_arm_curve(self):
         data = make_data(seed=11)
-        lam, curve = gcv_select(data, PenaltySpec(kind="lasso", lam=1.0),
-                                [0.05, 0.5, 5.0], max_iter=100)
+        lam, curve, _, _ = gcv_select(data, PenaltySpec(kind="lasso", lam=1.0),
+                                      [0.05, 0.5, 5.0], max_iter=100)
         assert lam in (0.05, 0.5, 5.0)
         assert np.all(np.isfinite(curve[:, 1]) | np.isinf(curve[:, 1]))
 
@@ -396,7 +396,7 @@ class TestGCV:
     def test_mm_df_matches_brute_force(self, spec):
         data = make_data(seed=16, t=4)
         grid = [0.05, 0.5, 5.0]
-        _, curve = gcv_select(data, spec, grid, max_iter=40)
+        _, curve, _, _ = gcv_select(data, spec, grid, max_iter=40)
         n, t = data.n_sensors, data.n_times
         # converged fusion maps put weights near 1/eps on L'diag(w)L, so the
         # dense oracle and the batched solve agree only to that conditioning
@@ -416,15 +416,13 @@ class TestGCV:
         PenaltySpec(kind="lasso", lam=1.0),
         PenaltySpec(kind="lasso_fusion", lam=1.0),
     ], ids=["ridge", "lasso", "fusion"])
-    def test_return_fit_is_the_winners_solve(self, spec):
-        # return_fit adds the winning map (and the MMInfo of a majorization
-        # arm) to the same lambda and curve
+    def test_fit_is_the_winners_solve(self, spec):
+        # the map (and the MMInfo of a majorization arm) that gcv_select
+        # returns with its lambda and curve is a fresh solve's at that lambda
         data = make_data(seed=16, t=4)
         grid = [0.05, 0.5, 5.0]
-        lam, curve = gcv_select(data, spec, grid, max_iter=40)
-        lam_fit, curve_fit, J, info = gcv_select(data, spec, grid, max_iter=40, return_fit=True)
-        assert lam_fit == lam
-        np.testing.assert_array_equal(curve_fit, curve)
+        lam, curve, J, info = gcv_select(data, spec, grid, max_iter=40)
+        assert lam in grid and curve.shape == (3, 2)
         if spec.kind == "ridge":
             np.testing.assert_allclose(J, ridge_solve(data, lam), rtol=1e-12, atol=0)
             assert info is None

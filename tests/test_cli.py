@@ -566,6 +566,21 @@ class TestEvalCommand:
                      "--V", str(sim_dir / "V.mxio"), "--out", str(tmp_path / "o")])
         assert code == 4
 
+    def test_failed_solve_leaves_no_earlier_run(self, sim_dir, tmp_path):
+        # the second solve into run/ fails (V x 1e200 overflows the ridge
+        # start); the first run's manifest and map must not outlive it and
+        # claim the directory
+        run = tmp_path / "run"
+        solve = ["solve", "--method", "enet-rvm", "--K", str(sim_dir / "K.mxio"),
+                 "--out", str(run), "--max-iter", "3"]
+        assert main(solve + ["--V", str(sim_dir / "V.mxio")]) == 0
+        assert (run / "manifest.json").exists() and (run / "mu.mxio").exists()
+        huge = tmp_path / "V_huge.mxio"
+        write_matrix(huge, read_matrix(sim_dir / "V.mxio") * 1e200)
+        assert main(solve + ["--V", str(huge)]) == 4
+        assert not (run / "manifest.json").exists()
+        assert not (run / "mu.mxio").exists()
+
     def test_non_finite_mm_objective_exit_4(self, tmp_path, capsys):
         # fusion at lam = 1e100 on V x 1e151 overflows to a nan objective on
         # its second step; the run fails instead of writing a NaN map

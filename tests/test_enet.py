@@ -23,7 +23,7 @@ from rvmix.enet import (
 from rvmix.errors import DegenerateStateError, DomainError, NumericError, RootFindError
 from rvmix.mxn import alpha_gradient, update_alpha_mxn
 from rvmix.objective import neg_log_posterior_enet
-from rvmix.posterior import ProblemData, posterior_moments, svd_decompose
+from rvmix.posterior import ProblemData
 from rvmix.rootfind import NOISE_BOUND, bracketed_root
 
 from oracles import aux_objective_enet
@@ -476,6 +476,13 @@ class TestSolveEnet:
         tight = solve_enet(data, SolverConfig(fixed_hyper=(1.0, 100.0)))
         assert sparseness_pct(tight.mu) > sparseness_pct(loose.mu)
 
+    def test_fixed_alpha_is_not_read(self):
+        # fixed_alpha is the mixed-norm solver's setting: solve_enet says so
+        # instead of ignoring it
+        data, _ = ring_problem(t=1)
+        with pytest.raises(DomainError, match="fixed_alpha"):
+            solve_enet(data, SolverConfig(fixed_alpha=1.0))
+
     def test_column_independence(self):
         data, _ = ring_problem(t=3, seed=5)
         sol_full = solve_enet(data)
@@ -532,7 +539,7 @@ class TestSolveEnet:
         stacks = []
 
         def corrupting(a, *args, **kwargs):
-            # a views one matrix of a block's (B, r, r) stack, its base
+            # a views one matrix of a block's (B, N, N) stack, its base
             if not stacks or a.base is not stacks[-1]:
                 stacks.append(a.base)
             if len(stacks) == 3 and np.shares_memory(a, stacks[-1][1]):
@@ -578,7 +585,6 @@ class TestSolveEnet:
         cfg = SolverConfig(tol_mu=1e-5, tol_objective=1e-8, max_iter=20000)
         sol = solve_enet(data, cfg)
         assert sol.converged
-        svd = svd_decompose(data)
         a1 = sol.hyper_trace["alpha1"][-1, 0]
         k = sol.hyper_trace["k"][-1, 0]
         lb = sol.lambda_bar[:, [0]]
@@ -586,7 +592,7 @@ class TestSolveEnet:
 
         def full_obj(a1_=None, k_=None):
             return neg_log_posterior_enet(
-                data, svd, sol.mu, lb, a1_ or a1, k_ or k, 1.0, tau, nu
+                data, sol.mu, lb, a1_ or a1, k_ or k, 1.0, tau, nu
             ).total
 
         base = full_obj()

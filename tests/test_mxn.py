@@ -313,25 +313,32 @@ class TestSolveMxn:
         sol = solve_mxn(data)
         assert sol.extras["stop_reason"] == "tol" and sol.converged
 
+    def test_fixed_hyper_is_not_read(self):
+        # fixed_hyper is the elastic-net solver's setting: solve_mxn says so
+        # instead of ignoring it
+        data, _ = small_ring()
+        with pytest.raises(DomainError, match="fixed_hyper"):
+            solve_mxn(data, SolverConfig(fixed_hyper=(1.0, 1.0)))
+
     def test_solver_trace_matches_objective_module(self):
         # first recorded value equals the independent evaluator at the
         # initial state
-        from rvmix.enet import _ridge_mu
         from rvmix.objective import neg_log_posterior_mxn
-        from rvmix.posterior import posterior_moments, svd_decompose
+        from rvmix.posterior import posterior_moments, svd_decompose, svd_ridge
 
         data, _ = small_ring(t=2, seed=3)
         svd = svd_decompose(data)
         sol = solve_mxn(data, SolverConfig(max_iter=1))
         s, t_count = 48, 2
         lam_bar = np.full((s, t_count), 0.5)
-        delta = np.column_stack([update_delta(_ridge_mu(svd, data.V[:, t]))
+        ridge_lam = 1e-2 * float(np.mean(svd.D**2))
+        delta = np.column_stack([update_delta(svd_ridge(svd, ridge_lam, data.V[:, t]))
                                  for t in range(t_count)])
         mu = np.column_stack([
-            posterior_moments(svd, lam_bar[:, t] / 2.0, 1.0, data.V[:, t]).mu
+            posterior_moments(data.K, lam_bar[:, t] / 2.0, 1.0, data.V[:, t]).mu
             for t in range(t_count)
         ])
-        ref = neg_log_posterior_mxn(data, svd, mu, lam_bar, delta, 1.0, 1.0)
+        ref = neg_log_posterior_mxn(data, mu, lam_bar, delta, 1.0, 1.0)
         assert sol.objective_trace[0] == pytest.approx(ref.total, rel=1e-10)
 
 
@@ -350,7 +357,8 @@ class TestSolveMxn:
 @pytest.mark.parametrize("seed", [0, 1, 2])
 @pytest.mark.parametrize("solve", [solve_enet, solve_mxn], ids=["enet", "mxn"])
 def test_source_permutation_permutes_the_solution(solve, seed):
-    # the SVD of the permuted K differs in its last bits, so not bit for bit
+    # the SVD of the permuted K, and the sums over sources in K diag(lam) K',
+    # differ in their last bits, so not bit for bit
     data, _ = small_ring(t=8, seed=seed)
     perm = np.random.default_rng(seed).permutation(data.n_sources)
     sol = solve(data)

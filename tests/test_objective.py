@@ -12,14 +12,13 @@ from rvmix.objective import (
     neg_log_posterior_mxn,
     w_inverse_apply,
 )
-from rvmix.posterior import ProblemData, posterior_moments, svd_decompose
+from rvmix.posterior import ProblemData, posterior_moments
 
 from oracles import aux_objective_enet, aux_objective_mxn
 
 
 def make_data(K, V):
-    data = ProblemData(K=np.asarray(K, dtype=float), V=np.asarray(V, dtype=float))
-    return data, svd_decompose(data)
+    return ProblemData(K=np.asarray(K, dtype=float), V=np.asarray(V, dtype=float))
 
 
 def symbolic_enet_objective(K, v, mu, lam_bar, alpha1, k, beta, tau, nu):
@@ -45,9 +44,9 @@ def symbolic_enet_objective(K, v, mu, lam_bar, alpha1, k, beta, tau, nu):
 
 class TestEnetObjective:
     def test_scalar_case_matches_symbolic(self):
-        data, svd = make_data([[1.0]], [[0.0]])
+        data = make_data([[1.0]], [[0.0]])
         out = neg_log_posterior_enet(
-            data, svd, mu=np.array([[0.0]]), lambda_bar=np.array([[0.5]]),
+            data, mu=np.array([[0.0]]), lambda_bar=np.array([[0.5]]),
             alpha1=1.0, k=1.0, beta=1.0, tau=1.0, nu=1.0,
         )
         ref = symbolic_enet_objective(1.0, 0.0, 0.0, 0.5, 1.0, 1.0, 1.0, 1.0, 1.0)
@@ -55,9 +54,9 @@ class TestEnetObjective:
         assert out.total == pytest.approx(ref, rel=1e-12)
 
     def test_scalar_case_nonzero_mean(self):
-        data, svd = make_data([[2.0]], [[1.5]])
+        data = make_data([[2.0]], [[1.5]])
         out = neg_log_posterior_enet(
-            data, svd, mu=np.array([[0.3]]), lambda_bar=np.array([[0.7]]),
+            data, mu=np.array([[0.3]]), lambda_bar=np.array([[0.7]]),
             alpha1=0.8, k=2.0, beta=1.3, tau=3.0, nu=0.5,
         )
         ref = symbolic_enet_objective(2.0, 1.5, 0.3, 0.7, 0.8, 2.0, 1.3, 3.0, 0.5)
@@ -70,12 +69,12 @@ class TestEnetObjective:
         mu = rng.standard_normal((7, 1)) * 0.1
         lb = np.full((7, 1), 0.4)
         beta = 2.0
-        data, svd = make_data(K, v)
-        base = neg_log_posterior_enet(data, svd, mu, lb, 1.0, 1.0, beta, 7.0, 0.1)
+        data = make_data(K, v)
+        base = neg_log_posterior_enet(data, mu, lb, 1.0, 1.0, beta, 7.0, 0.1)
         # doubling the residual: replace v by v' so that resid' = 2*resid
         v2 = K @ mu[:, 0] + 2 * (v[:, 0] - K @ mu[:, 0])
-        data2, _ = make_data(K, v2.reshape(-1, 1))
-        out2 = neg_log_posterior_enet(data2, svd, mu, lb, 1.0, 1.0, beta, 7.0, 0.1)
+        data2 = make_data(K, v2.reshape(-1, 1))
+        out2 = neg_log_posterior_enet(data2, mu, lb, 1.0, 1.0, beta, 7.0, 0.1)
         r2 = float(np.sum((v[:, 0] - K @ mu[:, 0]) ** 2))
         assert out2.data_fit - base.data_fit == pytest.approx(3 * r2 / (2 * beta), rel=1e-12)
         assert out2.logdet == base.logdet
@@ -85,24 +84,24 @@ class TestEnetObjective:
     def test_finite_with_zero_and_near_one_lambda_bar(self):
         rng = np.random.default_rng(1)
         K = rng.standard_normal((3, 6))
-        data, svd = make_data(K, rng.standard_normal((3, 2)))
+        data = make_data(K, rng.standard_normal((3, 2)))
         lb = np.full((6, 2), 0.5)
         lb[0, 0] = 0.0
         lb[1, 0] = 1.0 - 1e-12
         mu = rng.standard_normal((6, 2)) * 0.01
         mu[0, 0] = 0.0  # pruned coordinate carries a zero mean
-        out = neg_log_posterior_enet(data, svd, mu, lb, 1.0, 1.0, 1.0, 6.0, 0.06)
+        out = neg_log_posterior_enet(data, mu, lb, 1.0, 1.0, 1.0, 6.0, 0.06)
         assert np.isfinite(out.total)
 
     def test_lambda_bar_at_one_rejected(self):
-        data, svd = make_data([[1.0]], [[0.0]])
+        data = make_data([[1.0]], [[0.0]])
         with pytest.raises(DomainError):
-            neg_log_posterior_enet(data, svd, np.zeros((1, 1)), np.ones((1, 1)),
+            neg_log_posterior_enet(data, np.zeros((1, 1)), np.ones((1, 1)),
                                    1.0, 1.0, 1.0, 1.0, 1.0)
 
     def test_total_is_sum_of_parts(self):
-        data, svd = make_data([[1.0, 0.2]], [[0.4]])
-        out = neg_log_posterior_enet(data, svd, np.zeros((2, 1)), np.full((2, 1), 0.3),
+        data = make_data([[1.0, 0.2]], [[0.4]])
+        out = neg_log_posterior_enet(data, np.zeros((2, 1)), np.full((2, 1), 0.3),
                                      1.0, 2.0, 1.0, 2.0, 0.02)
         assert out.total == pytest.approx(
             out.data_fit + out.logdet + out.prior_quadratic + out.hyperprior
@@ -119,9 +118,9 @@ class TestEnetObjective:
         lam = lam_bar / (2 * alpha1)
         from rvmix.posterior import posterior_moments
 
-        data, svd = make_data(K, v.reshape(-1, 1))
-        post = posterior_moments(svd, lam, beta, v)
-        out = neg_log_posterior_enet(data, svd, post.mu.reshape(-1, 1),
+        data = make_data(K, v.reshape(-1, 1))
+        post = posterior_moments(data.K, lam, beta, v)
+        out = neg_log_posterior_enet(data, post.mu.reshape(-1, 1),
                                      lam_bar.reshape(-1, 1), alpha1, 1.0, beta, 11.0, 0.11)
         lhs = 2 * (out.prior_quadratic + out.data_fit)
         rhs = float(v @ np.linalg.solve(beta * np.eye(5) + (K * lam) @ K.T, v))
@@ -137,11 +136,11 @@ class TestEnetObjective:
         lam_bar = rng.uniform(0.0, 0.95, size=(14, 3))
         alpha1 = np.array([0.8, 1.3, 2.0])
         beta = np.array([1.0, 0.5, 2.0])
-        data, svd = make_data(K, V)
-        posts = [posterior_moments(svd, lam_bar[:, t] / (2 * alpha1[t]), beta[t], V[:, t])
+        data = make_data(K, V)
+        posts = [posterior_moments(data.K, lam_bar[:, t] / (2 * alpha1[t]), beta[t], V[:, t])
                  for t in range(3)]
         mu = np.column_stack([p.mu for p in posts])
-        args = (data, svd, mu, lam_bar, alpha1, 1.5, beta, 14.0, 0.14)
+        args = (data, mu, lam_bar, alpha1, 1.5, beta, 14.0, 0.14)
         want = neg_log_posterior_enet(*args)
         got = neg_log_posterior_enet(*args, logdet_terms=[p.logdet_term for p in posts])
         assert got == want
@@ -166,10 +165,10 @@ class TestMxnObjective:
     def test_zero_delta_reduces_to_untruncated(self):
         rng = np.random.default_rng(2)
         K = rng.standard_normal((3, 5))
-        data, svd = make_data(K, rng.standard_normal((3, 2)))
+        data = make_data(K, rng.standard_normal((3, 2)))
         mu = rng.standard_normal((5, 2)) * 0.1
         lb = np.full((5, 2), 0.4)
-        out = neg_log_posterior_mxn(data, svd, mu, lb, np.zeros((5, 2)), 1.2, 1.0)
+        out = neg_log_posterior_mxn(data, mu, lb, np.zeros((5, 2)), 1.2, 1.0)
         assert np.isfinite(out.total)
         # no truncation mass, no coupling, no gamma-block contribution
         assert out.hyperprior == pytest.approx(0.0, abs=1e-12)
@@ -181,11 +180,11 @@ class TestMxnObjective:
         mu = rng.standard_normal((6, 3)) * 0.2
         lb = rng.uniform(0.2, 0.8, size=(6, 3))
         delta = rng.uniform(0.0, 1.0, size=(6, 3))
-        data, svd = make_data(K, V)
-        base = neg_log_posterior_mxn(data, svd, mu, lb, delta, 0.7, 1.0)
+        data = make_data(K, V)
+        base = neg_log_posterior_mxn(data, mu, lb, delta, 0.7, 1.0)
         c = 3.0
-        data2, _ = make_data(K, c * V)
-        out2 = neg_log_posterior_mxn(data2, svd, c * mu, lb, delta, 0.7, 1.0)
+        data2 = make_data(K, c * V)
+        out2 = neg_log_posterior_mxn(data2, c * mu, lb, delta, 0.7, 1.0)
         assert out2.data_fit == pytest.approx(c * c * base.data_fit, rel=1e-12)
         assert out2.prior_quadratic == pytest.approx(c * c * base.prior_quadratic, rel=1e-12)
         assert out2.logdet == pytest.approx(base.logdet, rel=1e-12)
@@ -213,7 +212,7 @@ class TestAuxiliaryObjectives:
         rng = np.random.default_rng(8)
         K = rng.standard_normal((4, 9))
         v = rng.standard_normal(4)
-        data, svd = make_data(K, v.reshape(-1, 1))
+        data = make_data(K, v.reshape(-1, 1))
         lam_bar = rng.uniform(0.2, 0.8, size=9)
         mu = rng.standard_normal(9) * 0.1
         sig = rng.uniform(0.01, 0.1, size=9)
@@ -221,7 +220,7 @@ class TestAuxiliaryObjectives:
 
         def true_l(k):
             return neg_log_posterior_enet(
-                data, svd, mu.reshape(-1, 1), lam_bar.reshape(-1, 1),
+                data, mu.reshape(-1, 1), lam_bar.reshape(-1, 1),
                 1.0, k, 1.0, tau, nu
             ).total
 

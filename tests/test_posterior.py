@@ -1,4 +1,4 @@
-"""Posterior moment computations: SVD/Woodbury path against the dense oracle."""
+"""Posterior moment computations: the sensor-space path against the dense oracle."""
 
 import numpy as np
 import pytest
@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 from rvmix import posterior
 from rvmix.errors import DomainError, RankError
 from rvmix.posterior import (
-    LeadFieldSVD,
     ProblemData,
     posterior_moments,
     svd_decompose,
+    svd_ridge,
 )
 
 from oracles import posterior_direct, reconstruct
@@ -50,20 +50,33 @@ class TestSvdDecompose:
         data = ProblemData(K=np.eye(2), V=np.zeros((2, 1)))
         assert svd_decompose(data).rank == 2
 
+    def test_ridge_matches_normal_equations_row_by_row(self):
+        # svd_ridge is (K'K + lam I)^{-1} K'v, and a stack of columns as
+        # rows gives each row what the column gives alone, to the bit
+        rng = np.random.default_rng(8)
+        K = rng.standard_normal((7, 25))
+        V = rng.standard_normal((4, 7))
+        svd = svd_decompose(K)
+        stacked = svd_ridge(svd, 0.3, V)
+        direct = np.linalg.solve(K.T @ K + 0.3 * np.eye(25), K.T @ V.T).T
+        np.testing.assert_allclose(stacked, direct, rtol=1e-10, atol=1e-12)
+        for t in range(4):
+            np.testing.assert_array_equal(stacked[t], svd_ridge(svd, 0.3, V[t]))
+
 
 class TestPosteriorMoments:
     def test_identity_case(self):
         # K = I, lam = 1, beta = 1: Sigma = (I + I)^{-1} = I/2, mu = v/2
-        svd = svd_decompose(np.eye(3))
+        K = np.eye(3)
         v = np.array([1.0, -2.0, 0.5])
-        post = posterior_moments(svd, np.ones(3), 1.0, v)
+        post = posterior_moments(K, np.ones(3), 1.0, v)
         np.testing.assert_allclose(post.mu, v / 2)
         np.testing.assert_allclose(post.sigma_diag, np.full(3, 0.5))
         assert post.logdet_term == pytest.approx(3 * np.log(2.0), rel=1e-12)
 
     def test_all_pruned(self):
-        svd = svd_decompose(np.eye(3))
-        post = posterior_moments(svd, np.zeros(3), 1.0, np.ones(3))
+        K = np.eye(3)
+        post = posterior_moments(K, np.zeros(3), 1.0, np.ones(3))
         assert np.all(post.mu == 0.0)
         assert np.all(post.sigma_diag == 0.0)
         assert post.logdet_term == pytest.approx(0.0, abs=1e-12)
@@ -71,20 +84,18 @@ class TestPosteriorMoments:
     def test_partial_pruning_exact_zeros(self):
         rng = np.random.default_rng(0)
         K = rng.standard_normal((4, 9))
-        svd = svd_decompose(K)
         lam = rng.uniform(0.1, 2.0, size=9)
         lam[[1, 5, 6]] = 0.0
-        post = posterior_moments(svd, lam, 0.7, rng.standard_normal(4))
+        post = posterior_moments(K, lam, 0.7, rng.standard_normal(4))
         assert np.all(post.mu[[1, 5, 6]] == 0.0)
         assert np.all(post.sigma_diag[[1, 5, 6]] == 0.0)
 
     def test_matches_direct_oracle(self):
         rng = np.random.default_rng(42)
         K = rng.standard_normal((10, 40))
-        svd = svd_decompose(K)
         lam = rng.uniform(0.05, 3.0, size=40)
         v = rng.standard_normal(10)
-        fast = posterior_moments(svd, lam, 1.3, v)
+        fast = posterior_moments(K, lam, 1.3, v)
         ref = posterior_direct(K, lam, 1.3, v)
         assert rel_dev(fast.mu, ref.mu) <= 1e-8
         assert rel_dev(fast.sigma_diag, ref.sigma_diag) <= 1e-8
@@ -101,7 +112,7 @@ class TestPosteriorMoments:
             lam = 10.0 ** rng.uniform(-6, 2, size=s)
             beta = float(10.0 ** rng.uniform(-1, 1))
             v = rng.standard_normal(n)
-            fast = posterior_moments(svd_decompose(K), lam, beta, v)
+            fast = posterior_moments(K, lam, beta, v)
             ref = posterior_direct(K, lam, beta, v)
             worst = max(worst, rel_dev(fast.mu, ref.mu), rel_dev(fast.sigma_diag, ref.sigma_diag))
         assert worst <= 1e-7
@@ -109,7 +120,6 @@ class TestPosteriorMoments:
     def test_monotone_pruning(self):
         rng = np.random.default_rng(5)
         K = rng.standard_normal((6, 12))
-        svd = svd_decompose(K)
         lam = np.full(12, 1.0)
         v = rng.standard_normal(6)
         i = 4
@@ -117,7 +127,7 @@ class TestPosteriorMoments:
         for scale in [1.0, 1e-1, 1e-2, 1e-4, 1e-6, 1e-8, 0.0]:
             lam_i = lam.copy()
             lam_i[i] = scale
-            post = posterior_moments(svd, lam_i, 1.0, v)
+            post = posterior_moments(K, lam_i, 1.0, v)
             assert abs(post.mu[i]) <= prev_mu + 1e-15
             assert post.sigma_diag[i] <= prev_sig + 1e-15
             prev_mu, prev_sig = abs(post.mu[i]), post.sigma_diag[i]
@@ -126,20 +136,19 @@ class TestPosteriorMoments:
     def test_variance_bounded_by_prior(self):
         rng = np.random.default_rng(11)
         K = rng.standard_normal((8, 30))
-        svd = svd_decompose(K)
         lam = 10.0 ** rng.uniform(-5, 2, size=30)
-        post = posterior_moments(svd, lam, 0.5, rng.standard_normal(8))
+        post = posterior_moments(K, lam, 0.5, rng.standard_normal(8))
         assert np.all(post.sigma_diag <= lam * (1 + 1e-12))
         assert np.all(post.sigma_diag >= 0)
 
     def test_domain_errors(self):
-        svd = svd_decompose(np.eye(3))
+        K = np.eye(3)
         with pytest.raises(DomainError):
-            posterior_moments(svd, -np.ones(3), 1.0, np.zeros(3))
+            posterior_moments(K, -np.ones(3), 1.0, np.zeros(3))
         with pytest.raises(DomainError):
-            posterior_moments(svd, np.ones(3), 0.0, np.zeros(3))
+            posterior_moments(K, np.ones(3), 0.0, np.zeros(3))
         with pytest.raises(DomainError):
-            posterior_moments(svd, np.ones(4), 1.0, np.zeros(3))
+            posterior_moments(K, np.ones(4), 1.0, np.zeros(3))
 
 
 class TestStackedPosterior:
@@ -155,12 +164,11 @@ class TestStackedPosterior:
         lam = rng.uniform(0.05, 3.0, (s, t)) * (rng.random((s, t)) < 0.7)
         beta = rng.uniform(0.3, 2.0, t)
         V = rng.standard_normal((n, t))
-        svd = svd_decompose(K)
-        stacked = posterior_moments(svd, lam, beta, V)
+        stacked = posterior_moments(K, lam, beta, V)
         assert stacked.mu.shape == stacked.sigma_diag.shape == (s, t)
         assert stacked.logdet_term.shape == (t,)
         for j in range(t):
-            one = posterior_moments(svd, lam[:, j], beta[j], V[:, j])
+            one = posterior_moments(K, lam[:, j], beta[j], V[:, j])
             np.testing.assert_array_equal(stacked.mu[:, j], one.mu)
             np.testing.assert_array_equal(stacked.sigma_diag[:, j], one.sigma_diag)
             assert stacked.logdet_term[j] == one.logdet_term
@@ -190,12 +198,11 @@ class TestStackedPosterior:
         else:
             K = rng.standard_normal((n, 3)) @ rng.standard_normal((3, s))
         V = rng.standard_normal((n, t))
-        svd = svd_decompose(K)
-        stacked = posterior_moments(svd, lam, beta, V)
+        stacked = posterior_moments(K, lam, beta, V)
         for out in (stacked.mu, stacked.sigma_diag, stacked.logdet_term):
             assert np.all(np.isfinite(out))
         for j in range(t):
-            one = posterior_moments(svd, lam[:, j], beta[j], V[:, j])
+            one = posterior_moments(K, lam[:, j], beta[j], V[:, j])
             np.testing.assert_array_equal(stacked.mu[:, j], one.mu)
             np.testing.assert_array_equal(stacked.sigma_diag[:, j], one.sigma_diag)
             assert stacked.logdet_term[j] == one.logdet_term
@@ -218,9 +225,9 @@ class TestStackedPosterior:
 
         monkeypatch.setattr(posterior.lapack, "dtrtri", failing)
         rng = np.random.default_rng(4)
-        svd = svd_decompose(rng.standard_normal((5, 9)))
+        K = rng.standard_normal((5, 9))
         with pytest.raises(posterior.NumericError) as info:
-            posterior_moments(svd, rng.uniform(0.5, 2.0, (9, 3)), 1.0, rng.standard_normal((5, 3)))
+            posterior_moments(K, rng.uniform(0.5, 2.0, (9, 3)), 1.0, rng.standard_normal((5, 3)))
         assert info.value.column == 1
         assert len(calls) == 2
 
@@ -229,41 +236,46 @@ class TestStackedPosterior:
         K = rng.standard_normal((9, 30))
         lam = rng.uniform(0.0, 2.0, (30, 7))
         V = rng.standard_normal((9, 7))
-        svd = svd_decompose(K)
-        whole = posterior_moments(svd, lam, 1.0, V)
+        whole = posterior_moments(K, lam, 1.0, V)
         # blocks of 2 columns: 9 sensors * 30 sources * 8 bytes * 2
         monkeypatch.setattr(posterior, "BLOCK_BYTES", 8 * 9 * 30 * 2)
-        blocked = posterior_moments(svd, lam, 1.0, V)
+        blocked = posterior_moments(K, lam, 1.0, V)
         for a, b in zip((whole.mu, whole.sigma_diag, whole.logdet_term),
                         (blocked.mu, blocked.sigma_diag, blocked.logdet_term)):
             np.testing.assert_array_equal(a, b)
 
     def test_non_spd_column_is_named(self):
-        # a rank-deficient R with an infinite singular value leaves column
-        # 1's inner system singular, since its lam vanishes on R's support
-        svd = LeadFieldSVD(Lmat=np.eye(2), D=np.array([1.0, np.inf]),
-                           R=np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]))
-        lam = np.array([[1.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
-        with pytest.raises(posterior.NumericError) as info:
-            posterior_moments(svd, lam, 1.0, np.ones((2, 2)))
+        # K diag(lam) K' + beta I overflows for column 1 only, as column 0's
+        # lam vanishes on K's huge first source; LAPACK would factor the
+        # infinite matrix without complaint
+        K = np.array([[1e200, 0.0, 0.0], [0.0, 1.0, 1.0]])
+        lam = np.array([[0.0, 1.0], [1.0, 1.0], [1.0, 1.0]])
+        with pytest.raises(posterior.NumericError, match="overflows") as info:
+            posterior_moments(K, lam, 1.0, np.ones((2, 2)))
         assert info.value.column == 1
 
     def test_overflowing_variance_is_named(self):
         # lam**2 beyond the float range would clip a -inf variance to 0
         rng = np.random.default_rng(2)
-        svd = svd_decompose(rng.standard_normal((4, 6)))
+        K = rng.standard_normal((4, 6))
         lam = np.ones((6, 3))
         lam[:, 2] = 1e200
         with pytest.raises(posterior.NumericError, match="posterior variance overflows") as info:
-            posterior_moments(svd, lam, 1.0, rng.standard_normal((4, 3)))
+            posterior_moments(K, lam, 1.0, rng.standard_normal((4, 3)))
         assert info.value.column == 2
 
     def test_shape_checks(self):
-        svd = svd_decompose(np.eye(3))
+        K = np.eye(3)
         with pytest.raises(DomainError):
-            posterior_moments(svd, np.ones((3, 2)), 1.0, np.ones(3))
+            posterior_moments(K, np.ones((3, 2)), 1.0, np.ones(3))
         with pytest.raises(DomainError):
-            posterior_moments(svd, np.ones((3, 2)), np.ones(3), np.ones((3, 2)))
+            posterior_moments(K, np.ones((3, 2)), np.ones(3), np.ones((3, 2)))
+
+    @pytest.mark.parametrize("K", [np.array([[1.0, np.nan, 0.0]]), np.ones(3),
+                                   np.ones((1, 1, 3))])
+    def test_lead_field_must_be_finite_and_2d(self, K):
+        with pytest.raises(DomainError, match="lead field"):
+            posterior_moments(K, np.ones(3), 1.0, np.ones(1))
 
 
 class TestPosteriorDirect:
@@ -285,7 +297,7 @@ class TestPosteriorDirect:
         rng = np.random.default_rng(9)
         K = rng.standard_normal((5, 9))
         lam = 10.0 ** rng.uniform(-3, 1, size=9)
-        a = posterior_moments(svd_decompose(K), lam, 2.0, rng.standard_normal(5))
+        a = posterior_moments(K, lam, 2.0, rng.standard_normal(5))
         b = posterior_direct(K, lam, 2.0, rng.standard_normal(5))
         assert a.logdet_term == pytest.approx(b.logdet_term, rel=1e-10)
 

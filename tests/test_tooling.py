@@ -61,6 +61,51 @@ def test_sweep_reaches_the_spans_only_cli_sweep_emits(tmp_path, monkeypatch):
     assert not missing, f"spans the sweep no longer reaches: {missing}"
 
 
+#: the span prefixes of the benchmark's layer trace that the Bayesian
+#: solvers emit: the functions rvmix.enet and rvmix.mxn call through the
+#: names they hold, and the posterior of every sweep
+BAYES_SPAN_PREFIXES = ("enet.", "mxn.", "special.", "rootfind.", "objective.",
+                       "posterior.posterior_moments.")
+
+
+def test_bayes_solves_reach_their_spans(monkeypatch):
+    # perfbench/spans.py replaces each public rvmix function that rvmix.enet
+    # or rvmix.mxn holds with a wrapper named <defining module>.<function>,
+    # except that mxn's imports from enet are named mxn.<function>; a solver
+    # that stops calling one through those names then fails here, not only
+    # in perfbench/run.py --smoke
+    from rvmix import enet, mxn
+    from rvmix.phantom import NoiseSpec, SourceSpec, add_noise, make_phantom
+    from rvmix.posterior import ProblemData
+
+    per_layer = [m["name"] for m in json.loads(BENCHMARK.read_text(encoding="utf-8"))["per_layer"]]
+    wanted = {name.rsplit(".", 1)[0] for name in per_layer
+              if name.count(".") == 2 and name.startswith(BAYES_SPAN_PREFIXES)}
+    reached = set()
+
+    def wrap(fn, span):
+        def traced(*args, **kwargs):
+            reached.add(span)
+            return fn(*args, **kwargs)
+        return traced
+
+    for module in (enet, mxn):
+        short = module.__name__.rsplit(".", 1)[-1]
+        for attr, fn in list(vars(module).items()):
+            if not (inspect.isfunction(fn) and fn.__module__.startswith("rvmix.")) \
+                    or attr.startswith("_"):
+                continue
+            defining = fn.__module__.rsplit(".", 1)[-1]
+            span = f"mxn.{attr}" if (short, defining) == ("mxn", "enet") else f"{defining}.{attr}"
+            monkeypatch.setattr(module, attr, wrap(fn, span))
+    ph = make_phantom(S=48, N=12, T=8, source_spec=SourceSpec(c_sigma_space=2.0))
+    data = ProblemData(K=ph.K, V=add_noise(ph.V_clean, NoiseSpec(42.0, 0))[0])
+    enet.solve_enet(data)
+    mxn.solve_mxn(data)
+    missing = sorted(wanted - reached)
+    assert wanted and not missing, f"spans the Bayesian solves no longer reach: {missing}"
+
+
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_cmd_solve_runs_once_per_arm_into_its_run_directory(tmp_path, monkeypatch, jobs):
     # perfbench/spans.py records str(args[0].out) of each cli.cmd_solve call,
