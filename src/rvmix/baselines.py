@@ -17,7 +17,7 @@ import numpy as np
 from scipy.linalg import lapack
 
 from .errors import DomainError, NumericError, SelectionError
-from .posterior import svd_decompose, svd_ridge
+from .posterior import BLOCK_BYTES, svd_decompose, svd_ridge
 
 PENALTY_KINDS = ("ridge", "laplacian_ridge", "lasso", "enet", "lasso_fusion")
 
@@ -115,10 +115,12 @@ def smoothed_abs(x, eps):
     return a - eps * np.log1p(a / eps)
 
 
-def mm_objective(data, J, spec, eps_lqa=0.0):
+def mm_objective(data, J, spec, eps_lqa=0.0, resid=None):
     """Penalized objective ||V - KJ||^2 + penalty; eps_lqa > 0 gives the
-    smoothed penalty the iteration provably descends."""
-    resid = data.V - data.K @ J
+    smoothed penalty the iteration provably descends.  ``resid``, when
+    given, is taken for V - KJ instead of computing it."""
+    if resid is None:
+        resid = data.V - data.K @ J
     val = float(np.sum(resid * resid))
     alpha1, alpha2, L = _penalty_weights(spec, data.n_sources)
     arg = J if L is None else L @ J
@@ -170,15 +172,38 @@ def _fusion_pattern(L):
     A dense L gives the full pattern."""
     absL = np.abs(L)
     rows, cols = np.nonzero(absL.T @ absL)
-    return rows, cols, L[:, rows] * L[:, cols]
+    P = L[:, rows]
+    P *= L[:, cols]
+    return rows, cols, P
 
 
-def _fusion_normals(KtK, pattern, w, alpha2):
-    """(T, S, S) stack of K'K + alpha2/2 * L'diag(w[:, t])L."""
-    rows, cols, P = pattern
-    A = np.repeat(KtK[None], w.shape[1], axis=0)
-    A[:, rows, cols] += (0.5 * alpha2) * (w.T @ P)
-    return A
+def _fusion_blocks(system, J):
+    """The majorized normal matrices K'K + alpha2/2 * L'diag(w_t)L at J, one
+    block of columns at a time: yields (columns, A), a slice of the T
+    columns and their (B, S, S) stack.  B is sized so that the stack takes
+    about BLOCK_BYTES, and every block is written into the same buffer, so
+    a block is gone once the next is yielded."""
+    rows, cols, P = system.pattern
+    s = system.KtK.shape[0]
+    # one GEMM over all T columns, whatever the blocks: a GEMM's rounding
+    # can depend on how many rows it is given
+    added = (0.5 * system.alpha2) * (system.weights(J).T @ P)  # (T, nnz)
+    t_count = added.shape[0]
+    block = max(1, min(t_count, BLOCK_BYTES // (8 * s * s)))
+    buffer = np.empty((block, s, s))
+    for lo in range(0, t_count, block):
+        A = buffer[: min(block, t_count - lo)]
+        A[...] = system.KtK
+        A[:, rows, cols] += added[lo : lo + len(A)]
+        yield slice(lo, lo + len(A)), A
+
+
+def _lu_solve(A, B):
+    """np.linalg.solve(A, B), a singular system raised as NumericError."""
+    try:
+        return np.linalg.solve(A, B)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"majorized normal equations are singular: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -217,7 +242,9 @@ def _mm_system(data, spec, eps):
 
 
 def _mm_step(system, J):
-    """One majorization step over all columns; returns the updated (S, T) map."""
+    """One majorization step over all columns: the updated (S, T) map, and
+    its residual V - K J_new where the step has it for free (lasso, enet),
+    else None."""
     K = system.K
     if system.L is None:
         # diagonal quadratic part, by push-through: with M_t = K D_t^{-1} K',
@@ -233,12 +260,12 @@ def _mm_step(system, J):
         # _spd_solve overwrites its right-hand side, so it gets a copy of V
         rhs = system.V.T[:, :, None].copy()  # (T, N, 1)
         X = _spd_solve(M, rhs, "majorization step I + K D^{-1} K'")[:, :, 0]  # (T, N)
-        return (K.T @ X.T) / d
-    A = _fusion_normals(system.KtK, system.pattern, system.weights(J), system.alpha2)
-    try:
-        return np.linalg.solve(A, system.KtV.T[:, :, None])[:, :, 0].T
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(f"majorized normal equations are singular: {exc}") from exc
+        # x_t = (I + M_t)^{-1} v_t is the residual: K j_t = M_t x_t = v_t - x_t
+        return (K.T @ X.T) / d, X.T
+    out = np.empty((J.shape[1], J.shape[0]))  # (T, S)
+    for columns, A in _fusion_blocks(system, J):
+        out[columns] = _lu_solve(A, system.KtV.T[columns, :, None])[:, :, 0]
+    return out.T, None
 
 
 @dataclass(frozen=True)
@@ -288,8 +315,8 @@ def mm_solve(data, penalty, eps_lqa=1e-8, max_iter=200, tol=1e-6, return_trace=F
             raise NumericError(f"majorization objective is not finite at the start "
                                f"({trace[0]:.12e})")
         for _ in range(max_iter):
-            J_new = _mm_step(system, J)
-            obj = mm_objective(data, J_new, penalty, eps_lqa)
+            J_new, resid = _mm_step(system, J)
+            obj = mm_objective(data, J_new, penalty, eps_lqa, resid=resid)
             if not np.isfinite(obj):
                 raise NumericError(f"majorization objective is not finite after step "
                                    f"{len(trace)} ({trace[-1]:.12e} -> {obj:.12e})")
@@ -326,9 +353,11 @@ def _df_columns(system, J):
         M = _weighted_grams(system.table, 1.0 / system.weights(J), n)
         X = _spd_solve(M + np.eye(n), M, "degrees of freedom I + K D^{-1} K'")
         return np.trace(X, axis1=1, axis2=2)
-    A = _fusion_normals(system.KtK, system.pattern, system.weights(J), system.alpha2)
-    X = np.linalg.solve(A, np.broadcast_to(K.T, (J.shape[1],) + K.T.shape))  # (T, S, N)
-    return np.sum(K.T * X, axis=(1, 2))
+    df = np.empty(J.shape[1])
+    for columns, A in _fusion_blocks(system, J):
+        X = _lu_solve(A, np.broadcast_to(K.T, (len(A),) + K.T.shape))  # (B, S, N)
+        df[columns] = np.sum(K.T * X, axis=(1, 2))
+    return df
 
 
 def gcv_select(data, penalty_family, lambda_grid, eps_lqa=1e-8, max_iter=200):

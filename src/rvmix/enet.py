@@ -133,11 +133,19 @@ def update_alpha1(mu_col, sigma_diag_col, lambda_bar_col):
     return float(out) if out.ndim == 0 else out
 
 
-def k_gradient(k, lambda_bar, tau, nu):
+def _k_gradient_total(lambda_bar, nu):
+    """The k-free part of k_gradient, sum 1/(1 - lambda_bar) + nu, of one
+    column (S,) or of each row of a (T, S) stack."""
+    return np.sum(1.0 / (1.0 - lambda_bar), axis=-1) + nu
+
+
+def k_gradient(k, lambda_bar, tau, nu, total=None):
     """Derivative of the objective along the truncation coefficient k > 0,
     of one column (S,) at a scalar k or of each row of a (T, S) stack at
     its own entry of a (T,) k.
 
+    total : optional _k_gradient_total(lambda_bar, nu), which the root
+        search computes once per search.
     Returns (f, f', scale): the derivative, its slope and the sum of the
     magnitudes of its terms, from one evaluation of the hazard h, whose
     slope is h' = h (h - 1 - 1/(2k)).
@@ -147,7 +155,9 @@ def k_gradient(k, lambda_bar, tau, nu):
         raise DomainError(f"k must be positive and finite, got {k!r}")
     lb = np.asarray(lambda_bar, dtype=float)
     s = lb.shape[-1]
-    total, c, h = np.sum(1.0 / (1.0 - lb), axis=-1) + nu, tau - 0.5 * s, gamma_half_hazard(kk)
+    if total is None:
+        total = _k_gradient_total(lb, nu)
+    c, h = tau - 0.5 * s, gamma_half_hazard(kk)
     with np.errstate(over="ignore"):  # k * k beyond the float range: c / k**2 is 0
         out = (total - c / kk - s * h, c / (kk * kk) - s * h * (h - 1.0 - 0.5 / kk),
                total + abs(c) / kk + s * h)
@@ -167,7 +177,8 @@ def update_k(lambda_bar, tau, nu, k0=1.0):
     if np.any(lb < 0) or np.any(lb >= 1):
         raise DomainError("lambda_bar must lie in [0, 1)")
     rows_of = lb.reshape(-1, lb.shape[-1])
-    return bracketed_root(lambda k, rows: k_gradient(k, rows_of[rows], tau, nu),
+    totals = _k_gradient_total(rows_of, nu)
+    return bracketed_root(lambda k, rows: k_gradient(k, rows_of[rows], tau, nu, totals[rows]),
                           np.broadcast_to(k0, lb.shape[:-1]), context="truncation update")
 
 

@@ -1,5 +1,6 @@
 """Classical baselines: ridge closed forms, majorization descent, GCV."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -170,7 +171,7 @@ class TestMMSolve:
         J = np.zeros((20, 3))
         prev = mm_objective(data, J, spec, 0.0)
         for _ in range(60):
-            J = _mm_step(system, J)
+            J = _mm_step(system, J)[0]
             cur = mm_objective(data, J, spec, 0.0)
             assert cur <= prev + 1e-10 * max(abs(prev), 1.0)
             prev = cur
@@ -188,8 +189,13 @@ class TestMMSolve:
             J[rng.random((24, 5)) < 0.4] = 0.0
         K = data.K
         want = oracle_mm_step(K.T @ K, K.T @ data.V, K, J, alpha1, alpha2, L, 1e-8)
-        got = _mm_step(_mm_system(data, spec, 1e-8), J)
+        got, resid = _mm_step(_mm_system(data, spec, 1e-8), J)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        # lasso and enet hand back the step's residual, fusion leaves it to mm_objective
+        assert (resid is None) == (L is not None)
+        if resid is not None:
+            want_resid = data.V - K @ got
+            assert np.max(np.abs(resid - want_resid)) <= 1e-12 * np.max(np.abs(data.V))
 
     def test_weighted_grams_are_symmetric_products(self):
         # the half table stores each K[a]*K[b] once, so M[a, b] and M[b, a]
@@ -221,6 +227,50 @@ class TestMMSolve:
             _mm_step(system, J) if call == "step" else _df_columns(system, J)
         assert info.value.column == 2
         assert len(calls) == 3
+
+    @pytest.mark.parametrize("case", ["fusion_ring", "fusion_dense"])
+    def test_fusion_blocks_match_one_stack(self, monkeypatch, case):
+        # blocks of 3 columns over T=11: the step and df match, to the bit,
+        # one (T, S, S) stack solved in one call
+        s, t_count = 24, 11
+        monkeypatch.setattr(baselines, "BLOCK_BYTES", 8 * s * s * 3)
+        data = make_data(seed=13, n=9, s=s, t=t_count)
+        system = _mm_system(data, STEP_CASES[case](s), 1e-8)
+        J = np.random.default_rng(14).standard_normal((s, t_count))
+        rows, cols, P = system.pattern
+        A = np.repeat(system.KtK[None], t_count, axis=0)
+        A[:, rows, cols] += (0.5 * system.alpha2) * (system.weights(J).T @ P)
+        want_step = np.linalg.solve(A, system.KtV.T[:, :, None])[:, :, 0].T
+        X = np.linalg.solve(A, np.broadcast_to(data.K.T, (t_count,) + data.K.T.shape))
+        want_df = np.sum(data.K.T * X, axis=(1, 2))
+        step, resid = _mm_step(system, J)
+        assert resid is None
+        assert np.array_equal(step, want_step)
+        assert np.array_equal(_df_columns(system, J), want_df)
+
+    def test_fusion_working_memory_does_not_grow_with_t(self):
+        # a fusion step or df holds one block of (S, S) systems at a time:
+        # from T=4 to T=48 its traced peak grows by at most one block of
+        # BLOCK_BYTES plus a few (S, T)-sized arrays, where one (T, S, S)
+        # stack would grow by 44 * S*S * 8 bytes = 5 MB
+        s = 120
+        rng = np.random.default_rng(3)
+        K = rng.standard_normal((16, s))
+        peaks = {}
+        for t_count in (4, 48):
+            data = ProblemData(K=K, V=rng.standard_normal((16, t_count)))
+            system = _mm_system(data, PenaltySpec(kind="lasso_fusion", lam=1.0), 1e-8)
+            J = rng.standard_normal((s, t_count))
+            for name, call in (("step", _mm_step), ("df", _df_columns)):
+                tracemalloc.start()
+                try:
+                    call(system, J)
+                    peaks[name, t_count] = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+        allowance = baselines.BLOCK_BYTES + 8 * (8 * s * 48)
+        for name in ("step", "df"):
+            assert peaks[name, 48] - peaks[name, 4] < allowance, peaks
 
     def test_final_step_reported(self):
         data = make_data(seed=2)

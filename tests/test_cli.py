@@ -1202,10 +1202,12 @@ def test_batch_pipeline_demo_runs():
 
 
 @pytest.mark.parametrize("name", ["01_prior_mixture.py", "02_ring_phantom.py",
-                                  "03_learned_vs_fixed_enet.py", "04_mixed_norm_solver.py"])
+                                  "03_learned_vs_fixed_enet.py", "04_mixed_norm_solver.py",
+                                  "05_classical_arms.py"])
 def test_solver_demo_runs(name):
     # the demos drive the public API: the quadrature oracle (01), the
-    # phantom (02), and the learned k and alpha searches (03, 04)
+    # phantom (02), the learned k and alpha searches (03, 04), and the
+    # classical arms with GCV (05)
     proc = run_demo(name)
     assert proc.returncode == 0, proc.stderr
 
