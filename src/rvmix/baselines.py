@@ -17,7 +17,7 @@ import numpy as np
 from scipy.linalg import lapack
 
 from .errors import DomainError, NumericError, SelectionError
-from .posterior import BLOCK_BYTES, svd_decompose, svd_ridge
+from .posterior import BLOCK_BYTES, posterior_moments, svd_decompose, svd_ridge
 
 PENALTY_KINDS = ("ridge", "laplacian_ridge", "lasso", "enet", "lasso_fusion")
 
@@ -348,11 +348,9 @@ def _df_columns(system, J):
     majorized problem at J, A_t the step's normal matrix."""
     K = system.K
     if system.L is None:
-        # trace(K (K'K + D_t)^{-1} K') = trace((I + M_t)^{-1} M_t), M_t = K D_t^{-1} K'
-        n = K.shape[0]
-        M = _weighted_grams(system.table, 1.0 / system.weights(J), n)
-        X = _spd_solve(M + np.eye(n), M, "degrees of freedom I + K D^{-1} K'")
-        return np.trace(X, axis1=1, axis2=2)
+        # the majorized problem is the posterior at prior variances 1/d and
+        # noise variance 1: trace(K (K'K + D_t)^{-1} K') = N - resid_dof
+        return K.shape[0] - posterior_moments(K, 1.0 / system.weights(J), 1.0, system.V).resid_dof
     df = np.empty(J.shape[1])
     for columns, A in _fusion_blocks(system, J):
         X = _lu_solve(A, np.broadcast_to(K.T, (len(A),) + K.T.shape))  # (B, S, N)

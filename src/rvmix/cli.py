@@ -276,6 +276,8 @@ def _solve_payload(method, data, cfg):
             extras["column_iterations"] = [int(n) for n in sol.extras["column_iterations"]]
         else:
             extras["alpha_final"] = float(sol.extras["alpha_final"])
+        if "beta_floor_columns" in sol.extras:  # learned noise only
+            extras["beta_floor_columns"] = sol.extras["beta_floor_columns"]
         return sol.mu, files, extras
 
     family = _penalty_spec(method, cfg, data.n_sources)

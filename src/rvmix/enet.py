@@ -94,7 +94,9 @@ def update_lambda_bar_enet(mu_i, sigma_ii, alpha1, k):
     scalars or arrays broadcast elementwise (the mixed-norm solver passes
     its truncations alpha * delta**2 as one array); entries with k == 0
     get the cap.  Raises NumericError when (mu**2 + sigma) * alpha1 * k
-    overflows, naming the row of a (T, S) stack in ``column``.
+    overflows, or underflows to 0 with mu**2 + sigma and k positive (the
+    factor would be 0 with nonzero moments), naming the row of a (T, S)
+    stack in ``column``.
     """
     mu_arr = np.asarray(mu_i, dtype=float)
     sig = np.asarray(sigma_ii, dtype=float)
@@ -104,12 +106,14 @@ def update_lambda_bar_enet(mu_i, sigma_ii, alpha1, k):
     if np.any(np.asarray(alpha1) <= 0) or np.any(kk < 0):
         raise DomainError("alpha1 must be positive and k nonnegative")
     with np.errstate(over="ignore", invalid="ignore"):
-        c = (mu_arr * mu_arr + sig) * alpha1 * kk
-    bad = ~np.isfinite(c)
-    if np.any(bad):
-        raise NumericError("variance factor update: (mu**2 + sigma) * scale * truncation "
-                           "overflows; the data's scale is beyond the float range",
-                           column=int(np.nonzero(bad)[0][0]) if c.ndim == 2 else None)
+        m2s = mu_arr * mu_arr + sig
+        c = m2s * alpha1 * kk
+    for bad, what in ((~np.isfinite(c), "overflows"),
+                      ((c == 0.0) & (m2s > 0.0) & (kk > 0.0), "underflows to 0")):
+        if np.any(bad):
+            raise NumericError(f"variance factor update: (mu**2 + sigma) * scale * truncation "
+                               f"{what}; the data's scale is beyond the float range",
+                               column=int(np.nonzero(bad)[0][0]) if c.ndim == 2 else None)
     eta = c / (0.25 + np.sqrt(0.0625 + c))
     # eta > 0 implies k > 0, so the division never meets 0/0
     lam_bar = np.divide(eta, kk + eta, out=np.zeros_like(eta), where=eta > 0.0)
@@ -182,25 +186,21 @@ def update_k(lambda_bar, tau, nu, k0=1.0):
                           np.broadcast_to(k0, lb.shape[:-1]), context="truncation update")
 
 
-def update_beta_enet(v_col, K, mu_col, sigma_diag_col, lambda_bar_col, alpha1, mode="learned"):
-    """Closed-form noise variance; disabled (returns 1.0) under fixed_one.
+#: the smallest noise variance the learned update returns
+BETA_FLOOR = 1e-12
 
-    For a stack of columns as rows (v (T, N), the others (T, S), alpha1
-    (T,)) it returns (T,), and a NumericError names the row in ``column``.
+
+def update_beta_enet(v_col, K, mu_col, resid_dof, mode="learned"):
+    """Closed-form noise variance ||v - K mu||^2 / resid_dof (MacKay 1992),
+    at least BETA_FLOOR; disabled (returns 1.0) under fixed_one.  mu_col
+    and resid_dof come from one posterior (PosteriorMoments.resid_dof > 0).
+    For a stack of columns as rows (v (T, N), mu (T, S), resid_dof (T,))
+    it returns (T,).
     """
     if mode == "fixed_one":
         return 1.0
-    v = np.asarray(v_col, dtype=float)
-    sig = np.asarray(sigma_diag_col, dtype=float)
-    lb = np.asarray(lambda_bar_col, dtype=float)
-    resid = v - _rowwise(np.asarray(K, dtype=float), mu_col)
-    ratio = np.divide(sig, lb, out=np.zeros_like(sig), where=lb > 0.0)
-    denom = np.asarray(v.shape[-1] + 2.0 * alpha1 * np.sum(ratio, axis=-1) - lb.shape[-1])
-    bad = np.flatnonzero(denom.ravel() <= 0.0)
-    if bad.size:
-        raise NumericError(f"noise variance denominator is not positive "
-                           f"({denom.ravel()[bad[0]]:.6e})", column=bad[0] if denom.ndim else None)
-    beta = np.maximum(np.sum(resid * resid, axis=-1) / denom, 1e-12)
+    resid = np.asarray(v_col, dtype=float) - _rowwise(np.asarray(K, dtype=float), mu_col)
+    beta = np.maximum(np.sum(resid * resid, axis=-1) / resid_dof, BETA_FLOOR)
     return float(beta) if beta.ndim == 0 else beta
 
 
@@ -232,7 +232,7 @@ class _Iteration:
         svd = svd_decompose(self.K)
         return svd_ridge(svd, 1e-2 * float(np.mean(svd.D**2)), self.V)
 
-    def refresh(self, rows, mu, sigma):
+    def refresh(self, rows, mu, sigma, resid_dof):
         """Model state updated before the stop test: none by default."""
 
     def stalled(self, rows, mu, prev_mu, obj, prev_obj):
@@ -255,9 +255,11 @@ class _Iteration:
         """Iterate to the stop and return the Solution, whose objective
         trace holds finished columns at their final value.  extras holds
         the stop_reason of each column and its column_iterations, or for
-        a whole-map model the one stop_reason."""
+        a whole-map model the one stop_reason; a learned-noise solve adds
+        beta_floor_columns, the columns whose final beta is BETA_FLOOR."""
         t_count, s = self.lam_bar.shape
         mu, sigma, objective = np.zeros((t_count, s)), np.zeros((t_count, s)), np.zeros(t_count)
+        resid_dof = np.zeros(t_count)
         iterations = np.zeros(t_count, dtype=int)
         stop_reason = np.full(t_count, "max_iter", dtype=object)
         live = np.ones(t_count, dtype=bool)
@@ -270,9 +272,10 @@ class _Iteration:
                 lam = self.lam_bar[rows] / self.scale(rows)[:, None]
                 post = posterior_moments(self.K, lam.T, self.beta[rows], live_data.V)
                 mu[rows], sigma[rows] = post.mu.T, post.sigma_diag.T
+                resid_dof[rows] = post.resid_dof
                 objective[rows] = self.objective(rows, live_data, post)
                 iterations[rows] += 1
-                self.refresh(rows, mu[rows], sigma[rows])
+                self.refresh(rows, mu[rows], sigma[rows], resid_dof[rows])
                 trace.append(objective.copy())
                 self.record()
 
@@ -285,7 +288,7 @@ class _Iteration:
                 rows = rows[~stop]
                 if not rows.size:
                     break
-                collapsed = rows[self.step(rows, mu[rows], sigma[rows])]
+                collapsed = rows[self.step(rows, mu[rows], sigma[rows], resid_dof[rows])]
             except NumericError as exc:
                 where = "" if exc.column is None else f"column {rows[exc.column]}: "
                 raise NumericError(f"{where}iteration {it + 1}, {exc}") from exc
@@ -293,6 +296,11 @@ class _Iteration:
             stop_reason[collapsed] = "collapsed"
             live[collapsed] = False
         stop_reason = list(stop_reason)
+        extras = ({"stop_reason": stop_reason, "column_iterations": iterations}
+                  if self.per_column else {"stop_reason": stop_reason[0]})
+        if self.config.beta_mode == "learned":
+            # a noise variance at the floor is where the update stopped, not a fit
+            extras["beta_floor_columns"] = [int(j) for j in np.flatnonzero(self.beta == BETA_FLOOR)]
         return Solution(
             mu=np.ascontiguousarray(mu.T),
             sigma_diag=np.ascontiguousarray(sigma.T),
@@ -301,8 +309,7 @@ class _Iteration:
             objective_trace=np.sum(trace, axis=1),
             iterations=len(trace),
             converged="max_iter" not in stop_reason,
-            extras={"stop_reason": stop_reason, "column_iterations": iterations}
-            if self.per_column else {"stop_reason": stop_reason[0]},
+            extras=extras,
         )
 
 
@@ -352,7 +359,7 @@ class _EnetIteration(_Iteration):
         for name, trace in self.traces.items():
             trace.append(getattr(self, name).copy())
 
-    def step(self, rows, mu, sigma):
+    def step(self, rows, mu, sigma, resid_dof):
         """lambda_bar, then alpha1, k and beta of the given columns; returns
         the mask of columns that collapsed (every coordinate pruned, so the
         variance scale is undefined).  alpha1 and k are learned unless
@@ -369,8 +376,8 @@ class _EnetIteration(_Iteration):
         try:
             if learn:
                 k[keep] = update_k(lam_bar[keep], self.tau, self.nu, k[keep])
-            beta[keep] = update_beta_enet(self.V[rows[keep]], self.K, mu[keep], sigma[keep],
-                                          lam_bar[keep], alpha1[keep], mode=self.config.beta_mode)
+            beta[keep] = update_beta_enet(self.V[rows[keep]], self.K, mu[keep], resid_dof[keep],
+                                          mode=self.config.beta_mode)
         except NumericError as exc:
             raise NumericError(str(exc), column=keep[exc.column]) from exc
         kept = rows[keep]

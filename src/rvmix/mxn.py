@@ -138,19 +138,19 @@ class _MxnIteration(_Iteration):
             data, post.mu, self.lam_bar[rows].T, self.delta[rows].T, self.alpha,
             self.beta[rows], logdet_terms=post.logdet_term).columns
 
-    def refresh(self, rows, mu, sigma):
+    def refresh(self, rows, mu, sigma, resid_dof):
         self.lam_bar[rows] = update_lambda_bar_mxn(mu, sigma, self.alpha, self.delta[rows])
         self.delta[rows] = update_delta(mu)
         # noise variance update disabled under fixed_one (the default)
-        self.beta[rows] = update_beta_enet(self.V[rows], self.K, mu, sigma, self.lam_bar[rows],
-                                           self.alpha, mode=self.config.beta_mode)
+        self.beta[rows] = update_beta_enet(self.V[rows], self.K, mu, resid_dof,
+                                           mode=self.config.beta_mode)
 
     def record(self):
         self.traces["alpha"].append(self.alpha)
         self.traces["beta"].append(self.beta.copy())
         self.traces["delta_l1"].append(np.sum(np.abs(self.delta), axis=1))
 
-    def step(self, rows, mu, sigma):
+    def step(self, rows, mu, sigma, resid_dof):
         if self.learn_alpha:
             self.alpha = update_alpha_mxn(mu.T, sigma.T, self.lam_bar.T, self.delta.T, self.alpha)
         return np.zeros(rows.size, dtype=bool)

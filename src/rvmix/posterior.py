@@ -72,17 +72,20 @@ class LeadFieldSVD:
 
 @dataclass(frozen=True)
 class PosteriorMoments:
-    """Posterior mean, variance diagonal and determinant term, of one
-    column ((S,) arrays, a float) or of T columns ((S, T) arrays, (T,)).
+    """Posterior mean, variance diagonal, determinant term and residual
+    degrees of freedom, of one column ((S,), floats) or T ((S, T), (T,)).
 
     logdet_term is log det(I + (1/beta) diag(lam) K^T K), i.e. the sum
     log|diag(lam)| + log|Sigma^{-1}| in a form that stays finite when
-    entries of lam are exactly zero.
+    entries of lam are exactly zero.  resid_dof is N - sum(gamma) with
+    gamma_i = 1 - sigma_i / lam_i (MacKay 1992), or beta tr(A^{-1}),
+    which lies in (0, N].
     """
 
     mu: np.ndarray
     sigma_diag: np.ndarray
     logdet_term: object
+    resid_dof: object
 
 
 def svd_decompose(data):
@@ -163,7 +166,8 @@ def posterior_moments(K, lambda_col, beta, v_col):
         raise DomainError("beta must be positive, a scalar or one per column")
     beta = np.broadcast_to(beta, (t_count,))
 
-    mu, sigma_diag, logdet = np.empty((t_count, s)), np.empty((t_count, s)), np.empty(t_count)
+    mu, sigma_diag = np.empty((t_count, s)), np.empty((t_count, s))
+    logdet, resid_dof = np.empty(t_count), np.empty(t_count)
     block = max(1, BLOCK_BYTES // (8 * n * s))
     for lo in range(0, t_count, block):
         rows = slice(lo, lo + block)
@@ -217,6 +221,8 @@ def posterior_moments(K, lambda_col, beta, v_col):
 
         # log det(I + (1/beta) diag(lam) K'K) = log det(A / beta)
         logdet[rows] = 2.0 * np.sum(np.log(c_diag), axis=1) - n * np.log(beta[rows])
+        # beta tr(A^{-1}) = beta ||C^{-1}||_F^2; clean=1 left the other triangle zero
+        resid_dof[rows] = beta[rows] * np.sum(np.square(A), axis=(1, 2))
     if ndim == 1:
-        return PosteriorMoments(mu=mu[0], sigma_diag=sigma_diag[0], logdet_term=float(logdet[0]))
-    return PosteriorMoments(mu=mu.T, sigma_diag=sigma_diag.T, logdet_term=logdet)
+        return PosteriorMoments(mu[0], sigma_diag[0], float(logdet[0]), float(resid_dof[0]))
+    return PosteriorMoments(mu.T, sigma_diag.T, logdet, resid_dof)

@@ -25,13 +25,17 @@ def bracketed_root(fdf, x0, context=""):
     tightens the element's bracket, which starts as (0, inf).  A Newton
     step is taken when it lands strictly inside the bracket (so an
     infinite slope gives none) and is at most half the element's previous
-    step.  Otherwise the point moves toward an open end of the bracket
-    tenfold or by squaring, whichever goes further, or else to the
-    bracket's geometric midpoint.  An element stops at a point whose
-    ``|f|`` is at most NOISE_BOUND times ``scale``, below which the sign
-    of ``f`` is rounding noise, or once its step is within two ulps.
-    Elements never mix, so each root is, to the bit, the one its element
-    gets alone.
+    step.  Otherwise the point moves toward an open end of the bracket,
+    or else to the bracket's geometric midpoint.  Toward infinity it
+    moves tenfold or by squaring, whichever goes further.  Toward zero it
+    moves at least tenfold and at most by squaring, and in between to
+    where Newton's step in 1/x, x / (1 + f / (x f')), lands: that step
+    stays in (0, x) and is exact where f runs like c - a/x, so the point
+    does not square past a root deep below it.  An element stops at a
+    point whose ``|f|`` is at most NOISE_BOUND times ``scale``, below
+    which the sign of ``f`` is rounding noise, or once its step is within
+    two ulps.  Elements never mix, so each root is, to the bit, the one
+    its element gets alone.
 
     Returns an array shaped like ``x0``, or a float for a scalar.  Raises
     one RootFindError, naming the first failing element in ``column``
@@ -53,8 +57,11 @@ def bracketed_root(fdf, x0, context=""):
         la, ha = lo[act], hi[act]
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             newton = xa - fx / dfx
+            inverse = xa / (1.0 + fx / (xa * dfx))  # Newton's step in 1/x
+            inverse = np.where((0.0 < inverse) & (inverse < xa), inverse, 0.0)
             toward = np.where(ha == np.inf, np.maximum(10.0 * xa, xa * xa),
-                              np.where(la == 0.0, np.minimum(xa / 10.0, xa * xa),
+                              np.where(la == 0.0,
+                                       np.minimum(xa / 10.0, np.maximum(xa * xa, inverse)),
                                        np.sqrt(la) * np.sqrt(ha)))
         take = (la < newton) & (newton < ha) & (np.abs(newton - xa) <= 0.5 * last[act])
         new = np.clip(np.where(take, newton, toward), _TINY, _HUGE)

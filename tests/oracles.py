@@ -44,7 +44,11 @@ def posterior_direct(K, lambda_col, beta, v_col):
     if sign <= 0:
         raise NumericError("direct posterior precision is not positive definite")
     logdet = float(np.sum(np.log(lam)) + logdet_prec)
-    return PosteriorMoments(mu=mu, sigma_diag=np.diag(sigma).copy(), logdet_term=logdet)
+    sigma_diag = np.diag(sigma).copy()
+    # N - sum(gamma), gamma_i = 1 - sigma_i / lam_i: about 0 at a floored lam_i
+    resid_dof = K.shape[0] - float(np.sum(1.0 - sigma_diag / lam))
+    return PosteriorMoments(mu=mu, sigma_diag=sigma_diag, logdet_term=logdet,
+                            resid_dof=resid_dof)
 
 
 def reconstruct(svd):

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from rvmix import baselines
+from rvmix import baselines, posterior
 from rvmix.baselines import (
     PenaltySpec,
     _df_columns,
@@ -210,20 +210,33 @@ class TestMMSolve:
 
     @pytest.mark.parametrize("call", ["step", "df"])
     def test_failed_cholesky_names_the_column(self, monkeypatch, call):
-        # LAPACK reports a non-SPD matrix for the third system of the stack
-        dposv, calls = baselines.lapack.dposv, []
+        # LAPACK reports a non-SPD matrix for the third system of the stack:
+        # the step's dposv, or the dpotrf of the posterior that gives df
+        calls = []
+        if call == "step":
+            dposv = baselines.lapack.dposv
 
-        def failing(a, b, **kwargs):
-            calls.append(a)
-            c, x, info = dposv(a, b, **kwargs)
-            return c, x, 3 if len(calls) == 3 else info
+            def failing(a, b, **kwargs):
+                calls.append(a)
+                c, x, info = dposv(a, b, **kwargs)
+                return c, x, 3 if len(calls) == 3 else info
 
-        monkeypatch.setattr(baselines.lapack, "dposv", failing)
+            monkeypatch.setattr(baselines.lapack, "dposv", failing)
+            message = r"column 2 is not numerically SPD \(LAPACK dposv info 3\)"
+        else:
+            dpotrf = posterior.lapack.dpotrf
+
+            def failing(a, **kwargs):
+                calls.append(a)
+                c, info = dpotrf(a, **kwargs)
+                return c, 3 if len(calls) == 3 else info
+
+            monkeypatch.setattr(posterior.lapack, "dpotrf", failing)
+            message = r"not numerically SPD \(LAPACK dpotrf info 3\)"
         data = make_data(seed=13, n=9, s=24, t=5)
         system = _mm_system(data, PenaltySpec(kind="lasso", lam=0.7), 1e-8)
         J = np.random.default_rng(14).standard_normal((24, 5))
-        with pytest.raises(NumericError, match=r"column 2 is not numerically SPD "
-                                               r"\(LAPACK dposv info 3\)") as info:
+        with pytest.raises(NumericError, match=message) as info:
             _mm_step(system, J) if call == "step" else _df_columns(system, J)
         assert info.value.column == 2
         assert len(calls) == 3

@@ -678,10 +678,9 @@ class TestSweepCommand:
         assert rows["ridge-fixed"]["converged"] == "True"
 
     def test_learned_noise_arm_runs(self, tmp_path):
-        # n = 40: with S >> N the learned noise update's denominator
-        # N - S + 2 alpha1 sum(sigma/lambda_bar) is negative on the first
-        # sweep and the arm's row records that numeric failure instead
-        # (test_learned_noise_failure_message_in_row)
+        # n = 40: the data leave the noise enough degrees of freedom that no
+        # column's learned noise variance ends at the floor (at n = 12 every
+        # one does: test_learned_noise_at_the_floor_in_manifest)
         spec = tmp_path / "sweep.cfg"
         spec.write_text(
             "s = 48\nn = 40\nt = 8\npeak_snr_db = 42\nc_sigma_space = 2.0\nseeds = 0\n"
@@ -694,8 +693,11 @@ class TestSweepCommand:
         assert [r["error"] for r in rows] == [""]
         manifest = json.loads((out / "runs" / "learned-seed0" / "manifest.json").read_text())
         assert manifest["config"] == {"beta_mode": "learned"}
+        assert manifest["beta_floor_columns"] == []
 
-    def test_learned_noise_failure_message_in_row(self, tmp_path):
+    def test_learned_noise_at_the_floor_in_manifest(self, tmp_path):
+        # at S >> N the learned noise variance of every column ends at the
+        # floor: the run finishes, and its manifest names those columns
         spec = tmp_path / "sweep.cfg"
         spec.write_text(
             "s = 48\nn = 12\nt = 8\npeak_snr_db = 42\nc_sigma_space = 2.0\nseeds = 0\n"
@@ -706,9 +708,15 @@ class TestSweepCommand:
         assert main(["sweep", "--spec", str(spec), "--out", str(out)]) == 0
         with open(out / "sweep.csv", newline="") as fh:
             rows = {r["arm"]: r for r in csv.DictReader(fh)}
-        assert rows["learned"]["error"].startswith("numeric failure: column 0: ")
-        assert "noise variance denominator is not positive" in rows["learned"]["error"]
+        assert rows["learned"]["error"] == ""
         assert rows["ridge"]["error"] == ""
+        manifest = json.loads((out / "runs" / "learned-seed0" / "manifest.json").read_text())
+        assert manifest["beta_floor_columns"] == list(range(8))
+        beta = np.loadtxt(out / "runs" / "learned-seed0" / "hyper_trace.csv", delimiter=",",
+                          ndmin=2)[-1, 1:][16:24]  # step, alpha1 x 8, k x 8, beta x 8
+        assert np.all(beta == 1e-12)
+        ridge = json.loads((out / "runs" / "ridge-seed0" / "manifest.json").read_text())
+        assert "beta_floor_columns" not in ridge
 
     def test_no_sim_cfg_written(self, tmp_path):
         spec = tmp_path / "sweep.cfg"
@@ -865,15 +873,17 @@ class TestSweepCommand:
         spec.write_text(
             "s = 48\nn = 12\nt = 8\nc_sigma_space = 2.0\nseeds = 0\n"
             "arm = ok | method=ridge lam=1.0\n"
-            # learned noise fails at S >> N, which only the run finds
-            "arm = broken | method=enet-rvm beta_mode=learned\n"
+            # a valid scale so small that the prior variances 1/(2 alpha)
+            # square past the float range, which only the run finds
+            "arm = broken | method=mxn-rvm fixed_alpha=1e-300\n"
         )
         out = tmp_path / "sweep"
         assert main(["sweep", "--spec", str(spec), "--out", str(out)]) == 0
         with open(out / "sweep.csv", newline="") as fh:
             rows = {r["arm"]: r for r in csv.DictReader(fh)}
         assert rows["ok"]["error"] == ""
-        assert "noise variance denominator" in rows["broken"]["error"]
+        assert rows["broken"]["error"].startswith(
+            "numeric failure: column 0: iteration 1, posterior variance overflows")
 
 
 class TestFourEntryPoints:

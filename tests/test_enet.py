@@ -137,6 +137,17 @@ class TestUpdateLambdaBar:
             update_lambda_bar_enet(mu, np.zeros((3, 4)), 1.0, np.full((3, 1), 1e10))
         assert info.value.column == 2
 
+    def test_underflow_names_the_row(self):
+        # a product that underflows to 0 would give a zero factor that the
+        # nonzero moments contradict (the mixed norm on K x 1e-100 met one);
+        # zero moments still give a zero factor
+        k = np.ones((3, 1))
+        k[1] = 1e-300
+        with pytest.raises(NumericError, match="underflows to 0") as info:
+            update_lambda_bar_enet(np.zeros((3, 4)), np.ones((3, 4)), 1e-30, k)
+        assert info.value.column == 1
+        assert np.all(update_lambda_bar_enet(np.zeros((3, 4)), np.zeros((3, 4)), 1e-30, k) == 0.0)
+
 
 class TestUpdateAlpha1:
     def test_two_coordinate_identity(self):
@@ -341,6 +352,21 @@ class TestNewtonSearch:
         assert at[0] == 1.0 and len(at) <= 40
         assert not {1e-10, 1e10} & set(at)
 
+    def test_open_lower_end_does_not_square_past_the_root(self):
+        # f = 1 - root/x from x0 = 1: squaring toward 0 would go from 1e-64
+        # to 1e-128, 27 decades past the root, where a hazard of
+        # alpha * delta**2 underflows; Newton's step in 1/x lands on it
+        root, at = 1.2e-101, []
+
+        def fdf(x, rows):
+            at.extend(x)
+            return 1.0 - root / x, root / x / x, 1.0 + root / x
+
+        assert bracketed_root(fdf, 1.0) == pytest.approx(root, rel=1e-15)
+        assert min(at) == pytest.approx(root, rel=1e-15)
+        # tenfold to 1e-2, squaring to about 1e-64, then Newton's ask
+        assert len(at) <= 10
+
     def test_root_within_rounding_noise_stops_there(self):
         # f(x) = x - 2 with scale x + 2: 4 ulps above the root, |f| is far
         # below NOISE_BOUND * 4, so the search stops at that point instead
@@ -397,23 +423,38 @@ class TestNewtonSearch:
 
 class TestUpdateBeta:
     def test_fixed_one_mode(self):
-        assert update_beta_enet(np.ones(3), np.eye(3), np.ones(3), np.ones(3),
-                                np.full(3, 0.5), 1.0, mode="fixed_one") == 1.0
+        assert update_beta_enet(np.ones(3), np.eye(3), np.zeros(3), 2.0, mode="fixed_one") == 1.0
 
     def test_zero_residual_floor(self):
         v = np.array([1.0, 2.0])
         K = np.eye(2)
-        beta = update_beta_enet(v, K, v, np.full(2, 0.1), np.full(2, 0.5), 1.0)
+        beta = update_beta_enet(v, K, v, 0.5)
         assert beta == 1e-12
 
-    def test_hand_checked_denominator(self):
-        # K = I, mu = v/2, lambda_bar = 1/2, alpha1 = 1, S = N = 3:
-        # denom = N + sum(2 * sigma / 0.5) - S = 4 * sum(sigma)
+    def test_hand_checked_residual_dof(self):
+        # K = I, lam = 1, beta = 1, N = S = 3: mu = v/2, sigma = 1/2, so each
+        # gamma = 1 - sigma/lam = 1/2 and resid_dof = N - sum(gamma) = 3/2
         v = np.array([2.0, -1.0, 0.5])
-        sig = np.array([0.2, 0.1, 0.3])
-        beta = update_beta_enet(v, np.eye(3), v / 2, sig, np.full(3, 0.5), 1.0)
+        post = posterior.posterior_moments(np.eye(3), np.ones(3), 1.0, v)
+        assert post.resid_dof == pytest.approx(1.5, rel=1e-15)
+        beta = update_beta_enet(v, np.eye(3), post.mu, post.resid_dof)
         resid = float(np.sum((v / 2) ** 2))
-        assert beta == pytest.approx(resid / (4 * np.sum(sig)), rel=1e-12)
+        assert beta == pytest.approx(resid / 1.5, rel=1e-12)
+
+    def test_stacked_rows_match_one_column(self):
+        # v (T, N), mu (T, S) and resid_dof (T,) give (T,), each row what its
+        # column gives alone; a row with zero residual is floored
+        rng = np.random.default_rng(3)
+        K = rng.standard_normal((4, 7))
+        mu = rng.standard_normal((3, 7))
+        v = rng.standard_normal((3, 4))
+        v[1] = K @ mu[1]
+        dof = np.array([0.7, 2.0, 3.9])
+        beta = update_beta_enet(v, K, mu, dof)
+        assert beta.shape == (3,) and beta[1] == 1e-12
+        for t in range(3):
+            assert beta[t] == update_beta_enet(v[t], K, mu[t], dof[t])
+        assert beta[0] == pytest.approx(np.sum((v[0] - K @ mu[0]) ** 2) / 0.7, rel=1e-12)
 
 
 def ring_problem(s=40, n=12, t=4, seed=0, snr=0.02):

@@ -7,7 +7,7 @@ import pytest
 
 from rvmix.baselines import PenaltySpec, mm_solve
 from rvmix.cli import NUMERIC, _failure
-from rvmix.enet import solve_enet
+from rvmix.enet import SolverConfig, solve_enet
 from rvmix.errors import RvmixError
 from rvmix.mxn import solve_mxn
 from rvmix.phantom import NoiseSpec, SourceSpec, add_noise, make_phantom
@@ -17,9 +17,11 @@ CELLS = [("K", 1e-150), ("K", 1e-100), ("K", 1e-50),
          ("V", 1e-300), ("V", 1e-200), ("V", 1e-150), ("V", 1e20), ("V", 1e40), ("V", 1e60),
          ("V", 1e70), ("V", 1e100), ("V", 1e150), ("V", 1e200)]
 #: the cells where a float range is exceeded: K x 1e-100 and below puts
-#: the posterior variances (enet) or alpha * delta**2 (mxn) out of range,
-#: V x 1e100 and above the variances or the truncations; V x 1e-200 and
-#: below makes alpha * delta**2 underflow in mxn's global scale search
+#: the posterior variances (enet) or, for mxn, alpha * delta**2 (1e-150)
+#: or the variance factor update (1e-100, test_alpha_search_finds_a_deep_root)
+#: out of range, V x 1e100 and above the variances or the truncations;
+#: V x 1e-200 and below makes alpha * delta**2 underflow in mxn's global
+#: scale search
 FAILING = {("K", 1e-150), ("K", 1e-100), ("V", 1e100), ("V", 1e150), ("V", 1e200)}
 FAILING_BY_SOLVER = {"enet": FAILING, "mxn": FAILING | {("V", 1e-300), ("V", 1e-200)}}
 
@@ -63,6 +65,21 @@ def test_finite_output_or_numeric_exit(ring, name, which, scale):
     else:
         sol = solver(data)
         assert all(np.all(np.isfinite(x)) for x in (sol.mu, sol.sigma_diag, sol.lambda_bar))
+
+
+def test_alpha_search_finds_a_deep_root(ring):
+    # on K x 1e-100 the first global scale search has its root near
+    # 1.2e-101; squaring toward 0 went from 1e-64 to 1e-128, where
+    # alpha * delta**2 underflows, and raised.  Now it lands on the root,
+    # and the run fails one step later, in the variance factor update,
+    # whose (mu**2 + sigma) * alpha * alpha * delta**2 underflows to 0
+    data = _scaled(ring, "K", 1e-100)
+    alpha = solve_mxn(data, SolverConfig(max_iter=1)).extras["alpha_final"]
+    assert 1.1e-101 < alpha < 1.3e-101
+    with pytest.raises(RvmixError, match=r"^column \d+: iteration 2, variance factor update: "
+                                         r".* underflows to 0") as info:
+        solve_mxn(data)
+    assert _failure(info.value)[0] == NUMERIC
 
 
 @pytest.mark.parametrize("name", sorted(MM_SPECS))

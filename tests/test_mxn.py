@@ -352,6 +352,35 @@ class TestSolveMxn:
         beta = sol.hyper_trace["beta"][-1]
         assert sol.converged
         assert np.all((beta > 1e-3) & (beta < 1.0))
+        assert sol.extras["beta_floor_columns"] == []
+
+
+@pytest.mark.parametrize("size", [(200, 31, 64), (96, 16, 16)], ids=["200-31-64", "96-16-16"])
+@pytest.mark.parametrize("solve", [solve_enet, solve_mxn], ids=["enet", "mxn"])
+def test_learned_noise_is_finite_and_positive(solve, size):
+    # the default phantom and the sweep benchmark's size: the noise update
+    # divides by the residual degrees of freedom of the posterior whose mean
+    # it reads, which are positive, so it cannot fail as the update that
+    # mixed two states did (enet at sweep 1 on the default phantom); the
+    # columns that end at the 1e-12 floor are listed, and only they
+    from rvmix.phantom import NoiseSpec, add_noise, make_phantom
+
+    s, n, t = size
+    ph = make_phantom(S=s, N=n, T=t)
+    data = ProblemData(K=ph.K, V=add_noise(ph.V_clean, NoiseSpec(42.0, 0))[0])
+    sol = solve(data, SolverConfig(beta_mode="learned"))
+    beta = sol.hyper_trace["beta"][-1]
+    assert np.all(np.isfinite(beta) & (beta >= 1e-12))
+    assert sol.extras["beta_floor_columns"] == np.flatnonzero(beta == 1e-12).tolist()
+    assert all(np.all(np.isfinite(x)) for x in (sol.mu, sol.sigma_diag, sol.lambda_bar))
+
+
+@pytest.mark.parametrize("solve", [solve_enet, solve_mxn], ids=["enet", "mxn"])
+def test_fixed_noise_reports_no_floor(solve):
+    # beta_floor_columns is a learned-noise field: a fixed_one solve, and so
+    # its manifest, does not carry it
+    data, _ = small_ring()
+    assert "beta_floor_columns" not in solve(data, SolverConfig(max_iter=3)).extras
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

@@ -73,6 +73,8 @@ class TestPosteriorMoments:
         np.testing.assert_allclose(post.mu, v / 2)
         np.testing.assert_allclose(post.sigma_diag, np.full(3, 0.5))
         assert post.logdet_term == pytest.approx(3 * np.log(2.0), rel=1e-12)
+        # gamma_i = 1 - 0.5 / 1 each, so N - sum(gamma) = 3/2
+        assert post.resid_dof == pytest.approx(1.5, rel=1e-15)
 
     def test_all_pruned(self):
         K = np.eye(3)
@@ -80,6 +82,7 @@ class TestPosteriorMoments:
         assert np.all(post.mu == 0.0)
         assert np.all(post.sigma_diag == 0.0)
         assert post.logdet_term == pytest.approx(0.0, abs=1e-12)
+        assert post.resid_dof == 3.0
 
     def test_partial_pruning_exact_zeros(self):
         rng = np.random.default_rng(0)
@@ -116,6 +119,24 @@ class TestPosteriorMoments:
             ref = posterior_direct(K, lam, beta, v)
             worst = max(worst, rel_dev(fast.mu, ref.mu), rel_dev(fast.sigma_diag, ref.sigma_diag))
         assert worst <= 1e-7
+
+    def test_resid_dof_matches_oracle(self):
+        # N - sum(1 - sigma/lam) of the dense posterior, over random problems
+        # with some prior variances exactly zero, which the oracle floors
+        rng = np.random.default_rng(77)
+        worst = 0.0
+        for _ in range(20):
+            n = int(rng.integers(4, 21))
+            s = int(rng.integers(n, 81))
+            K = rng.standard_normal((n, s))
+            lam = 10.0 ** rng.uniform(-4, 2, size=s) * (rng.random(s) < 0.8)
+            beta = float(10.0 ** rng.uniform(-1, 1))
+            v = rng.standard_normal(n)
+            fast = posterior_moments(K, lam, beta, v)
+            ref = posterior_direct(K, lam, beta, v)
+            assert 0.0 < fast.resid_dof <= n
+            worst = max(worst, abs(fast.resid_dof - ref.resid_dof) / ref.resid_dof)
+        assert worst <= 1e-10
 
     def test_monotone_pruning(self):
         rng = np.random.default_rng(5)
@@ -172,6 +193,7 @@ class TestStackedPosterior:
             np.testing.assert_array_equal(stacked.mu[:, j], one.mu)
             np.testing.assert_array_equal(stacked.sigma_diag[:, j], one.sigma_diag)
             assert stacked.logdet_term[j] == one.logdet_term
+            assert stacked.resid_dof[j] == one.resid_dof
             ref = posterior_direct(K, lam[:, j], beta[j], V[:, j])
             np.testing.assert_allclose(stacked.mu[:, j], ref.mu, rtol=1e-8, atol=1e-10)
             np.testing.assert_allclose(stacked.sigma_diag[:, j], ref.sigma_diag,
@@ -179,6 +201,7 @@ class TestStackedPosterior:
             assert stacked.logdet_term[j] == pytest.approx(ref.logdet_term, rel=1e-8, abs=1e-10)
             assert np.all(stacked.mu[lam[:, j] == 0.0, j] == 0.0)
             assert np.all(stacked.sigma_diag[lam[:, j] == 0.0, j] == 0.0)
+            assert stacked.resid_dof[j] == pytest.approx(ref.resid_dof, rel=1e-8)
 
     @pytest.mark.parametrize("case", ["lam_span", "beta_span", "zero_column", "rank_deficient"])
     def test_hostile_conditioning(self, case):
@@ -199,7 +222,7 @@ class TestStackedPosterior:
             K = rng.standard_normal((n, 3)) @ rng.standard_normal((3, s))
         V = rng.standard_normal((n, t))
         stacked = posterior_moments(K, lam, beta, V)
-        for out in (stacked.mu, stacked.sigma_diag, stacked.logdet_term):
+        for out in (stacked.mu, stacked.sigma_diag, stacked.logdet_term, stacked.resid_dof):
             assert np.all(np.isfinite(out))
         for j in range(t):
             one = posterior_moments(K, lam[:, j], beta[j], V[:, j])
@@ -240,8 +263,8 @@ class TestStackedPosterior:
         # blocks of 2 columns: 9 sensors * 30 sources * 8 bytes * 2
         monkeypatch.setattr(posterior, "BLOCK_BYTES", 8 * 9 * 30 * 2)
         blocked = posterior_moments(K, lam, 1.0, V)
-        for a, b in zip((whole.mu, whole.sigma_diag, whole.logdet_term),
-                        (blocked.mu, blocked.sigma_diag, blocked.logdet_term)):
+        for a, b in zip((whole.mu, whole.sigma_diag, whole.logdet_term, whole.resid_dof),
+                        (blocked.mu, blocked.sigma_diag, blocked.logdet_term, blocked.resid_dof)):
             np.testing.assert_array_equal(a, b)
 
     def test_non_spd_column_is_named(self):

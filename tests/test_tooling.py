@@ -26,6 +26,37 @@ def test_per_layer_names_are_functions_of_their_module():
     assert not missing, f"per_layer names without a function: {missing}"
 
 
+def test_span_attributes_bind_to_arguments_that_exist(monkeypatch):
+    # perfbench/spans.py binds mm_solve's max_iter and tol and gcv_select's
+    # lambda_grid by name, reads the selected lambda as gcv_select's first
+    # result, and keeps argument 1 of each mm_objective call under mm_solve
+    # as that step's map; a refactor of the classical core that renames or
+    # moves one of them fails here, not only in traced benchmark runs
+    import numpy as np
+
+    from rvmix import baselines
+    from rvmix.posterior import ProblemData
+
+    assert {"max_iter", "tol"} <= set(inspect.signature(baselines.mm_solve).parameters)
+    assert "lambda_grid" in inspect.signature(baselines.gcv_select).parameters
+    maps, real = [], baselines.mm_objective
+
+    def recording(*args, **kwargs):
+        maps.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(baselines, "mm_objective", recording)
+    rng = np.random.default_rng(0)
+    data = ProblemData(K=rng.standard_normal((6, 15)), V=rng.standard_normal((6, 3)))
+    spec = baselines.PenaltySpec(kind="lasso", lam=1.0)
+    J, info = baselines.mm_solve(data, spec, max_iter=5, return_info=True)
+    assert len(maps) == info.iterations + 1  # the start, then one per step
+    assert all(m.shape == J.shape for m in maps)
+    np.testing.assert_array_equal(J, np.where(np.abs(maps[-1]) <= 1e-8, 0.0, maps[-1]))
+    grid = [0.1, 1.0, 10.0]
+    assert baselines.gcv_select(data, spec, lambda_grid=grid, max_iter=5)[0] in grid
+
+
 #: the spans of the benchmark's layer trace that only its cli-sweep workload
 #: emits: each is a function the sweep calls through a name rvmix.cli holds
 SWEEP_ONLY_SPANS = ("cli.cmd_solve", "mxio.read_matrix", "mxio.write_matrix",
