@@ -57,7 +57,6 @@ from .mxn import (
     update_lambda_bar_mxn,
 )
 from .objective import (
-    ObjectiveBreakdown,
     neg_log_posterior_enet,
     neg_log_posterior_mxn,
     w_inverse_apply,

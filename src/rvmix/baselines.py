@@ -343,14 +343,19 @@ def mm_solve(data, penalty, eps_lqa=1e-8, max_iter=200, tol=1e-6, return_trace=F
     return out if len(out) > 1 else J
 
 
-def _df_columns(system, J):
+def _df_columns(data, spec, eps, J):
     """Per-column effective degrees of freedom trace(K A_t^{-1} K') of the
-    majorized problem at J, A_t the step's normal matrix."""
-    K = system.K
-    if system.L is None:
+    majorized problem at J, A_t the step's normal matrix.  It builds only
+    what it reads: the weights for lasso and enet, and K'K and the
+    L'diag(w)L pattern for fusion."""
+    alpha1, alpha2, L = _penalty_weights(spec, data.n_sources)
+    K = data.K
+    if L is None:
         # the majorized problem is the posterior at prior variances 1/d and
         # noise variance 1: trace(K (K'K + D_t)^{-1} K') = N - resid_dof
-        return K.shape[0] - posterior_moments(K, 1.0 / system.weights(J), 1.0, system.V).resid_dof
+        d = _MMSystem(K, alpha1, alpha2, eps, L).weights(J)
+        return K.shape[0] - posterior_moments(K, 1.0 / d, 1.0, data.V).resid_dof
+    system = _MMSystem(K, alpha1, alpha2, eps, L, KtK=K.T @ K, pattern=_fusion_pattern(L))
     df = np.empty(J.shape[1])
     for columns, A in _fusion_blocks(system, J):
         X = _lu_solve(A, np.broadcast_to(K.T, (len(A),) + K.T.shape))  # (B, S, N)
@@ -383,7 +388,7 @@ def gcv_select(data, penalty_family, lambda_grid, eps_lqa=1e-8, max_iter=200):
             J, df = _ridge_fit(data, lam, spec.L_operator, svd)
         else:
             J, info = mm_solve(data, spec, eps_lqa=eps_lqa, max_iter=max_iter, return_info=True)
-            df = float(np.mean(_df_columns(_mm_system(data, spec, eps_lqa), J)))
+            df = float(np.mean(_df_columns(data, spec, eps_lqa, J)))
         if df >= n:
             curve.append((lam, np.inf))
             continue

@@ -211,8 +211,9 @@ class _Iteration:
     stop test (per column, or for the whole map) and the model's step.
     A model sets lam_bar (T, S), beta (T,) and zero_data (T,), the columns
     that stop after one sweep, and provides scale (twice the variance
-    scale of given rows), objective (their per-column values), record and
-    step, and names in unread the SolverConfig field it rejects when set.
+    scale of given rows), objective (their per-column values, given their
+    PosteriorMoments), record and step, and names in unread the
+    SolverConfig field it rejects when set.
     """
 
     per_column = True
@@ -268,12 +269,11 @@ class _Iteration:
             rows = np.flatnonzero(live)
             prev_mu, prev_obj = mu.copy(), objective.copy()
             try:
-                live_data = ProblemData(K=self.K, V=self.V[rows].T)
                 lam = self.lam_bar[rows] / self.scale(rows)[:, None]
-                post = posterior_moments(self.K, lam.T, self.beta[rows], live_data.V)
+                post = posterior_moments(self.K, lam.T, self.beta[rows], self.V[rows].T)
                 mu[rows], sigma[rows] = post.mu.T, post.sigma_diag.T
                 resid_dof[rows] = post.resid_dof
-                objective[rows] = self.objective(rows, live_data, post)
+                objective[rows] = self.objective(rows, post)
                 iterations[rows] += 1
                 self.refresh(rows, mu[rows], sigma[rows], resid_dof[rows])
                 trace.append(objective.copy())
@@ -350,10 +350,9 @@ class _EnetIteration(_Iteration):
     def scale(self, rows):
         return 2.0 * self.alpha1[rows]
 
-    def objective(self, rows, data, post):
-        return neg_log_posterior_enet(
-            data, post.mu, self.lam_bar[rows].T, self.alpha1[rows], self.k[rows],
-            self.beta[rows], self.tau, self.nu, logdet_terms=post.logdet_term).columns
+    def objective(self, rows, post):
+        return neg_log_posterior_enet(None, self.lam_bar[rows].T, self.alpha1[rows],
+                                      self.k[rows], self.beta[rows], self.tau, self.nu, post=post)
 
     def record(self):
         for name, trace in self.traces.items():

@@ -133,10 +133,9 @@ class _MxnIteration(_Iteration):
     def scale(self, rows):
         return np.full(rows.size, 2.0 * self.alpha)
 
-    def objective(self, rows, data, post):
-        return neg_log_posterior_mxn(
-            data, post.mu, self.lam_bar[rows].T, self.delta[rows].T, self.alpha,
-            self.beta[rows], logdet_terms=post.logdet_term).columns
+    def objective(self, rows, post):
+        return neg_log_posterior_mxn(None, self.lam_bar[rows].T, self.delta[rows].T, self.alpha,
+                                     self.beta[rows], post=post)
 
     def refresh(self, rows, mu, sigma, resid_dof):
         self.lam_bar[rows] = update_lambda_bar_mxn(mu, sigma, self.alpha, self.delta[rows])

@@ -1,11 +1,16 @@
 """Negative log-posterior of the hyperparameters, with both prior branches.
 
 ``neg_log_posterior_enet`` / ``neg_log_posterior_mxn`` are the true
-objective used as the convergence monitor.  The determinant piece is the
-combined form log det(I + (1/beta) diag(lam) K^T K) from the posterior
-module, which stays finite when prior variances hit zero.  Every column
-is evaluated at once, and the breakdown keeps each column's total, which
-the solvers' per-column stop test uses.
+objective used as the convergence monitor.  Each column's value is its
+negative log evidence, v'A^{-1}v / 2 + log det(A) / 2 with
+A = K diag(lam) K' + beta I (Tipping 2001), which the posterior reads off
+its own Cholesky factor (PosteriorMoments.evidence), plus the branch's
+hyperprior.  At the posterior mean this equals the familiar form
+||v - K mu||^2 / (2 beta) + mu' diag(lam)^{-1} mu / 2
++ log det(I + diag(lam) K'K / beta) / 2 + (N/2) log beta, but it carries
+no residual that cancels as the data grow.  Every column is evaluated at
+once, and each column's value is returned, which the solvers' per-column
+stop test uses.
 
 Values are reported up to additive model constants; the constants dropped
 are (documented per branch):
@@ -22,35 +27,11 @@ are (documented per branch):
   gamma-block contribution is defined as its finite limit, zero.
 """
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .errors import DomainError, NumericError
-from .posterior import _rows, _rowwise, posterior_moments
+from .posterior import _rows, posterior_moments
 from .special import gamma_half_log_tail
-
-
-@dataclass(frozen=True)
-class ObjectiveBreakdown:
-    """Additive pieces of the hyperparameter negative log-posterior.
-
-    data_fit        : sum_t ||v_t - K mu_t||^2 / (2 beta_t)
-    logdet          : combined determinant term including (N/2) log beta_t
-    prior_quadratic : sum_t mu_t' diag(lam_t)^{-1} mu_t / 2
-    hyperprior      : -log p(hyperparameters), branch dependent
-    columns         : (T,) total of each column, when the evaluator kept it
-    """
-
-    data_fit: float
-    logdet: float
-    prior_quadratic: float
-    hyperprior: float
-    columns: np.ndarray = field(default=None, compare=False, repr=False)
-
-    @property
-    def total(self):
-        return self.data_fit + self.logdet + self.prior_quadratic + self.hyperprior
 
 
 def w_inverse_apply(delta_col):
@@ -85,25 +66,6 @@ def _as_t_vector(x, t, name):
     return arr
 
 
-def _breakdown(data, mu, lam_bar, scale, beta, logdet_terms, hyperprior):
-    """The ObjectiveBreakdown of all columns, from (S, T) mu and lam_bar,
-    scale = 2*alpha and beta per column, the posterior's logdet_terms at
-    lam_bar / scale (None computes them) and the branch's (T,) hyperprior.
-    """
-    if logdet_terms is None:
-        logdet_terms = posterior_moments(data.K, lam_bar / scale, beta, data.V).logdet_term
-    elif len(logdet_terms) != data.n_times:
-        raise DomainError(f"logdet_terms must have length {data.n_times}")
-    V, mu, lb = _rows(data.V), _rows(mu), _rows(lam_bar)
-    resid = V - _rowwise(data.K, mu)
-    ratio = np.divide(mu * mu, lb, out=np.zeros_like(mu), where=lb > 0.0)
-    parts = (np.sum(resid * resid, axis=1) / (2.0 * beta),
-             0.5 * np.asarray(logdet_terms, dtype=float) + 0.5 * data.n_sensors * np.log(beta),
-             0.5 * scale * np.sum(ratio, axis=1),
-             hyperprior)
-    return ObjectiveBreakdown(*(float(np.sum(part)) for part in parts), columns=sum(parts))
-
-
 def _enet_hyperprior(lam_bar, k, tau, nu):
     """-log p(hyperparameters) of every column, Normal/Laplace branch.
 
@@ -119,30 +81,31 @@ def _enet_hyperprior(lam_bar, k, tau, nu):
     return np.where(truncated, out, 0.0)
 
 
-def neg_log_posterior_enet(data, mu, lambda_bar, alpha1, k, beta, tau, nu, logdet_terms=None):
-    """Hyperparameter negative log-posterior, Normal/Laplace (elastic-net) branch.
+def neg_log_posterior_enet(data, lambda_bar, alpha1, k, beta, tau, nu, post=None):
+    """Hyperparameter negative log-posterior of each column, Normal/Laplace
+    (elastic-net) branch, as a (T,) array.
 
     Parameters
     ----------
-    data : ProblemData
-    mu : (S, T) current posterior means
+    data : ProblemData, read only when post is None
     lambda_bar : (S, T) unit-interval variance factors, entries in [0, 1)
     alpha1, k, beta : scalars or (T,) vectors (variance scale, truncation
         coefficient, noise variance per column)
     tau, nu : Gamma prior parameters of the truncation coefficient
-    logdet_terms : optional (T,) PosteriorMoments logdet_term of the
-        columns at lambda_bar / (2 alpha1) and beta.  None computes them
-        here with posterior_moments.
+    post : optional PosteriorMoments of the columns at prior variances
+        lambda_bar / (2 alpha1) and noise variances beta.  None computes
+        it here with posterior_moments.
     """
     lb = _check_lambda_bar(lambda_bar)
-    t_count = data.n_times
+    t_count = _rows(lb).shape[0]
     a1 = _as_t_vector(alpha1, t_count, "alpha1")
     kv = _as_t_vector(k, t_count, "k")
     bv = _as_t_vector(beta, t_count, "beta")
     if np.any(a1 <= 0) or np.any(bv <= 0) or np.any(kv < 0):
         raise DomainError("alpha1 and beta must be positive, k nonnegative")
-    return _breakdown(data, mu, lb, 2.0 * a1, bv, logdet_terms,
-                      _enet_hyperprior(_rows(lb), kv, tau, nu))
+    if post is None:
+        post = posterior_moments(data.K, lb / (2.0 * a1), bv, data.V)
+    return post.evidence + _enet_hyperprior(_rows(lb), kv, tau, nu)
 
 
 def _mxn_hyperprior(lam_bar, delta, alpha):
@@ -176,18 +139,20 @@ def _mxn_hyperprior(lam_bar, delta, alpha):
     return tail_part + gamma_part + log_part + coupling
 
 
-def neg_log_posterior_mxn(data, mu, lambda_bar, delta, alpha, beta, logdet_terms=None):
-    """Hyperparameter negative log-posterior, mixed-norm (elitist) branch.
+def neg_log_posterior_mxn(data, lambda_bar, delta, alpha, beta, post=None):
+    """Hyperparameter negative log-posterior of each column, mixed-norm
+    (elitist) branch, as a (T,) array.
 
     delta is the (S, T) matrix of coupling magnitudes; alpha is the single
-    global scale shared by every column.  logdet_terms are as for
-    neg_log_posterior_enet, at lambda_bar / (2 alpha).
+    global scale shared by every column.  data and post are as for
+    neg_log_posterior_enet, post at prior variances lambda_bar / (2 alpha).
     """
     lb = _check_lambda_bar(lambda_bar)
     if alpha <= 0 or not np.isfinite(alpha):
         raise DomainError("alpha must be positive")
-    bv = _as_t_vector(beta, data.n_times, "beta")
+    bv = _as_t_vector(beta, _rows(lb).shape[0], "beta")
     if np.any(bv <= 0):
         raise DomainError("beta must be positive")
-    return _breakdown(data, mu, lb, 2.0 * alpha, bv, logdet_terms,
-                      _mxn_hyperprior(_rows(lb), _rows(delta), alpha))
+    if post is None:
+        post = posterior_moments(data.K, lb / (2.0 * alpha), bv, data.V)
+    return post.evidence + _mxn_hyperprior(_rows(lb), _rows(delta), alpha)

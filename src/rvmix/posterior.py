@@ -72,19 +72,21 @@ class LeadFieldSVD:
 
 @dataclass(frozen=True)
 class PosteriorMoments:
-    """Posterior mean, variance diagonal, determinant term and residual
-    degrees of freedom, of one column ((S,), floats) or T ((S, T), (T,)).
+    """Posterior mean, variance diagonal, negative log evidence and
+    residual degrees of freedom, of one column ((S,), floats) or T
+    ((S, T), (T,)).
 
-    logdet_term is log det(I + (1/beta) diag(lam) K^T K), i.e. the sum
-    log|diag(lam)| + log|Sigma^{-1}| in a form that stays finite when
-    entries of lam are exactly zero.  resid_dof is N - sum(gamma) with
-    gamma_i = 1 - sigma_i / lam_i (MacKay 1992), or beta tr(A^{-1}),
+    evidence is the Gaussian part of the negative log evidence,
+    v'A^{-1}v / 2 + log det(A) / 2 with A = K diag(lam) K' + beta I
+    (Tipping 2001), up to the constant (N/2) log(2 pi); it stays finite
+    when entries of lam are exactly zero.  resid_dof is N - sum(gamma)
+    with gamma_i = 1 - sigma_i / lam_i (MacKay 1992), or beta tr(A^{-1}),
     which lies in (0, N].
     """
 
     mu: np.ndarray
     sigma_diag: np.ndarray
-    logdet_term: object
+    evidence: object
     resid_dof: object
 
 
@@ -129,7 +131,8 @@ def svd_ridge(svd, lam, v):
 
 
 def posterior_moments(K, lambda_col, beta, v_col):
-    """Posterior mean, variance diagonal and determinant term in sensor space.
+    """Posterior mean, variance diagonal, evidence and residual degrees of
+    freedom in sensor space.
 
     Parameters
     ----------
@@ -146,8 +149,9 @@ def posterior_moments(K, lambda_col, beta, v_col):
     Columns are processed as rows, in blocks whose (B, N, S) work array
     takes about BLOCK_BYTES, so a column's result is the same to the bit
     alone or in any stack.  A system A that overflows or is not
-    numerically SPD, or a variance that overflows (lam too large to
-    square), raises NumericError with the column's index in ``column``.
+    numerically SPD, or a variance or evidence that overflows (lam or v
+    too large to square), raises NumericError with the column's index in
+    ``column``.
     """
     K = np.asarray(K, dtype=float)
     if K.ndim != 2 or not np.all(np.isfinite(K)):
@@ -167,7 +171,7 @@ def posterior_moments(K, lambda_col, beta, v_col):
     beta = np.broadcast_to(beta, (t_count,))
 
     mu, sigma_diag = np.empty((t_count, s)), np.empty((t_count, s))
-    logdet, resid_dof = np.empty(t_count), np.empty(t_count)
+    evidence, resid_dof = np.empty(t_count), np.empty(t_count)
     block = max(1, BLOCK_BYTES // (8 * n * s))
     for lo in range(0, t_count, block):
         rows = slice(lo, lo + block)
@@ -219,10 +223,16 @@ def posterior_moments(K, lambda_col, beta, v_col):
         # exact zeros stay exact; tiny negative values are roundoff from the subtraction
         np.clip(sig, 0.0, None, out=sigma_diag[rows])
 
-        # log det(I + (1/beta) diag(lam) K'K) = log det(A / beta)
-        logdet[rows] = 2.0 * np.sum(np.log(c_diag), axis=1) - n * np.log(beta[rows])
+        # v'A^{-1}v / 2 + log det(A) / 2 = ||z||^2 / 2 + sum log diag C
+        with np.errstate(over="ignore"):
+            zz = np.sum(np.square(z), axis=(1, 2))
+        bad = np.flatnonzero(~np.isfinite(zz))
+        if bad.size:
+            raise NumericError("posterior evidence: ||C^-1 v||**2 overflows; the data's scale "
+                               "is beyond the float range", column=lo + bad[0])
+        evidence[rows] = 0.5 * zz + np.sum(np.log(c_diag), axis=1)
         # beta tr(A^{-1}) = beta ||C^{-1}||_F^2; clean=1 left the other triangle zero
         resid_dof[rows] = beta[rows] * np.sum(np.square(A), axis=(1, 2))
     if ndim == 1:
-        return PosteriorMoments(mu[0], sigma_diag[0], float(logdet[0]), float(resid_dof[0]))
-    return PosteriorMoments(mu.T, sigma_diag.T, logdet, resid_dof)
+        return PosteriorMoments(mu[0], sigma_diag[0], float(evidence[0]), float(resid_dof[0]))
+    return PosteriorMoments(mu.T, sigma_diag.T, evidence, resid_dof)

@@ -2,6 +2,9 @@
 
 * ``posterior_direct`` - the dense O(S^3) posterior, against which the
   sensor-space (N x N) path of ``rvmix.posterior`` is checked.
+* ``mu_form_evidence`` - twice the negative log evidence written through
+  a mean: at the posterior mean it must equal what the posterior reads
+  off its Cholesky factor.
 * ``reconstruct`` - K rebuilt from its rank-truncated SVD, which the
   ridge maps use.
 * ``aux_objective_enet`` / ``aux_objective_mxn`` - the coordinate-descent
@@ -40,15 +43,34 @@ def posterior_direct(K, lambda_col, beta, v_col):
     # a solve, not sigma @ K'v: the mean keeps its accuracy when beta is
     # small and the precision ill-conditioned
     mu = np.linalg.solve(prec, K.T @ v) / beta
-    sign, logdet_prec = np.linalg.slogdet(prec)
+    # the evidence from the dense N x N system A = K diag(lam) K' + beta I
+    A = (K * lam) @ K.T + beta * np.eye(K.shape[0])
+    sign, logdet_a = np.linalg.slogdet(A)
     if sign <= 0:
-        raise NumericError("direct posterior precision is not positive definite")
-    logdet = float(np.sum(np.log(lam)) + logdet_prec)
+        raise NumericError("direct evidence system is not positive definite")
+    evidence = 0.5 * float(v @ np.linalg.solve(A, v)) + 0.5 * logdet_a
     sigma_diag = np.diag(sigma).copy()
     # N - sum(gamma), gamma_i = 1 - sigma_i / lam_i: about 0 at a floored lam_i
     resid_dof = K.shape[0] - float(np.sum(1.0 - sigma_diag / lam))
-    return PosteriorMoments(mu=mu, sigma_diag=sigma_diag, logdet_term=logdet,
+    return PosteriorMoments(mu=mu, sigma_diag=sigma_diag, evidence=evidence,
                             resid_dof=resid_dof)
+
+
+def mu_form_evidence(K, lambda_col, beta, v_col, mu_col):
+    """||v - K mu||^2 / beta + mu' diag(lam)^+ mu + log det(I + diag(lam) K'K / beta)
+    + N log beta for one column, the determinant dense over S x S.  At the
+    posterior mean it is twice the negative log evidence
+    v'A^{-1}v / 2 + log det(A) / 2, A = K diag(lam) K' + beta I; a zero
+    lam_i with mu_i = 0 adds nothing (the pseudo-inverse)."""
+    K = np.atleast_2d(np.asarray(K, dtype=float))
+    lam, v, mu = (np.asarray(x, dtype=float) for x in (lambda_col, v_col, mu_col))
+    n, s = K.shape
+    resid = v - K @ mu
+    quad = np.sum(np.divide(mu * mu, lam, out=np.zeros(s), where=lam > 0.0))
+    sign, logdet = np.linalg.slogdet(np.eye(s) + lam[:, None] * (K.T @ K) / beta)
+    if sign <= 0:
+        raise NumericError("I + diag(lam) K'K / beta has a nonpositive determinant")
+    return float(resid @ resid / beta + quad + logdet + n * np.log(beta))
 
 
 def reconstruct(svd):

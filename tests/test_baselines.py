@@ -234,10 +234,13 @@ class TestMMSolve:
             monkeypatch.setattr(posterior.lapack, "dpotrf", failing)
             message = r"not numerically SPD \(LAPACK dpotrf info 3\)"
         data = make_data(seed=13, n=9, s=24, t=5)
-        system = _mm_system(data, PenaltySpec(kind="lasso", lam=0.7), 1e-8)
+        spec = PenaltySpec(kind="lasso", lam=0.7)
         J = np.random.default_rng(14).standard_normal((24, 5))
         with pytest.raises(NumericError, match=message) as info:
-            _mm_step(system, J) if call == "step" else _df_columns(system, J)
+            if call == "step":
+                _mm_step(_mm_system(data, spec, 1e-8), J)
+            else:
+                _df_columns(data, spec, 1e-8, J)
         assert info.value.column == 2
         assert len(calls) == 3
 
@@ -259,7 +262,7 @@ class TestMMSolve:
         step, resid = _mm_step(system, J)
         assert resid is None
         assert np.array_equal(step, want_step)
-        assert np.array_equal(_df_columns(system, J), want_df)
+        assert np.array_equal(_df_columns(data, STEP_CASES[case](s), 1e-8, J), want_df)
 
     def test_fusion_working_memory_does_not_grow_with_t(self):
         # a fusion step or df holds one block of (S, S) systems at a time:
@@ -272,12 +275,14 @@ class TestMMSolve:
         peaks = {}
         for t_count in (4, 48):
             data = ProblemData(K=K, V=rng.standard_normal((16, t_count)))
-            system = _mm_system(data, PenaltySpec(kind="lasso_fusion", lam=1.0), 1e-8)
+            spec = PenaltySpec(kind="lasso_fusion", lam=1.0)
+            system = _mm_system(data, spec, 1e-8)
             J = rng.standard_normal((s, t_count))
-            for name, call in (("step", _mm_step), ("df", _df_columns)):
+            for name, call in (("step", lambda: _mm_step(system, J)),
+                               ("df", lambda: _df_columns(data, spec, 1e-8, J))):
                 tracemalloc.start()
                 try:
-                    call(system, J)
+                    call()
                     peaks[name, t_count] = tracemalloc.get_traced_memory()[1]
                 finally:
                     tracemalloc.stop()
@@ -468,11 +473,27 @@ class TestGCV:
             lam_spec = replace(spec, lam=lam)
             J = mm_solve(data, lam_spec, max_iter=40)
             df = brute_df(data, lam_spec, J, 1e-8)
-            np.testing.assert_allclose(_df_columns(_mm_system(data, lam_spec, 1e-8), J), df,
-                                       rtol=rtol)
+            np.testing.assert_allclose(_df_columns(data, lam_spec, 1e-8, J), df, rtol=rtol)
             rss = float(np.sum((data.V - data.K @ J) ** 2))
             want = (rss / (n * t)) / (1 - np.mean(df) / n) ** 2 if np.mean(df) < n else np.inf
             np.testing.assert_allclose(gcv, want, rtol=rtol)
+
+    @pytest.mark.parametrize("spec", [
+        PenaltySpec(kind="lasso", lam=1.0),
+        PenaltySpec(kind="enet", lam=1.0, mu_mix=0.4),
+    ], ids=["lasso", "enet"])
+    def test_mm_grid_builds_one_system_per_point(self, monkeypatch, spec):
+        # the lasso and enet degrees of freedom read only the majorizer's
+        # weights, so the only _MMSystem of a grid point is its solve's
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return _mm_system(*args)
+
+        monkeypatch.setattr(baselines, "_mm_system", counted)
+        gcv_select(make_data(seed=16, t=4), spec, [0.05, 0.5, 5.0], max_iter=40)
+        assert len(calls) == 3
 
     @pytest.mark.parametrize("spec", [
         PenaltySpec(kind="ridge", lam=1.0),

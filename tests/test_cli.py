@@ -1162,10 +1162,11 @@ class TestErrorExits:
 
 
     @pytest.mark.parametrize("method, where", [("enet-rvm", "column 0: starting variance scale"),
-                                               ("mxn-rvm", "column 0: iteration 1, objective")])
+                                               ("mxn-rvm", "column 0: iteration 1, "
+                                                           "posterior evidence")])
     def test_overflowing_data_exit_4(self, tmp_path, capsys, method, where):
         # V x 1e200 overflows before any variance update: the elastic net's
-        # ridge start, the mixed norm's truncations in the first objective
+        # ridge start, the mixed norm's ||C^-1 v||**2 in its first posterior
         cfg = tmp_path / "sim.cfg"
         cfg.write_text("s = 96\nn = 16\nt = 8\nseed = 0\nc_sigma_space = 2.0\n")
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "sim")]) == 0

@@ -632,9 +632,7 @@ class TestSolveEnet:
         tau, nu = sol.extras["tau"], sol.extras["nu"]
 
         def full_obj(a1_=None, k_=None):
-            return neg_log_posterior_enet(
-                data, sol.mu, lb, a1_ or a1, k_ or k, 1.0, tau, nu
-            ).total
+            return neg_log_posterior_enet(data, lb, a1_ or a1, k_ or k, 1.0, tau, nu)[0]
 
         base = full_obj()
         for fac in (0.99, 1.01):

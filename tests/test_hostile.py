@@ -39,6 +39,14 @@ _AT_START = "majorization objective is not finite at the start"
 MM_FAILING = {name: {("V", 1e200): _AT_START} for name in MM_SPECS}
 
 
+SOLVERS = {"enet": solve_enet, "mxn": solve_mxn}
+#: the solved cells whose objective really rises: on K x 1e-50 the mixed
+#: norm goes from -75 573 to -75 479 between sweeps 2 and 3.  It does so
+#: from K x 1e-4 down (not at 1e-2), after its first alpha search has
+#: jumped from the start, 1, to about 0.12 times the scale of K
+RISING = {("mxn", "K", 1e-50)}
+
+
 @pytest.fixture(scope="module")
 def ring():
     ph = make_phantom(S=96, N=16, T=8, source_spec=SourceSpec(c_sigma_space=2.0))
@@ -51,20 +59,45 @@ def _scaled(ring, which, scale):
     return ProblemData(K=K * scale, V=V) if which == "K" else ProblemData(K=K, V=V * scale)
 
 
+@pytest.fixture(scope="module")
+def solved(ring):
+    """solved(name, which, scale): the Solution of a cell, each solved once."""
+    cache = {}
+
+    def solve(name, which, scale):
+        if (name, which, scale) not in cache:
+            cache[name, which, scale] = SOLVERS[name](_scaled(ring, which, scale))
+        return cache[name, which, scale]
+    return solve
+
+
 @pytest.mark.parametrize("name", ["enet", "mxn"])
 @pytest.mark.parametrize("which, scale", CELLS, ids=[f"{w}x{s:g}" for w, s in CELLS])
-def test_finite_output_or_numeric_exit(ring, name, which, scale):
+def test_finite_output_or_numeric_exit(ring, solved, name, which, scale):
     # tier-1 turns a RuntimeWarning into an error, so neither path may warn
-    solver = {"enet": solve_enet, "mxn": solve_mxn}[name]
-    data = _scaled(ring, which, scale)
     if (which, scale) in FAILING_BY_SOLVER[name]:
         with pytest.raises(RvmixError) as info:
-            solver(data)
+            SOLVERS[name](_scaled(ring, which, scale))
         assert _failure(info.value)[0] == NUMERIC
         assert "overflow" in str(info.value) or "underflow" in str(info.value)
     else:
-        sol = solver(data)
+        sol = solved(name, which, scale)
         assert all(np.all(np.isfinite(x)) for x in (sol.mu, sol.sigma_diag, sol.lambda_bar))
+
+
+@pytest.mark.parametrize("name, which, scale", [
+    pytest.param(name, which, scale, id=f"{name}-{which}x{scale:g}",
+                 marks=[pytest.mark.xfail(strict=True, reason="the mixed norm's objective "
+                                          "rises from K x 1e-4 down (alpha starts at 1)")]
+                 if (name, which, scale) in RISING else [])
+    for name in SOLVERS for which, scale in CELLS
+    if (which, scale) not in FAILING_BY_SOLVER[name]])
+def test_objective_descends(solved, name, which, scale):
+    # the objective is the evidence read off the posterior's factor, a sum
+    # with no residual that cancels, so its rounding grows like its value
+    # and a rise beyond 1e-6 of it is a real one
+    trace = solved(name, which, scale).objective_trace
+    assert np.all(np.diff(trace) <= 1e-6 * np.abs(trace[:-1]))
 
 
 def test_alpha_search_finds_a_deep_root(ring):

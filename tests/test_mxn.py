@@ -257,17 +257,28 @@ class TestSolveMxn:
                                                r"overflows"):
             solve_mxn(ProblemData(K=ph.K, V=V * scale))
 
-    def test_overflowing_truncation_is_a_numeric_error(self):
-        # on V x 1e200 the objective's truncations alpha * delta**2 are
-        # beyond the float range at the starting alpha = 1; it used to end
-        # in a DomainError about k after an overflow warning
+    def test_overflowing_evidence_is_a_numeric_error(self):
+        # on V x 1e200 the posterior's ||C^-1 v||**2 is beyond the float
+        # range, and so, at the starting alpha = 1, are the objective's
+        # truncations alpha * delta**2: no warning may come first
         from rvmix.phantom import NoiseSpec, SourceSpec, add_noise, make_phantom
 
         ph = make_phantom(S=96, N=16, T=8, source_spec=SourceSpec(c_sigma_space=2.0))
         V, _ = add_noise(ph.V_clean, NoiseSpec(42.0, 0))
-        with pytest.raises(NumericError, match=r"^column 0: iteration 1, objective: "
-                                               r"alpha \* delta\*\*2 overflows"):
+        with pytest.raises(NumericError, match=r"^column 0: iteration 1, posterior evidence: "
+                                               r"\|\|C\^-1 v\|\|\*\*2 overflows"):
             solve_mxn(ProblemData(K=ph.K, V=V * 1e200))
+
+    def test_overflowing_truncation_is_a_numeric_error(self):
+        # the objective's truncations alpha * delta**2 beyond the float
+        # range name their column
+        from rvmix.objective import _mxn_hyperprior
+
+        delta = np.ones((3, 5))
+        delta[1, 2] = 1e200
+        with pytest.raises(NumericError, match=r"^objective: alpha \* delta\*\*2") as info:
+            _mxn_hyperprior(np.full((3, 5), 0.5), delta, 1.0)
+        assert info.value.column == 1
 
     def test_zero_data(self):
         rng = np.random.default_rng(0)
@@ -324,7 +335,7 @@ class TestSolveMxn:
         # first recorded value equals the independent evaluator at the
         # initial state
         from rvmix.objective import neg_log_posterior_mxn
-        from rvmix.posterior import posterior_moments, svd_decompose, svd_ridge
+        from rvmix.posterior import svd_decompose, svd_ridge
 
         data, _ = small_ring(t=2, seed=3)
         svd = svd_decompose(data)
@@ -334,12 +345,8 @@ class TestSolveMxn:
         ridge_lam = 1e-2 * float(np.mean(svd.D**2))
         delta = np.column_stack([update_delta(svd_ridge(svd, ridge_lam, data.V[:, t]))
                                  for t in range(t_count)])
-        mu = np.column_stack([
-            posterior_moments(data.K, lam_bar[:, t] / 2.0, 1.0, data.V[:, t]).mu
-            for t in range(t_count)
-        ])
-        ref = neg_log_posterior_mxn(data, mu, lam_bar, delta, 1.0, 1.0)
-        assert sol.objective_trace[0] == pytest.approx(ref.total, rel=1e-10)
+        ref = neg_log_posterior_mxn(data, lam_bar, delta, 1.0, 1.0)
+        assert sol.objective_trace[0] == pytest.approx(np.sum(ref), rel=1e-10)
 
 
     def test_learned_noise(self):

@@ -1,37 +1,42 @@
-"""Objective evaluation: hand-checked values, term structure, coupling algebra."""
+"""Objective evaluation: hand-checked values, the evidence against its
+mean form, and the coupling algebra."""
 
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rvmix.errors import DomainError
 from rvmix.objective import (
-    ObjectiveBreakdown,
+    _enet_hyperprior,
     _mxn_hyperprior,
     neg_log_posterior_enet,
     neg_log_posterior_mxn,
     w_inverse_apply,
 )
-from rvmix.posterior import ProblemData, posterior_moments
+from rvmix.posterior import ProblemData, _rows, posterior_moments
 
-from oracles import aux_objective_enet, aux_objective_mxn
+from oracles import aux_objective_enet, aux_objective_mxn, mu_form_evidence, posterior_direct
 
 
 def make_data(K, V):
     return ProblemData(K=np.asarray(K, dtype=float), V=np.asarray(V, dtype=float))
 
 
-def symbolic_enet_objective(K, v, mu, lam_bar, alpha1, k, beta, tau, nu):
+def symbolic_enet_objective(K, v, lam_bar, alpha1, k, beta, tau, nu):
     """Independent evaluation of the scalar-case objective with mpmath.
 
-    Sums the six pieces directly from their definitions (the determinant
-    via a dense 1x1 computation, the tail via the regularized incomplete
-    Gamma), sharing no code with the implementation.
+    Takes the posterior mean from its definition and sums the six pieces
+    of the mean form there (the determinant via a dense 1x1 computation,
+    the tail via the regularized incomplete Gamma), sharing no code with
+    the implementation.
     """
     with mp.workdps(40):
-        K, v, mu, lam_bar = map(mp.mpf, (K, v, mu, lam_bar))
+        K, v, lam_bar = map(mp.mpf, (K, v, lam_bar))
         alpha1, k, beta, tau, nu = map(mp.mpf, (alpha1, k, beta, tau, nu))
         lam = lam_bar / (2 * alpha1)
+        mu = lam * K * v / (lam * K * K + beta)
         resid = v - K * mu
         data_fit = resid**2 / (2 * beta)
         logdet = mp.log(1 + lam * K * K / beta) / 2 + mp.log(beta) / 2
@@ -45,41 +50,33 @@ def symbolic_enet_objective(K, v, mu, lam_bar, alpha1, k, beta, tau, nu):
 class TestEnetObjective:
     def test_scalar_case_matches_symbolic(self):
         data = make_data([[1.0]], [[0.0]])
-        out = neg_log_posterior_enet(
-            data, mu=np.array([[0.0]]), lambda_bar=np.array([[0.5]]),
-            alpha1=1.0, k=1.0, beta=1.0, tau=1.0, nu=1.0,
-        )
-        ref = symbolic_enet_objective(1.0, 0.0, 0.0, 0.5, 1.0, 1.0, 1.0, 1.0, 1.0)
-        assert np.isfinite(out.total)
-        assert out.total == pytest.approx(ref, rel=1e-12)
+        out = neg_log_posterior_enet(data, lambda_bar=np.array([[0.5]]),
+                                     alpha1=1.0, k=1.0, beta=1.0, tau=1.0, nu=1.0)
+        ref = symbolic_enet_objective(1.0, 0.0, 0.5, 1.0, 1.0, 1.0, 1.0, 1.0)
+        assert out.shape == (1,)
+        assert np.isfinite(out[0])
+        assert out[0] == pytest.approx(ref, rel=1e-12)
 
     def test_scalar_case_nonzero_mean(self):
         data = make_data([[2.0]], [[1.5]])
-        out = neg_log_posterior_enet(
-            data, mu=np.array([[0.3]]), lambda_bar=np.array([[0.7]]),
-            alpha1=0.8, k=2.0, beta=1.3, tau=3.0, nu=0.5,
-        )
-        ref = symbolic_enet_objective(2.0, 1.5, 0.3, 0.7, 0.8, 2.0, 1.3, 3.0, 0.5)
-        assert out.total == pytest.approx(ref, rel=1e-12)
+        out = neg_log_posterior_enet(data, lambda_bar=np.array([[0.7]]),
+                                     alpha1=0.8, k=2.0, beta=1.3, tau=3.0, nu=0.5)
+        ref = symbolic_enet_objective(2.0, 1.5, 0.7, 0.8, 2.0, 1.3, 3.0, 0.5)
+        assert out[0] == pytest.approx(ref, rel=1e-12)
 
-    def test_residual_doubling_linearity(self):
+    def test_scaling_v_touches_only_the_quadratic_form(self):
+        # v -> c v multiplies v'A^{-1}v / 2 by c**2 and leaves the
+        # determinant and the hyperprior as they are
         rng = np.random.default_rng(0)
         K = rng.standard_normal((4, 7))
-        v = rng.standard_normal((4, 1))
-        mu = rng.standard_normal((7, 1)) * 0.1
+        v = rng.standard_normal(4)
         lb = np.full((7, 1), 0.4)
-        beta = 2.0
-        data = make_data(K, v)
-        base = neg_log_posterior_enet(data, mu, lb, 1.0, 1.0, beta, 7.0, 0.1)
-        # doubling the residual: replace v by v' so that resid' = 2*resid
-        v2 = K @ mu[:, 0] + 2 * (v[:, 0] - K @ mu[:, 0])
-        data2 = make_data(K, v2.reshape(-1, 1))
-        out2 = neg_log_posterior_enet(data2, mu, lb, 1.0, 1.0, beta, 7.0, 0.1)
-        r2 = float(np.sum((v[:, 0] - K @ mu[:, 0]) ** 2))
-        assert out2.data_fit - base.data_fit == pytest.approx(3 * r2 / (2 * beta), rel=1e-12)
-        assert out2.logdet == base.logdet
-        assert out2.prior_quadratic == base.prior_quadratic
-        assert out2.hyperprior == base.hyperprior
+        beta, c = 2.0, 3.0
+        base = neg_log_posterior_enet(make_data(K, v[:, None]), lb, 1.0, 1.0, beta, 7.0, 0.1)
+        out = neg_log_posterior_enet(make_data(K, c * v[:, None]), lb, 1.0, 1.0, beta, 7.0, 0.1)
+        A = (K * (lb[:, 0] / 2.0)) @ K.T + beta * np.eye(4)
+        quad = 0.5 * float(v @ np.linalg.solve(A, v))
+        assert out[0] - base[0] == pytest.approx((c * c - 1.0) * quad, rel=1e-12)
 
     def test_finite_with_zero_and_near_one_lambda_bar(self):
         rng = np.random.default_rng(1)
@@ -88,48 +85,18 @@ class TestEnetObjective:
         lb = np.full((6, 2), 0.5)
         lb[0, 0] = 0.0
         lb[1, 0] = 1.0 - 1e-12
-        mu = rng.standard_normal((6, 2)) * 0.01
-        mu[0, 0] = 0.0  # pruned coordinate carries a zero mean
-        out = neg_log_posterior_enet(data, mu, lb, 1.0, 1.0, 1.0, 6.0, 0.06)
-        assert np.isfinite(out.total)
+        out = neg_log_posterior_enet(data, lb, 1.0, 1.0, 1.0, 6.0, 0.06)
+        assert out.shape == (2,)
+        assert np.all(np.isfinite(out))
 
     def test_lambda_bar_at_one_rejected(self):
         data = make_data([[1.0]], [[0.0]])
         with pytest.raises(DomainError):
-            neg_log_posterior_enet(data, np.zeros((1, 1)), np.ones((1, 1)),
-                                   1.0, 1.0, 1.0, 1.0, 1.0)
+            neg_log_posterior_enet(data, np.ones((1, 1)), 1.0, 1.0, 1.0, 1.0, 1.0)
 
-    def test_total_is_sum_of_parts(self):
-        data = make_data([[1.0, 0.2]], [[0.4]])
-        out = neg_log_posterior_enet(data, np.zeros((2, 1)), np.full((2, 1), 0.3),
-                                     1.0, 2.0, 1.0, 2.0, 0.02)
-        assert out.total == pytest.approx(
-            out.data_fit + out.logdet + out.prior_quadratic + out.hyperprior
-        )
-
-    def test_evidence_identity_at_posterior_mean(self):
-        # at mu = posterior mean: mu' lam^{-1} mu + (1/b)||v-K mu||^2
-        #                        = v' (b I + K lam K')^{-1} v
-        rng = np.random.default_rng(3)
-        K = rng.standard_normal((5, 11))
-        v = rng.standard_normal(5)
-        lam_bar = rng.uniform(0.1, 0.9, size=11)
-        alpha1, beta = 1.7, 0.9
-        lam = lam_bar / (2 * alpha1)
-        from rvmix.posterior import posterior_moments
-
-        data = make_data(K, v.reshape(-1, 1))
-        post = posterior_moments(data.K, lam, beta, v)
-        out = neg_log_posterior_enet(data, post.mu.reshape(-1, 1),
-                                     lam_bar.reshape(-1, 1), alpha1, 1.0, beta, 11.0, 0.11)
-        lhs = 2 * (out.prior_quadratic + out.data_fit)
-        rhs = float(v @ np.linalg.solve(beta * np.eye(5) + (K * lam) @ K.T, v))
-        assert lhs == pytest.approx(rhs, rel=1e-10)
-
-
-    def test_reused_logdet_matches_recomputed(self):
-        # the solver hands in each column's posterior logdet_term instead
-        # of letting the objective factor the inner system again
+    def test_given_posterior_matches_recomputed(self):
+        # the solver hands in the posterior of the live columns instead of
+        # letting the objective factor the inner system again
         rng = np.random.default_rng(15)
         K = rng.standard_normal((6, 14))
         V = rng.standard_normal((6, 3))
@@ -137,15 +104,46 @@ class TestEnetObjective:
         alpha1 = np.array([0.8, 1.3, 2.0])
         beta = np.array([1.0, 0.5, 2.0])
         data = make_data(K, V)
-        posts = [posterior_moments(data.K, lam_bar[:, t] / (2 * alpha1[t]), beta[t], V[:, t])
-                 for t in range(3)]
-        mu = np.column_stack([p.mu for p in posts])
-        args = (data, mu, lam_bar, alpha1, 1.5, beta, 14.0, 0.14)
-        want = neg_log_posterior_enet(*args)
-        got = neg_log_posterior_enet(*args, logdet_terms=[p.logdet_term for p in posts])
-        assert got == want
-        with pytest.raises(DomainError):
-            neg_log_posterior_enet(*args, logdet_terms=[posts[0].logdet_term])
+        post = posterior_moments(K, lam_bar / (2 * alpha1), beta, V)
+        args = (lam_bar, alpha1, 1.5, beta, 14.0, 0.14)
+        want = neg_log_posterior_enet(data, *args)
+        np.testing.assert_array_equal(neg_log_posterior_enet(None, *args, post=post), want)
+
+
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 8), s=st.integers(2, 14),
+       t=st.integers(1, 5), branch=st.sampled_from(["enet", "mxn"]))
+@settings(max_examples=80, deadline=None)
+def test_evidence_equals_mean_form_at_the_posterior_mean(seed, n, s, t, branch):
+    # the objective reads the evidence off the posterior's factor; at the
+    # posterior mean that is half the mean form of the dense oracle, column
+    # by column, with some prior variances exactly zero and beta per column
+    rng = np.random.default_rng(seed)
+    K = rng.standard_normal((n, s))
+    V = rng.standard_normal((n, t))
+    lam_bar = rng.uniform(0.05, 0.95, (s, t)) * (rng.random((s, t)) < 0.7)
+    beta = rng.uniform(0.3, 2.0, t)
+    data = make_data(K, V)
+    if branch == "enet":
+        scale = 2.0 * rng.uniform(0.5, 2.0, t)
+        k = rng.uniform(0.5, 3.0, t)
+        got = neg_log_posterior_enet(data, lam_bar, scale / 2.0, k, beta, float(s), 0.01 * s)
+        hyper = _enet_hyperprior(_rows(lam_bar), k, float(s), 0.01 * s)
+    else:
+        alpha = float(rng.uniform(0.5, 2.0))
+        scale = np.full(t, 2.0 * alpha)
+        delta = rng.uniform(0.0, 1.0, (s, t))
+        got = neg_log_posterior_mxn(data, lam_bar, delta, alpha, beta)
+        hyper = _mxn_hyperprior(_rows(lam_bar), _rows(delta), alpha)
+    lam = lam_bar / scale
+    post = posterior_moments(K, lam, beta, V)
+    assert got.shape == (t,)
+    for j in range(t):
+        half = 0.5 * mu_form_evidence(K, lam[:, j], beta[j], V[:, j], post.mu[:, j])
+        want = half + hyper[j]
+        assert abs(got[j] - want) <= 1e-10 * (abs(half) + abs(hyper[j]))
+        # and the dense evidence of the same column
+        assert post.evidence[j] == pytest.approx(
+            posterior_direct(K, lam[:, j], beta[j], V[:, j]).evidence, rel=1e-10, abs=1e-12)
 
 
 class TestMxnObjective:
@@ -162,33 +160,14 @@ class TestMxnObjective:
         with pytest.raises(DomainError):
             w_inverse_apply(np.array([1.0]))
 
-    def test_zero_delta_reduces_to_untruncated(self):
+    def test_zero_delta_reduces_to_the_evidence(self):
+        # no truncation mass, no coupling, no gamma-block contribution
         rng = np.random.default_rng(2)
         K = rng.standard_normal((3, 5))
-        data = make_data(K, rng.standard_normal((3, 2)))
-        mu = rng.standard_normal((5, 2)) * 0.1
+        V = rng.standard_normal((3, 2))
         lb = np.full((5, 2), 0.4)
-        out = neg_log_posterior_mxn(data, mu, lb, np.zeros((5, 2)), 1.2, 1.0)
-        assert np.isfinite(out.total)
-        # no truncation mass, no coupling, no gamma-block contribution
-        assert out.hyperprior == pytest.approx(0.0, abs=1e-12)
-
-    def test_scaling_v_and_mu_touches_only_data_terms(self):
-        rng = np.random.default_rng(4)
-        K = rng.standard_normal((4, 6))
-        V = rng.standard_normal((4, 3))
-        mu = rng.standard_normal((6, 3)) * 0.2
-        lb = rng.uniform(0.2, 0.8, size=(6, 3))
-        delta = rng.uniform(0.0, 1.0, size=(6, 3))
-        data = make_data(K, V)
-        base = neg_log_posterior_mxn(data, mu, lb, delta, 0.7, 1.0)
-        c = 3.0
-        data2 = make_data(K, c * V)
-        out2 = neg_log_posterior_mxn(data2, c * mu, lb, delta, 0.7, 1.0)
-        assert out2.data_fit == pytest.approx(c * c * base.data_fit, rel=1e-12)
-        assert out2.prior_quadratic == pytest.approx(c * c * base.prior_quadratic, rel=1e-12)
-        assert out2.logdet == pytest.approx(base.logdet, rel=1e-12)
-        assert out2.hyperprior == pytest.approx(base.hyperprior, rel=1e-12)
+        out = neg_log_posterior_mxn(make_data(K, V), lb, np.zeros((5, 2)), 1.2, 1.0)
+        np.testing.assert_array_equal(out, posterior_moments(K, lb / 2.4, 1.0, V).evidence)
 
     def test_underflowing_coupling_square_stays_finite(self):
         # at delta ~ 1e-200, delta**2 underflows to 0, and with it
@@ -219,10 +198,7 @@ class TestAuxiliaryObjectives:
         tau, nu = 9.0, 0.09
 
         def true_l(k):
-            return neg_log_posterior_enet(
-                data, mu.reshape(-1, 1), lam_bar.reshape(-1, 1),
-                1.0, k, 1.0, tau, nu
-            ).total
+            return neg_log_posterior_enet(data, lam_bar.reshape(-1, 1), 1.0, k, 1.0, tau, nu)[0]
 
         def aux_l(k):
             return aux_objective_enet(mu, sig, lam_bar, 1.0, k, tau, nu)
@@ -235,7 +211,3 @@ class TestAuxiliaryObjectives:
         with pytest.raises(DomainError):
             aux_objective_mxn(np.zeros((2, 1)), np.zeros((2, 1)),
                               np.zeros((2, 1)), np.zeros((2, 1)), 1.0)
-
-    def test_breakdown_dataclass(self):
-        b = ObjectiveBreakdown(1.0, 2.0, 3.0, 4.0)
-        assert b.total == 10.0

@@ -72,7 +72,8 @@ class TestPosteriorMoments:
         post = posterior_moments(K, np.ones(3), 1.0, v)
         np.testing.assert_allclose(post.mu, v / 2)
         np.testing.assert_allclose(post.sigma_diag, np.full(3, 0.5))
-        assert post.logdet_term == pytest.approx(3 * np.log(2.0), rel=1e-12)
+        # A = 2I: v'v / 4 + (3/2) log 2
+        assert post.evidence == pytest.approx(5.25 / 4 + 1.5 * np.log(2.0), rel=1e-12)
         # gamma_i = 1 - 0.5 / 1 each, so N - sum(gamma) = 3/2
         assert post.resid_dof == pytest.approx(1.5, rel=1e-15)
 
@@ -81,7 +82,7 @@ class TestPosteriorMoments:
         post = posterior_moments(K, np.zeros(3), 1.0, np.ones(3))
         assert np.all(post.mu == 0.0)
         assert np.all(post.sigma_diag == 0.0)
-        assert post.logdet_term == pytest.approx(0.0, abs=1e-12)
+        assert post.evidence == 1.5  # A = I: ||v||^2 / 2
         assert post.resid_dof == 3.0
 
     def test_partial_pruning_exact_zeros(self):
@@ -102,7 +103,7 @@ class TestPosteriorMoments:
         ref = posterior_direct(K, lam, 1.3, v)
         assert rel_dev(fast.mu, ref.mu) <= 1e-8
         assert rel_dev(fast.sigma_diag, ref.sigma_diag) <= 1e-8
-        assert fast.logdet_term == pytest.approx(ref.logdet_term, rel=1e-9)
+        assert fast.evidence == pytest.approx(ref.evidence, rel=1e-9)
 
     def test_woodbury_equivalence_many_instances(self):
         # underdetermined instances with log-uniform prior variances
@@ -187,18 +188,18 @@ class TestStackedPosterior:
         V = rng.standard_normal((n, t))
         stacked = posterior_moments(K, lam, beta, V)
         assert stacked.mu.shape == stacked.sigma_diag.shape == (s, t)
-        assert stacked.logdet_term.shape == (t,)
+        assert stacked.evidence.shape == (t,)
         for j in range(t):
             one = posterior_moments(K, lam[:, j], beta[j], V[:, j])
             np.testing.assert_array_equal(stacked.mu[:, j], one.mu)
             np.testing.assert_array_equal(stacked.sigma_diag[:, j], one.sigma_diag)
-            assert stacked.logdet_term[j] == one.logdet_term
+            assert stacked.evidence[j] == one.evidence
             assert stacked.resid_dof[j] == one.resid_dof
             ref = posterior_direct(K, lam[:, j], beta[j], V[:, j])
             np.testing.assert_allclose(stacked.mu[:, j], ref.mu, rtol=1e-8, atol=1e-10)
             np.testing.assert_allclose(stacked.sigma_diag[:, j], ref.sigma_diag,
                                        rtol=1e-8, atol=1e-10)
-            assert stacked.logdet_term[j] == pytest.approx(ref.logdet_term, rel=1e-8, abs=1e-10)
+            assert stacked.evidence[j] == pytest.approx(ref.evidence, rel=1e-8, abs=1e-10)
             assert np.all(stacked.mu[lam[:, j] == 0.0, j] == 0.0)
             assert np.all(stacked.sigma_diag[lam[:, j] == 0.0, j] == 0.0)
             assert stacked.resid_dof[j] == pytest.approx(ref.resid_dof, rel=1e-8)
@@ -222,20 +223,20 @@ class TestStackedPosterior:
             K = rng.standard_normal((n, 3)) @ rng.standard_normal((3, s))
         V = rng.standard_normal((n, t))
         stacked = posterior_moments(K, lam, beta, V)
-        for out in (stacked.mu, stacked.sigma_diag, stacked.logdet_term, stacked.resid_dof):
+        for out in (stacked.mu, stacked.sigma_diag, stacked.evidence, stacked.resid_dof):
             assert np.all(np.isfinite(out))
         for j in range(t):
             one = posterior_moments(K, lam[:, j], beta[j], V[:, j])
             np.testing.assert_array_equal(stacked.mu[:, j], one.mu)
             np.testing.assert_array_equal(stacked.sigma_diag[:, j], one.sigma_diag)
-            assert stacked.logdet_term[j] == one.logdet_term
+            assert stacked.evidence[j] == one.evidence
             # the oracle floors a zero lam at 1e-300, hence the tiny atol
             ref = posterior_direct(K, lam[:, j], beta[j], V[:, j])
             np.testing.assert_allclose(stacked.mu[:, j], ref.mu, rtol=1e-8,
                                        atol=1e-8 * np.max(np.abs(ref.mu)) + 1e-290)
             np.testing.assert_allclose(stacked.sigma_diag[:, j], ref.sigma_diag, rtol=1e-8,
                                        atol=1e-290)
-            assert stacked.logdet_term[j] == pytest.approx(ref.logdet_term, rel=1e-8, abs=1e-10)
+            assert stacked.evidence[j] == pytest.approx(ref.evidence, rel=1e-8, abs=1e-10)
 
     def test_failed_triangular_inverse_is_named(self, monkeypatch):
         # LAPACK reports a singular factor for the second matrix of the stack
@@ -263,8 +264,8 @@ class TestStackedPosterior:
         # blocks of 2 columns: 9 sensors * 30 sources * 8 bytes * 2
         monkeypatch.setattr(posterior, "BLOCK_BYTES", 8 * 9 * 30 * 2)
         blocked = posterior_moments(K, lam, 1.0, V)
-        for a, b in zip((whole.mu, whole.sigma_diag, whole.logdet_term, whole.resid_dof),
-                        (blocked.mu, blocked.sigma_diag, blocked.logdet_term, blocked.resid_dof)):
+        for a, b in zip((whole.mu, whole.sigma_diag, whole.evidence, whole.resid_dof),
+                        (blocked.mu, blocked.sigma_diag, blocked.evidence, blocked.resid_dof)):
             np.testing.assert_array_equal(a, b)
 
     def test_non_spd_column_is_named(self):
@@ -286,6 +287,16 @@ class TestStackedPosterior:
         with pytest.raises(posterior.NumericError, match="posterior variance overflows") as info:
             posterior_moments(K, lam, 1.0, rng.standard_normal((4, 3)))
         assert info.value.column == 2
+
+    def test_overflowing_evidence_is_named(self):
+        # ||C^-1 v||**2 beyond the float range, for column 1 only
+        rng = np.random.default_rng(3)
+        K = rng.standard_normal((4, 6))
+        V = rng.standard_normal((4, 3))
+        V[:, 1] *= 1e200
+        with pytest.raises(posterior.NumericError, match="evidence.* overflows") as info:
+            posterior_moments(K, np.ones((6, 3)), 1.0, V)
+        assert info.value.column == 1
 
     def test_shape_checks(self):
         K = np.eye(3)
@@ -315,14 +326,15 @@ class TestPosteriorDirect:
         post = posterior_direct(K, lam, 1e12, rng.standard_normal(3))
         np.testing.assert_allclose(post.sigma_diag, lam, rtol=1e-9)
 
-    def test_logdet_consistency(self):
-        # the combined determinant term must agree between the two paths
+    def test_evidence_consistency(self):
+        # the evidence must agree between the factor and the dense system
         rng = np.random.default_rng(9)
         K = rng.standard_normal((5, 9))
         lam = 10.0 ** rng.uniform(-3, 1, size=9)
-        a = posterior_moments(K, lam, 2.0, rng.standard_normal(5))
-        b = posterior_direct(K, lam, 2.0, rng.standard_normal(5))
-        assert a.logdet_term == pytest.approx(b.logdet_term, rel=1e-10)
+        v = rng.standard_normal(5)
+        a = posterior_moments(K, lam, 2.0, v)
+        b = posterior_direct(K, lam, 2.0, v)
+        assert a.evidence == pytest.approx(b.evidence, rel=1e-10)
 
 
 class TestProblemData:
