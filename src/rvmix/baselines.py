@@ -78,7 +78,7 @@ def _ridge_fit(data, lam, L_operator, svd=None):
         raise DomainError("lam must be positive")
     K, V = data.K, data.V
     if L_operator is None:
-        svd = svd or svd_decompose(data)
+        svd = svd or svd_decompose(K)
         return svd_ridge(svd, lam, V.T).T, float(np.sum(svd.D**2 / (svd.D**2 + lam)))
     L = np.asarray(L_operator, dtype=float)
     A = K.T @ K + lam * L.T @ L
@@ -378,7 +378,7 @@ def gcv_select(data, penalty_family, lambda_grid, eps_lqa=1e-8, max_iter=200):
         raise DomainError("lambda_grid must be nonempty and positive")
     n, t_count = data.n_sensors, data.n_times
     plain_ridge = penalty_family.kind == "ridge" and penalty_family.L_operator is None
-    svd = svd_decompose(data) if plain_ridge else None
+    svd = svd_decompose(data.K) if plain_ridge else None
     curve = []
     best = None
     for lam in grid:

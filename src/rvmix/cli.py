@@ -292,7 +292,7 @@ def _solve_payload(method, data, cfg):
         extras["selected_at_grid_edge"] = _at_grid_edge(lam, grid)
     if family.kind in ("ridge", "laplacian_ridge"):
         # a closed form, solved again at the winner: the benchmark's cli-sweep
-        # workload times ridge_solve here (ROADMAP item 6)
+        # workload times ridge_solve here (ROADMAP item 7, which waits on item 2)
         J, converged = ridge_solve(data, lam, family.L_operator), True
     else:
         if info is None:

@@ -137,19 +137,19 @@ def update_alpha1(mu_col, sigma_diag_col, lambda_bar_col):
     return float(out) if out.ndim == 0 else out
 
 
-def _k_gradient_total(lambda_bar, nu):
-    """The k-free part of k_gradient, sum 1/(1 - lambda_bar) + nu, of one
-    column (S,) or of each row of a (T, S) stack."""
-    return np.sum(1.0 / (1.0 - lambda_bar), axis=-1) + nu
+def _k_gradient_terms(lambda_bar, tau, nu):
+    """The k-free parts of k_gradient, of one column (S,) or of each row
+    of a (T, S) stack: (sum 1/(1 - lambda_bar) + nu, tau - S/2, S)."""
+    s = lambda_bar.shape[-1]
+    return np.sum(1.0 / (1.0 - lambda_bar), axis=-1) + nu, tau - 0.5 * s, s
 
 
-def k_gradient(k, lambda_bar, tau, nu, total=None):
+def k_gradient(k, terms):
     """Derivative of the objective along the truncation coefficient k > 0,
-    of one column (S,) at a scalar k or of each row of a (T, S) stack at
-    its own entry of a (T,) k.
+    given its k-free terms _k_gradient_terms(lambda_bar, tau, nu), which
+    the root search computes once per search: of one column at a scalar k,
+    or of each row of a stack at its own entry of a (T,) k.
 
-    total : optional _k_gradient_total(lambda_bar, nu), which the root
-        search computes once per search.
     Returns (f, f', scale): the derivative, its slope and the sum of the
     magnitudes of its terms, from one evaluation of the hazard h, whose
     slope is h' = h (h - 1 - 1/(2k)).
@@ -157,11 +157,8 @@ def k_gradient(k, lambda_bar, tau, nu, total=None):
     kk = np.asarray(k, dtype=float)
     if not np.all((kk > 0.0) & np.isfinite(kk)):
         raise DomainError(f"k must be positive and finite, got {k!r}")
-    lb = np.asarray(lambda_bar, dtype=float)
-    s = lb.shape[-1]
-    if total is None:
-        total = _k_gradient_total(lb, nu)
-    c, h = tau - 0.5 * s, gamma_half_hazard(kk)
+    total, c, s = terms
+    h = gamma_half_hazard(kk)
     with np.errstate(over="ignore"):  # k * k beyond the float range: c / k**2 is 0
         out = (total - c / kk - s * h, c / (kk * kk) - s * h * (h - 1.0 - 0.5 / kk),
                total + abs(c) / kk + s * h)
@@ -180,9 +177,8 @@ def update_k(lambda_bar, tau, nu, k0=1.0):
     lb = np.asarray(lambda_bar, dtype=float)
     if np.any(lb < 0) or np.any(lb >= 1):
         raise DomainError("lambda_bar must lie in [0, 1)")
-    rows_of = lb.reshape(-1, lb.shape[-1])
-    totals = _k_gradient_total(rows_of, nu)
-    return bracketed_root(lambda k, rows: k_gradient(k, rows_of[rows], tau, nu, totals[rows]),
+    totals, c, s = _k_gradient_terms(lb.reshape(-1, lb.shape[-1]), tau, nu)
+    return bracketed_root(lambda k, rows: k_gradient(k, (totals[rows], c, s)),
                           np.broadcast_to(k0, lb.shape[:-1]), context="truncation update")
 
 
@@ -351,8 +347,7 @@ class _EnetIteration(_Iteration):
         return 2.0 * self.alpha1[rows]
 
     def objective(self, rows, post):
-        return neg_log_posterior_enet(None, self.lam_bar[rows].T, self.alpha1[rows],
-                                      self.k[rows], self.beta[rows], self.tau, self.nu, post=post)
+        return neg_log_posterior_enet(post, self.lam_bar[rows].T, self.k[rows], self.tau, self.nu)
 
     def record(self):
         for name, trace in self.traces.items():

@@ -66,19 +66,18 @@ def _alpha_gradient_terms(mu, sigma_diag, lam_bar, delta):
     return frozen, lb.size, d[d > 0.0] ** 2
 
 
-def alpha_gradient(alpha, mu, sigma_diag, lam_bar, delta, terms=None):
+def alpha_gradient(alpha, terms):
     """Derivative of the objective along the global scale, moments frozen,
-    as (f, f', scale): the derivative, its slope and the sum of the
+    given its alpha-free terms _alpha_gradient_terms(mu, sigma_diag,
+    lam_bar, delta), which the root search computes once per root; as
+    (f, f', scale): the derivative, its slope and the sum of the
     magnitudes of its terms, from one hazard evaluation over all couplings.
 
-    terms : optional _alpha_gradient_terms(mu, sigma_diag, lam_bar, delta),
-        which the root search computes once per root.
-    Raises DomainError for fewer than two sources, where the coupling
-    algebra is undefined, and NumericError when alpha * delta**2
-    underflows, where the hazard is undefined (K x 1e-150 on a small
-    ring), or when the derivative overflows.
+    Raises NumericError when alpha * delta**2 underflows, where the hazard
+    is undefined (K x 1e-150 on a small ring), or when the derivative
+    overflows.
     """
-    frozen, st, dp2 = terms or _alpha_gradient_terms(mu, sigma_diag, lam_bar, delta)
+    frozen, st, dp2 = terms
     x = alpha * dp2
     if x.size and not x.min() >= np.finfo(float).tiny:
         raise NumericError(f"global scale update: alpha * delta**2 underflows to 0 or to a "
@@ -98,13 +97,14 @@ def alpha_gradient(alpha, mu, sigma_diag, lam_bar, delta, terms=None):
 def update_alpha_mxn(mu, sigma_diag, lam_bar, delta, alpha0=1.0):
     """Global scale as the root of its gradient over the whole map: Newton
     steps from alpha0 (the current alpha), each a call of alpha_gradient.
-    Raises RootFindError when the search fails and NumericError when
-    alpha_gradient does; the column of either is None, as alpha is one
-    root for the whole map.
+    Raises DomainError for fewer than two sources, where the coupling
+    algebra is undefined, RootFindError when the search fails and
+    NumericError when alpha_gradient does; the column of either is None,
+    as alpha is one root for the whole map.
     """
     terms = _alpha_gradient_terms(mu, sigma_diag, lam_bar, delta)
-    return bracketed_root(lambda a, _: alpha_gradient(a, mu, sigma_diag, lam_bar, delta, terms),
-                          alpha0, context="global scale update")
+    return bracketed_root(lambda a, _: alpha_gradient(a, terms), alpha0,
+                          context="global scale update")
 
 
 class _MxnIteration(_Iteration):
@@ -134,8 +134,7 @@ class _MxnIteration(_Iteration):
         return np.full(rows.size, 2.0 * self.alpha)
 
     def objective(self, rows, post):
-        return neg_log_posterior_mxn(None, self.lam_bar[rows].T, self.delta[rows].T, self.alpha,
-                                     self.beta[rows], post=post)
+        return neg_log_posterior_mxn(post, self.lam_bar[rows].T, self.delta[rows].T, self.alpha)
 
     def refresh(self, rows, mu, sigma, resid_dof):
         self.lam_bar[rows] = update_lambda_bar_mxn(mu, sigma, self.alpha, self.delta[rows])

@@ -1,11 +1,13 @@
 """Negative log-posterior of the hyperparameters, with both prior branches.
 
 ``neg_log_posterior_enet`` / ``neg_log_posterior_mxn`` are the true
-objective used as the convergence monitor.  Each column's value is its
-negative log evidence, v'A^{-1}v / 2 + log det(A) / 2 with
-A = K diag(lam) K' + beta I (Tipping 2001), which the posterior reads off
-its own Cholesky factor (PosteriorMoments.evidence), plus the branch's
-hyperprior.  At the posterior mean this equals the familiar form
+objective used as the convergence monitor.  Each takes the posterior it
+scores, the PosteriorMoments of the same sweep, and factors nothing
+itself.  Each column's value is its negative log evidence,
+v'A^{-1}v / 2 + log det(A) / 2 with A = K diag(lam) K' + beta I
+(Tipping 2001), which the posterior reads off its own Cholesky factor
+(PosteriorMoments.evidence), plus the branch's hyperprior.  At the
+posterior mean this equals the familiar form
 ||v - K mu||^2 / (2 beta) + mu' diag(lam)^{-1} mu / 2
 + log det(I + diag(lam) K'K / beta) / 2 + (N/2) log beta, but it carries
 no residual that cancels as the data grow.  Every column is evaluated at
@@ -30,7 +32,7 @@ are (documented per branch):
 import numpy as np
 
 from .errors import DomainError, NumericError
-from .posterior import _rows, posterior_moments
+from .posterior import _rows
 from .special import gamma_half_log_tail
 
 
@@ -81,31 +83,23 @@ def _enet_hyperprior(lam_bar, k, tau, nu):
     return np.where(truncated, out, 0.0)
 
 
-def neg_log_posterior_enet(data, lambda_bar, alpha1, k, beta, tau, nu, post=None):
+def neg_log_posterior_enet(post, lambda_bar, k, tau, nu):
     """Hyperparameter negative log-posterior of each column, Normal/Laplace
     (elastic-net) branch, as a (T,) array.
 
     Parameters
     ----------
-    data : ProblemData, read only when post is None
+    post : PosteriorMoments of the columns at prior variances
+        lambda_bar / (2 alpha1) and their noise variances
     lambda_bar : (S, T) unit-interval variance factors, entries in [0, 1)
-    alpha1, k, beta : scalars or (T,) vectors (variance scale, truncation
-        coefficient, noise variance per column)
+    k : scalar or (T,) truncation coefficient per column
     tau, nu : Gamma prior parameters of the truncation coefficient
-    post : optional PosteriorMoments of the columns at prior variances
-        lambda_bar / (2 alpha1) and noise variances beta.  None computes
-        it here with posterior_moments.
     """
-    lb = _check_lambda_bar(lambda_bar)
-    t_count = _rows(lb).shape[0]
-    a1 = _as_t_vector(alpha1, t_count, "alpha1")
-    kv = _as_t_vector(k, t_count, "k")
-    bv = _as_t_vector(beta, t_count, "beta")
-    if np.any(a1 <= 0) or np.any(bv <= 0) or np.any(kv < 0):
-        raise DomainError("alpha1 and beta must be positive, k nonnegative")
-    if post is None:
-        post = posterior_moments(data.K, lb / (2.0 * a1), bv, data.V)
-    return post.evidence + _enet_hyperprior(_rows(lb), kv, tau, nu)
+    lb = _rows(_check_lambda_bar(lambda_bar))
+    kv = _as_t_vector(k, lb.shape[0], "k")
+    if np.any(kv < 0):
+        raise DomainError("k must be nonnegative")
+    return post.evidence + _enet_hyperprior(lb, kv, tau, nu)
 
 
 def _mxn_hyperprior(lam_bar, delta, alpha):
@@ -139,20 +133,15 @@ def _mxn_hyperprior(lam_bar, delta, alpha):
     return tail_part + gamma_part + log_part + coupling
 
 
-def neg_log_posterior_mxn(data, lambda_bar, delta, alpha, beta, post=None):
+def neg_log_posterior_mxn(post, lambda_bar, delta, alpha):
     """Hyperparameter negative log-posterior of each column, mixed-norm
     (elitist) branch, as a (T,) array.
 
     delta is the (S, T) matrix of coupling magnitudes; alpha is the single
-    global scale shared by every column.  data and post are as for
+    global scale shared by every column.  post and lambda_bar are as for
     neg_log_posterior_enet, post at prior variances lambda_bar / (2 alpha).
     """
     lb = _check_lambda_bar(lambda_bar)
     if alpha <= 0 or not np.isfinite(alpha):
         raise DomainError("alpha must be positive")
-    bv = _as_t_vector(beta, _rows(lb).shape[0], "beta")
-    if np.any(bv <= 0):
-        raise DomainError("beta must be positive")
-    if post is None:
-        post = posterior_moments(data.K, lb / (2.0 * alpha), bv, data.V)
     return post.evidence + _mxn_hyperprior(_rows(lb), _rows(delta), alpha)

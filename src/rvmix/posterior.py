@@ -90,9 +90,9 @@ class PosteriorMoments:
     resid_dof: object
 
 
-def svd_decompose(data):
-    """Economy SVD of the lead field with singular values below 1e-12*max dropped."""
-    K = data.K if isinstance(data, ProblemData) else np.atleast_2d(np.asarray(data, dtype=float))
+def svd_decompose(K):
+    """Economy SVD of the lead field K with singular values below 1e-12*max dropped."""
+    K = np.atleast_2d(np.asarray(K, dtype=float))
     if not np.all(np.isfinite(K)):
         raise DomainError("lead field must be finite")
     try:

@@ -5,6 +5,9 @@
 * ``mu_form_evidence`` - twice the negative log evidence written through
   a mean: at the posterior mean it must equal what the posterior reads
   off its Cholesky factor.
+* ``objective_enet`` / ``objective_mxn`` - a problem's hyperparameter
+  objective from scratch: its posterior, then the objective of that
+  posterior, as the solvers compose them in one sweep.
 * ``reconstruct`` - K rebuilt from its rank-truncated SVD, which the
   ridge maps use.
 * ``aux_objective_enet`` / ``aux_objective_mxn`` - the coordinate-descent
@@ -17,8 +20,13 @@
 import numpy as np
 
 from rvmix.errors import DomainError, NumericError
-from rvmix.objective import _enet_hyperprior, _mxn_hyperprior
-from rvmix.posterior import PosteriorMoments, _rows
+from rvmix.objective import (
+    _enet_hyperprior,
+    _mxn_hyperprior,
+    neg_log_posterior_enet,
+    neg_log_posterior_mxn,
+)
+from rvmix.posterior import PosteriorMoments, _rows, posterior_moments
 
 
 def posterior_direct(K, lambda_col, beta, v_col):
@@ -71,6 +79,22 @@ def mu_form_evidence(K, lambda_col, beta, v_col, mu_col):
     if sign <= 0:
         raise NumericError("I + diag(lam) K'K / beta has a nonpositive determinant")
     return float(resid @ resid / beta + quad + logdet + n * np.log(beta))
+
+
+def objective_enet(data, lambda_bar, alpha1, k, beta, tau, nu):
+    """neg_log_posterior_enet of the columns of data at prior variances
+    lambda_bar / (2 alpha1) and noise variances beta (scalars or (T,))."""
+    lb = np.asarray(lambda_bar, dtype=float)
+    post = posterior_moments(data.K, lb / (2.0 * alpha1), beta, data.V)
+    return neg_log_posterior_enet(post, lb, k, tau, nu)
+
+
+def objective_mxn(data, lambda_bar, delta, alpha, beta):
+    """neg_log_posterior_mxn of the columns of data at prior variances
+    lambda_bar / (2 alpha) and noise variances beta (a scalar or (T,))."""
+    lb = np.asarray(lambda_bar, dtype=float)
+    post = posterior_moments(data.K, lb / (2.0 * alpha), beta, data.V)
+    return neg_log_posterior_mxn(post, lb, delta, alpha)
 
 
 def reconstruct(svd):

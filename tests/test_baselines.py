@@ -420,13 +420,13 @@ class TestGCV:
         fresh = np.vstack([gcv_select(data, family, [g])[1] for g in grid])
         calls = []
 
-        def counted(arg):
-            calls.append(arg)
-            return svd_decompose(arg)
+        def counted(K):
+            calls.append(K)
+            return svd_decompose(K)
 
         monkeypatch.setattr(baselines, "svd_decompose", counted)
         lam, curve, _, _ = gcv_select(data, family, grid)
-        assert len(calls) == 1
+        assert len(calls) == 1 and calls[0] is data.K
         np.testing.assert_array_equal(curve, fresh)
         assert lam == grid[int(np.argmin(fresh[:, 1]))]
 

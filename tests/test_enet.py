@@ -13,6 +13,7 @@ from rvmix import enet, posterior
 from rvmix.enet import (
     LAMBDA_BAR_CAP,
     SolverConfig,
+    _k_gradient_terms,
     k_gradient,
     solve_enet,
     update_alpha1,
@@ -21,12 +22,11 @@ from rvmix.enet import (
     update_lambda_bar_enet,
 )
 from rvmix.errors import DegenerateStateError, DomainError, NumericError, RootFindError
-from rvmix.mxn import alpha_gradient, update_alpha_mxn
-from rvmix.objective import neg_log_posterior_enet
+from rvmix.mxn import _alpha_gradient_terms, alpha_gradient, update_alpha_mxn
 from rvmix.posterior import ProblemData
 from rvmix.rootfind import NOISE_BOUND, bracketed_root
 
-from oracles import aux_objective_enet
+from oracles import aux_objective_enet, objective_enet
 
 
 def golden_min(f, lo, hi):
@@ -191,8 +191,9 @@ class TestUpdateK:
         lb = np.full(10, 0.3)
         tau, nu = 10.0, 0.1
         k = update_k(lb, tau, nu)
-        scale = max(abs(k_gradient(1e-10, lb, tau, nu)[0]), abs(k_gradient(1e10, lb, tau, nu)[0]))
-        assert abs(k_gradient(k, lb, tau, nu)[0]) <= 1e-8 * scale
+        terms = _k_gradient_terms(lb, tau, nu)
+        scale = max(abs(k_gradient(1e-10, terms)[0]), abs(k_gradient(1e10, terms)[0]))
+        assert abs(k_gradient(k, terms)[0]) <= 1e-8 * scale
 
     def test_flat_state_formula(self):
         # lambda_bar all zero, tau = nu = S: F(k) = 2S - (S/2)/k - S*hazard(k)
@@ -215,10 +216,10 @@ class TestUpdateK:
         assert k == pytest.approx(xstar, rel=1e-6)
 
     def test_gradient_rejects_nonpositive_k(self):
-        lb = np.full(4, 0.3)
+        terms = _k_gradient_terms(np.full(4, 0.3), 4.0, 0.04)
         for bad in (0.0, -1.0, np.inf, np.nan):
             with pytest.raises(DomainError):
-                k_gradient(bad, lb, 4.0, 0.04)
+                k_gradient(bad, terms)
 
     def test_denser_solution_smaller_root(self):
         sparse_lb = np.full(12, 0.05)
@@ -265,7 +266,8 @@ class TestNewtonSearch:
         tau, nu = float(s), 0.01 * s
         got = update_k(lb, tau, nu, rng.uniform(0.05, 20.0, 6))
         for t in range(6):
-            want = oracle_bracketed_root(lambda k: k_gradient(k, lb[t], tau, nu)[0])
+            terms = _k_gradient_terms(lb[t], tau, nu)
+            want = oracle_bracketed_root(lambda k: k_gradient(k, terms)[0])
             assert got[t] == pytest.approx(want, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("s", [3, 40, 200])
@@ -276,7 +278,8 @@ class TestNewtonSearch:
         sig = rng.uniform(0.01, 0.3, (s, t_count))
         lb = rng.uniform(0.05, 0.9, (s, t_count))
         delta = rng.uniform(0.0, 1.5, (s, t_count)) * (rng.random((s, t_count)) < 0.8)
-        want = oracle_bracketed_root(lambda a: alpha_gradient(a, mu, sig, lb, delta)[0])
+        terms = _alpha_gradient_terms(mu, sig, lb, delta)
+        want = oracle_bracketed_root(lambda a: alpha_gradient(a, terms)[0])
         for alpha0 in (1.0, want * 1.3, 1e-6, 1e6):
             got = update_alpha_mxn(mu, sig, lb, delta, alpha0)
             assert got == pytest.approx(want, rel=1e-12, abs=0.0)
@@ -632,7 +635,7 @@ class TestSolveEnet:
         tau, nu = sol.extras["tau"], sol.extras["nu"]
 
         def full_obj(a1_=None, k_=None):
-            return neg_log_posterior_enet(data, lb, a1_ or a1, k_ or k, 1.0, tau, nu)[0]
+            return objective_enet(data, lb, a1_ or a1, k_ or k, 1.0, tau, nu)[0]
 
         base = full_obj()
         for fac in (0.99, 1.01):

@@ -9,6 +9,7 @@ from rvmix.enet import LAMBDA_BAR_CAP, SolverConfig, solve_enet, update_lambda_b
 from rvmix.errors import DomainError, NumericError, RootFindError
 from rvmix.metrics import mixed_norm
 from rvmix.mxn import (
+    _alpha_gradient_terms,
     alpha_gradient,
     solve_mxn,
     update_alpha_mxn,
@@ -19,7 +20,7 @@ from rvmix.objective import w_inverse_apply
 from rvmix.posterior import ProblemData
 from rvmix.special import gamma_half_hazard
 
-from oracles import aux_objective_mxn
+from oracles import aux_objective_mxn, objective_mxn
 
 
 class TestCouplingAlgebra:
@@ -139,12 +140,13 @@ class TestAlphaUpdate:
         d = rng.uniform(0.0, 2.0, (s, t)) * (rng.random((s, t)) < 0.8)
         for alpha in (1e-6, 0.3, 2.0, 1e5):
             want = per_column_alpha_gradient(alpha, mu, sig, lb, d)
-            assert alpha_gradient(alpha, mu, sig, lb, d)[0] == pytest.approx(want, rel=1e-12)
+            got = alpha_gradient(alpha, _alpha_gradient_terms(mu, sig, lb, d))[0]
+            assert got == pytest.approx(want, rel=1e-12)
 
     def test_single_source_rejected(self):
         one = np.full((1, 3), 0.5)
         with pytest.raises(DomainError):
-            alpha_gradient(1.0, one, one, one, one)
+            alpha_gradient(1.0, _alpha_gradient_terms(one, one, one, one))
         with pytest.raises(DomainError):
             update_alpha_mxn(one, one, one, one)
 
@@ -156,7 +158,8 @@ class TestAlphaUpdate:
         lam_bar = rng.uniform(0.05, 0.9, s)
         delta = update_delta(mu)
         cols = [x[:, None] for x in (mu, sig, lam_bar, delta)]
-        assert alpha_gradient(0.7, mu, sig, lam_bar, delta) == alpha_gradient(0.7, *cols)
+        assert (alpha_gradient(0.7, _alpha_gradient_terms(mu, sig, lam_bar, delta))
+                == alpha_gradient(0.7, _alpha_gradient_terms(*cols)))
         assert update_alpha_mxn(mu, sig, lam_bar, delta) == update_alpha_mxn(*cols)
         assert (aux_objective_mxn(mu, sig, lam_bar, delta, 0.7)
                 == aux_objective_mxn(*cols, 0.7))
@@ -182,9 +185,9 @@ class TestAlphaUpdate:
         lam_bar = rng.uniform(0.05, 0.9, (s, t))
         delta = rng.uniform(0.0, 1.5, (s, t))
         alpha = update_alpha_mxn(mu, sig, lam_bar, delta)
-        scale = max(abs(alpha_gradient(1e-10, mu, sig, lam_bar, delta)[0]),
-                    abs(alpha_gradient(1e10, mu, sig, lam_bar, delta)[0]))
-        assert abs(alpha_gradient(alpha, mu, sig, lam_bar, delta)[0]) <= 1e-8 * scale
+        terms = _alpha_gradient_terms(mu, sig, lam_bar, delta)
+        scale = max(abs(alpha_gradient(1e-10, terms)[0]), abs(alpha_gradient(1e10, terms)[0]))
+        assert abs(alpha_gradient(alpha, terms)[0]) <= 1e-8 * scale
 
     def test_matches_grid_minimizer(self):
         rng = np.random.default_rng(4)
@@ -334,18 +337,17 @@ class TestSolveMxn:
     def test_solver_trace_matches_objective_module(self):
         # first recorded value equals the independent evaluator at the
         # initial state
-        from rvmix.objective import neg_log_posterior_mxn
         from rvmix.posterior import svd_decompose, svd_ridge
 
         data, _ = small_ring(t=2, seed=3)
-        svd = svd_decompose(data)
+        svd = svd_decompose(data.K)
         sol = solve_mxn(data, SolverConfig(max_iter=1))
         s, t_count = 48, 2
         lam_bar = np.full((s, t_count), 0.5)
         ridge_lam = 1e-2 * float(np.mean(svd.D**2))
         delta = np.column_stack([update_delta(svd_ridge(svd, ridge_lam, data.V[:, t]))
                                  for t in range(t_count)])
-        ref = neg_log_posterior_mxn(data, lam_bar, delta, 1.0, 1.0)
+        ref = objective_mxn(data, lam_bar, delta, 1.0, 1.0)
         assert sol.objective_trace[0] == pytest.approx(np.sum(ref), rel=1e-10)
 
 

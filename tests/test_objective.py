@@ -11,13 +11,18 @@ from rvmix.errors import DomainError
 from rvmix.objective import (
     _enet_hyperprior,
     _mxn_hyperprior,
-    neg_log_posterior_enet,
-    neg_log_posterior_mxn,
     w_inverse_apply,
 )
 from rvmix.posterior import ProblemData, _rows, posterior_moments
 
-from oracles import aux_objective_enet, aux_objective_mxn, mu_form_evidence, posterior_direct
+from oracles import (
+    aux_objective_enet,
+    aux_objective_mxn,
+    mu_form_evidence,
+    objective_enet,
+    objective_mxn,
+    posterior_direct,
+)
 
 
 def make_data(K, V):
@@ -50,8 +55,8 @@ def symbolic_enet_objective(K, v, lam_bar, alpha1, k, beta, tau, nu):
 class TestEnetObjective:
     def test_scalar_case_matches_symbolic(self):
         data = make_data([[1.0]], [[0.0]])
-        out = neg_log_posterior_enet(data, lambda_bar=np.array([[0.5]]),
-                                     alpha1=1.0, k=1.0, beta=1.0, tau=1.0, nu=1.0)
+        out = objective_enet(data, lambda_bar=np.array([[0.5]]),
+                             alpha1=1.0, k=1.0, beta=1.0, tau=1.0, nu=1.0)
         ref = symbolic_enet_objective(1.0, 0.0, 0.5, 1.0, 1.0, 1.0, 1.0, 1.0)
         assert out.shape == (1,)
         assert np.isfinite(out[0])
@@ -59,8 +64,8 @@ class TestEnetObjective:
 
     def test_scalar_case_nonzero_mean(self):
         data = make_data([[2.0]], [[1.5]])
-        out = neg_log_posterior_enet(data, lambda_bar=np.array([[0.7]]),
-                                     alpha1=0.8, k=2.0, beta=1.3, tau=3.0, nu=0.5)
+        out = objective_enet(data, lambda_bar=np.array([[0.7]]),
+                             alpha1=0.8, k=2.0, beta=1.3, tau=3.0, nu=0.5)
         ref = symbolic_enet_objective(2.0, 1.5, 0.7, 0.8, 2.0, 1.3, 3.0, 0.5)
         assert out[0] == pytest.approx(ref, rel=1e-12)
 
@@ -72,8 +77,8 @@ class TestEnetObjective:
         v = rng.standard_normal(4)
         lb = np.full((7, 1), 0.4)
         beta, c = 2.0, 3.0
-        base = neg_log_posterior_enet(make_data(K, v[:, None]), lb, 1.0, 1.0, beta, 7.0, 0.1)
-        out = neg_log_posterior_enet(make_data(K, c * v[:, None]), lb, 1.0, 1.0, beta, 7.0, 0.1)
+        base = objective_enet(make_data(K, v[:, None]), lb, 1.0, 1.0, beta, 7.0, 0.1)
+        out = objective_enet(make_data(K, c * v[:, None]), lb, 1.0, 1.0, beta, 7.0, 0.1)
         A = (K * (lb[:, 0] / 2.0)) @ K.T + beta * np.eye(4)
         quad = 0.5 * float(v @ np.linalg.solve(A, v))
         assert out[0] - base[0] == pytest.approx((c * c - 1.0) * quad, rel=1e-12)
@@ -85,29 +90,14 @@ class TestEnetObjective:
         lb = np.full((6, 2), 0.5)
         lb[0, 0] = 0.0
         lb[1, 0] = 1.0 - 1e-12
-        out = neg_log_posterior_enet(data, lb, 1.0, 1.0, 1.0, 6.0, 0.06)
+        out = objective_enet(data, lb, 1.0, 1.0, 1.0, 6.0, 0.06)
         assert out.shape == (2,)
         assert np.all(np.isfinite(out))
 
     def test_lambda_bar_at_one_rejected(self):
         data = make_data([[1.0]], [[0.0]])
         with pytest.raises(DomainError):
-            neg_log_posterior_enet(data, np.ones((1, 1)), 1.0, 1.0, 1.0, 1.0, 1.0)
-
-    def test_given_posterior_matches_recomputed(self):
-        # the solver hands in the posterior of the live columns instead of
-        # letting the objective factor the inner system again
-        rng = np.random.default_rng(15)
-        K = rng.standard_normal((6, 14))
-        V = rng.standard_normal((6, 3))
-        lam_bar = rng.uniform(0.0, 0.95, size=(14, 3))
-        alpha1 = np.array([0.8, 1.3, 2.0])
-        beta = np.array([1.0, 0.5, 2.0])
-        data = make_data(K, V)
-        post = posterior_moments(K, lam_bar / (2 * alpha1), beta, V)
-        args = (lam_bar, alpha1, 1.5, beta, 14.0, 0.14)
-        want = neg_log_posterior_enet(data, *args)
-        np.testing.assert_array_equal(neg_log_posterior_enet(None, *args, post=post), want)
+            objective_enet(data, np.ones((1, 1)), 1.0, 1.0, 1.0, 1.0, 1.0)
 
 
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 8), s=st.integers(2, 14),
@@ -126,13 +116,13 @@ def test_evidence_equals_mean_form_at_the_posterior_mean(seed, n, s, t, branch):
     if branch == "enet":
         scale = 2.0 * rng.uniform(0.5, 2.0, t)
         k = rng.uniform(0.5, 3.0, t)
-        got = neg_log_posterior_enet(data, lam_bar, scale / 2.0, k, beta, float(s), 0.01 * s)
+        got = objective_enet(data, lam_bar, scale / 2.0, k, beta, float(s), 0.01 * s)
         hyper = _enet_hyperprior(_rows(lam_bar), k, float(s), 0.01 * s)
     else:
         alpha = float(rng.uniform(0.5, 2.0))
         scale = np.full(t, 2.0 * alpha)
         delta = rng.uniform(0.0, 1.0, (s, t))
-        got = neg_log_posterior_mxn(data, lam_bar, delta, alpha, beta)
+        got = objective_mxn(data, lam_bar, delta, alpha, beta)
         hyper = _mxn_hyperprior(_rows(lam_bar), _rows(delta), alpha)
     lam = lam_bar / scale
     post = posterior_moments(K, lam, beta, V)
@@ -166,7 +156,7 @@ class TestMxnObjective:
         K = rng.standard_normal((3, 5))
         V = rng.standard_normal((3, 2))
         lb = np.full((5, 2), 0.4)
-        out = neg_log_posterior_mxn(make_data(K, V), lb, np.zeros((5, 2)), 1.2, 1.0)
+        out = objective_mxn(make_data(K, V), lb, np.zeros((5, 2)), 1.2, 1.0)
         np.testing.assert_array_equal(out, posterior_moments(K, lb / 2.4, 1.0, V).evidence)
 
     def test_underflowing_coupling_square_stays_finite(self):
@@ -198,7 +188,7 @@ class TestAuxiliaryObjectives:
         tau, nu = 9.0, 0.09
 
         def true_l(k):
-            return neg_log_posterior_enet(data, lam_bar.reshape(-1, 1), 1.0, k, 1.0, tau, nu)[0]
+            return objective_enet(data, lam_bar.reshape(-1, 1), 1.0, k, 1.0, tau, nu)[0]
 
         def aux_l(k):
             return aux_objective_enet(mu, sig, lam_bar, 1.0, k, tau, nu)

@@ -46,9 +46,9 @@ class TestSvdDecompose:
         svd = svd_decompose(K)
         assert svd.rank == 4
 
-    def test_accepts_problem_data(self):
+    def test_takes_the_lead_field_of_a_problem(self):
         data = ProblemData(K=np.eye(2), V=np.zeros((2, 1)))
-        assert svd_decompose(data).rank == 2
+        assert svd_decompose(data.K).rank == 2
 
     def test_ridge_matches_normal_equations_row_by_row(self):
         # svd_ridge is (K'K + lam I)^{-1} K'v, and a stack of columns as
