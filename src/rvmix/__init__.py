@@ -15,7 +15,6 @@ from .baselines import (
     mm_objective,
     mm_solve,
     ridge_solve,
-    ring_first_difference,
     ring_laplacian,
 )
 from .enet import (

@@ -30,9 +30,10 @@ class PenaltySpec:
     lam : overall regularization weight (lambda in the penalized objective)
     mu_mix : elastic-net split in (0, 1); the squared-norm weight is
         lam*mu_mix and the L1 weight lam*(1 - mu_mix)
-    L_operator : (S, S) matrix applied inside the penalty; laplacian_ridge
-        requires one, and the fusion arm defaults to the periodic first
-        difference
+    L_operator : (rows, S) matrix of the laplacian_ridge penalty
+        lam*||L J||^2, which that kind requires and every other kind
+        refuses: ridge is the identity, lasso and enet act on J itself,
+        and lasso_fusion on the ring's first difference J[r] - J[r+1 mod S]
     """
 
     kind: str
@@ -50,6 +51,8 @@ class PenaltySpec:
                 raise DomainError("enet requires mu_mix in (0, 1)")
         if self.kind == "laplacian_ridge" and self.L_operator is None:
             raise DomainError("laplacian_ridge requires an L_operator")
+        if self.kind != "laplacian_ridge" and self.L_operator is not None:
+            raise DomainError(f"{self.kind} takes no L_operator; only laplacian_ridge does")
 
 
 def ring_laplacian(s):
@@ -58,14 +61,6 @@ def ring_laplacian(s):
     idx = np.arange(s)
     L[idx, (idx + 1) % s] = -1.0
     L[idx, (idx - 1) % s] = -1.0
-    return L
-
-
-def ring_first_difference(s):
-    """Periodic first-difference operator on a ring of s nodes."""
-    L = np.eye(s)
-    idx = np.arange(s)
-    L[idx, (idx + 1) % s] = -1.0
     return L
 
 
@@ -97,15 +92,26 @@ def ridge_solve(data, lam, L_operator=None):
 
 
 def _penalty_weights(spec, s):
-    """(alpha1, alpha2, L) decomposition of a penalty for the MM solver."""
+    """(alpha1, alpha2, fusion) decomposition of a penalty for the MM solver:
+    alpha1*||J||^2 + alpha2*|J|_1, or alpha2 times the L1 norm of the ring's
+    first difference when fusion is True."""
     if spec.kind == "lasso":
-        return 0.0, spec.lam, None
+        return 0.0, spec.lam, False
     if spec.kind == "enet":
-        return spec.lam * spec.mu_mix, spec.lam * (1.0 - spec.mu_mix), None
+        return spec.lam * spec.mu_mix, spec.lam * (1.0 - spec.mu_mix), False
     if spec.kind == "lasso_fusion":
-        L = spec.L_operator if spec.L_operator is not None else ring_first_difference(s)
-        return 0.0, spec.lam, np.asarray(L, dtype=float)
+        if s < 3:
+            raise DomainError(f"lasso_fusion fuses neighbours on a ring, which needs at "
+                              f"least 3 sources, got {s}")
+        return 0.0, spec.lam, True
     raise DomainError(f"{spec.kind} is not a majorization penalty")
+
+
+def _ring_difference(J):
+    """The ring's first difference J[r] - J[r+1 mod S] of an (S, T) map, the
+    quantity the fusion penalty takes the L1 norm of.  Always C-ordered,
+    because np.sum adds in memory order."""
+    return np.subtract(J, np.roll(J, -1, axis=0), order="C")
 
 
 def smoothed_abs(x, eps):
@@ -122,8 +128,8 @@ def mm_objective(data, J, spec, eps_lqa=0.0, resid=None):
     if resid is None:
         resid = data.V - data.K @ J
     val = float(np.sum(resid * resid))
-    alpha1, alpha2, L = _penalty_weights(spec, data.n_sources)
-    arg = J if L is None else L @ J
+    alpha1, alpha2, fusion = _penalty_weights(spec, data.n_sources)
+    arg = _ring_difference(J) if fusion else J
     if eps_lqa > 0:
         val += alpha2 * float(np.sum(smoothed_abs(arg, eps_lqa)))
     else:
@@ -166,36 +172,29 @@ def _spd_solve(A, B, what):
     return B
 
 
-def _fusion_pattern(L):
-    """Where L'diag(w)L can be nonzero for any w >= 0: the (rows, cols)
-    pattern of |L|'|L|, and the (rows(L), nnz) products L[r, rows]*L[r, cols].
-    A dense L gives the full pattern."""
-    absL = np.abs(L)
-    rows, cols = np.nonzero(absL.T @ absL)
-    P = L[:, rows]
-    P *= L[:, cols]
-    return rows, cols, P
-
-
 def _fusion_blocks(system, J):
     """The majorized normal matrices K'K + alpha2/2 * L'diag(w_t)L at J, one
     block of columns at a time: yields (columns, A), a slice of the T
-    columns and their (B, S, S) stack.  B is sized so that the stack takes
-    about BLOCK_BYTES, and every block is written into the same buffer, so
-    a block is gone once the next is yielded."""
-    rows, cols, P = system.pattern
+    columns and their (B, S, S) stack.  With L the ring's first difference,
+    L'diag(w)L is the cycle Laplacian with w_r + w_{r-1} on the diagonal and
+    -w_r at (r, r+1) and (r+1, r).  B is sized so that the stack takes about
+    BLOCK_BYTES, and every block is written into the same buffer, so a
+    block is gone once the next is yielded."""
     s = system.KtK.shape[0]
-    # one GEMM over all T columns, whatever the blocks: a GEMM's rounding
-    # can depend on how many rows it is given
-    added = (0.5 * system.alpha2) * (system.weights(J).T @ P)  # (T, nnz)
-    t_count = added.shape[0]
-    block = max(1, min(t_count, BLOCK_BYTES // (8 * s * s)))
+    c = 0.5 * system.alpha2
+    w = system.weights(J).T  # (T, S)
+    diag, off = c * (w + np.roll(w, 1, axis=1)), -c * w
+    r, nxt = np.arange(s), np.roll(np.arange(s), -1)
+    block = max(1, min(len(w), BLOCK_BYTES // (8 * s * s)))
     buffer = np.empty((block, s, s))
-    for lo in range(0, t_count, block):
-        A = buffer[: min(block, t_count - lo)]
+    for lo in range(0, len(w), block):
+        A = buffer[: min(block, len(w) - lo)]
+        columns = slice(lo, lo + len(A))
         A[...] = system.KtK
-        A[:, rows, cols] += added[lo : lo + len(A)]
-        yield slice(lo, lo + len(A)), A
+        A[:, r, r] += diag[columns]
+        A[:, r, nxt] += off[columns]
+        A[:, nxt, r] += off[columns]
+        yield columns, A
 
 
 def _lu_solve(A, B):
@@ -210,35 +209,35 @@ def _lu_solve(A, B):
 class _MMSystem:
     """The parts of a majorization step that do not depend on J, built once
     per solve: V and the product table for a diagonal penalty (lasso, enet),
-    K'V, K'K and the L'diag(w)L pattern for fusion."""
+    K'V and K'K for fusion."""
 
     K: np.ndarray
     alpha1: float
     alpha2: float
     eps: float
-    L: np.ndarray | None
+    fusion: bool
     V: np.ndarray | None = None
     table: tuple | None = None
     KtV: np.ndarray | None = None
     KtK: np.ndarray | None = None
-    pattern: tuple | None = None
 
     def weights(self, J):
         """The majorizer's weights at J: the (S, T) diagonal d of a lasso or
-        enet penalty, or the (rows(L), T) fusion weights w."""
-        if self.L is None:
+        enet penalty, or the (S, T) fusion weights w of the ring's first
+        differences."""
+        if not self.fusion:
             return self.alpha1 + 0.5 * self.alpha2 / (np.abs(J) + self.eps)
-        return 1.0 / (np.abs(self.L @ J) + self.eps)
+        return 1.0 / (np.abs(_ring_difference(J)) + self.eps)
 
 
 def _mm_system(data, spec, eps):
     """The _MMSystem of one penalty on one problem."""
-    alpha1, alpha2, L = _penalty_weights(spec, data.n_sources)
+    alpha1, alpha2, fusion = _penalty_weights(spec, data.n_sources)
     K = data.K
-    common = dict(K=K, alpha1=alpha1, alpha2=alpha2, eps=eps, L=L)
-    if L is None:
+    common = dict(K=K, alpha1=alpha1, alpha2=alpha2, eps=eps, fusion=fusion)
+    if not fusion:
         return _MMSystem(**common, V=data.V, table=_product_table(K))
-    return _MMSystem(**common, KtV=K.T @ data.V, KtK=K.T @ K, pattern=_fusion_pattern(L))
+    return _MMSystem(**common, KtV=K.T @ data.V, KtK=K.T @ K)
 
 
 def _mm_step(system, J):
@@ -246,7 +245,7 @@ def _mm_step(system, J):
     its residual V - K J_new where the step has it for free (lasso, enet),
     else None."""
     K = system.K
-    if system.L is None:
+    if not system.fusion:
         # diagonal quadratic part, by push-through: with M_t = K D_t^{-1} K',
         # (K'K + D_t)^{-1} K'v_t = D_t^{-1} K' (I + M_t)^{-1} v_t, so each
         # column takes one (N, N) solve against v_t and nothing cancels
@@ -346,16 +345,15 @@ def mm_solve(data, penalty, eps_lqa=1e-8, max_iter=200, tol=1e-6, return_trace=F
 def _df_columns(data, spec, eps, J):
     """Per-column effective degrees of freedom trace(K A_t^{-1} K') of the
     majorized problem at J, A_t the step's normal matrix.  It builds only
-    what it reads: the weights for lasso and enet, and K'K and the
-    L'diag(w)L pattern for fusion."""
-    alpha1, alpha2, L = _penalty_weights(spec, data.n_sources)
+    what it reads: the weights for lasso and enet, and K'K for fusion."""
+    alpha1, alpha2, fusion = _penalty_weights(spec, data.n_sources)
     K = data.K
-    if L is None:
+    if not fusion:
         # the majorized problem is the posterior at prior variances 1/d and
         # noise variance 1: trace(K (K'K + D_t)^{-1} K') = N - resid_dof
-        d = _MMSystem(K, alpha1, alpha2, eps, L).weights(J)
+        d = _MMSystem(K, alpha1, alpha2, eps, fusion).weights(J)
         return K.shape[0] - posterior_moments(K, 1.0 / d, 1.0, data.V).resid_dof
-    system = _MMSystem(K, alpha1, alpha2, eps, L, KtK=K.T @ K, pattern=_fusion_pattern(L))
+    system = _MMSystem(K, alpha1, alpha2, eps, fusion, KtK=K.T @ K)
     df = np.empty(J.shape[1])
     for columns, A in _fusion_blocks(system, J):
         X = _lu_solve(A, np.broadcast_to(K.T, (len(A),) + K.T.shape))  # (B, S, N)
@@ -377,8 +375,7 @@ def gcv_select(data, penalty_family, lambda_grid, eps_lqa=1e-8, max_iter=200):
     if not grid or any(g <= 0 for g in grid):
         raise DomainError("lambda_grid must be nonempty and positive")
     n, t_count = data.n_sensors, data.n_times
-    plain_ridge = penalty_family.kind == "ridge" and penalty_family.L_operator is None
-    svd = svd_decompose(data.K) if plain_ridge else None
+    svd = svd_decompose(data.K) if penalty_family.kind == "ridge" else None
     curve = []
     best = None
     for lam in grid:

@@ -8,6 +8,9 @@
 * ``objective_enet`` / ``objective_mxn`` - a problem's hyperparameter
   objective from scratch: its posterior, then the objective of that
   posterior, as the solvers compose them in one sweep.
+* ``ring_first_difference`` - the dense (S, S) matrix of the fusion
+  penalty's first difference J[r] - J[r+1 mod S] on the ring, which
+  ``rvmix.baselines`` applies without forming it.
 * ``reconstruct`` - K rebuilt from its rank-truncated SVD, which the
   ridge maps use.
 * ``aux_objective_enet`` / ``aux_objective_mxn`` - the coordinate-descent
@@ -95,6 +98,14 @@ def objective_mxn(data, lambda_bar, delta, alpha, beta):
     lb = np.asarray(lambda_bar, dtype=float)
     post = posterior_moments(data.K, lb / (2.0 * alpha), beta, data.V)
     return neg_log_posterior_mxn(post, lb, delta, alpha)
+
+
+def ring_first_difference(s):
+    """Periodic first-difference operator on a ring of s nodes."""
+    L = np.eye(s)
+    idx = np.arange(s)
+    L[idx, (idx + 1) % s] = -1.0
+    return L
 
 
 def reconstruct(svd):

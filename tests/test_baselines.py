@@ -6,18 +6,20 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from oracles import ring_first_difference
 from rvmix import baselines, posterior
 from rvmix.baselines import (
+    PENALTY_KINDS,
     PenaltySpec,
     _df_columns,
     _mm_step,
     _mm_system,
     _penalty_weights,
+    _ring_difference,
     gcv_select,
     mm_objective,
     mm_solve,
     ridge_solve,
-    ring_first_difference,
     ring_laplacian,
 )
 from rvmix.errors import DomainError, NumericError, SelectionError
@@ -48,11 +50,10 @@ def oracle_mm_step(KtK, KtV, K, J, alpha1, alpha2, L, eps):
 def brute_df(data, spec, J, eps):
     """Per-column trace(K A_t^{-1} K') with A_t the dense majorized normal
     matrix K'K + diag(alpha1 + alpha2/2 / (|J_t| + eps)), or K'K +
-    alpha2/2 L'diag(1/(|L J_t| + eps))L for fusion."""
+    alpha2/2 L'diag(1/(|L J_t| + eps))L for fusion, L the dense ring
+    difference."""
     K = data.K
-    s = K.shape[1]
-    if spec.kind == "lasso_fusion":
-        L = spec.L_operator if spec.L_operator is not None else ring_first_difference(s)
+    L = ring_first_difference(K.shape[1])
     df = []
     for t in range(J.shape[1]):
         if spec.kind == "lasso_fusion":
@@ -70,9 +71,6 @@ STEP_CASES = {
     "lasso": lambda s: PenaltySpec(kind="lasso", lam=0.7),
     "enet": lambda s: PenaltySpec(kind="enet", lam=0.7, mu_mix=0.3),
     "fusion_ring": lambda s: PenaltySpec(kind="lasso_fusion", lam=0.7),
-    "fusion_dense": lambda s: PenaltySpec(
-        kind="lasso_fusion", lam=0.7,
-        L_operator=np.random.default_rng(12).standard_normal((s + 3, s))),
 }
 
 
@@ -128,6 +126,14 @@ class TestRingOperators:
         x = np.arange(5.0)
         want = x - np.roll(x, -1)
         np.testing.assert_allclose(D @ x, want)
+        # the fusion arm's difference is the dense product to the bit: each
+        # entry of D J has two nonzero +-1 terms.  It comes back C-ordered
+        # whatever the map's order, since np.sum adds in memory order
+        for order in "CF":
+            J = np.asarray(np.random.default_rng(5).standard_normal((5, 4)), order=order)
+            got = _ring_difference(J)
+            assert got.flags.c_contiguous
+            assert np.array_equal(got, D @ J)
 
 
 class TestMMSolve:
@@ -182,8 +188,9 @@ class TestMMSolve:
         spec = STEP_CASES[case](24)
         rng = np.random.default_rng(14)
         J = rng.standard_normal((24, 5))
-        alpha1, alpha2, L = _penalty_weights(spec, 24)
-        if L is None:
+        alpha1, alpha2, fusion = _penalty_weights(spec, 24)
+        L = ring_first_difference(24) if fusion else None
+        if not fusion:
             # exact zeros too; for fusion they would put 1/eps weights on
             # L'diag(w)L and leave a condition number near 1e8
             J[rng.random((24, 5)) < 0.4] = 0.0
@@ -244,25 +251,29 @@ class TestMMSolve:
         assert info.value.column == 2
         assert len(calls) == 3
 
-    @pytest.mark.parametrize("case", ["fusion_ring", "fusion_dense"])
-    def test_fusion_blocks_match_one_stack(self, monkeypatch, case):
+    def test_fusion_blocks_match_one_stack(self, monkeypatch):
         # blocks of 3 columns over T=11: the step and df match, to the bit,
-        # one (T, S, S) stack solved in one call
+        # one (T, S, S) stack of K'K + alpha2/2 L'diag(w_t)L built from the
+        # dense ring difference and solved in one call; each entry of the
+        # dense L'diag(w_t)L has at most two nonzero terms, so it rounds as
+        # the blocks' two-term sums do
         s, t_count = 24, 11
         monkeypatch.setattr(baselines, "BLOCK_BYTES", 8 * s * s * 3)
         data = make_data(seed=13, n=9, s=s, t=t_count)
-        system = _mm_system(data, STEP_CASES[case](s), 1e-8)
+        spec = STEP_CASES["fusion_ring"](s)
+        system = _mm_system(data, spec, 1e-8)
         J = np.random.default_rng(14).standard_normal((s, t_count))
-        rows, cols, P = system.pattern
-        A = np.repeat(system.KtK[None], t_count, axis=0)
-        A[:, rows, cols] += (0.5 * system.alpha2) * (system.weights(J).T @ P)
+        L = ring_first_difference(s)
+        w = 1.0 / (np.abs(L @ J) + 1e-8)
+        A = np.stack([system.KtK + (0.5 * system.alpha2) * ((L.T * w[:, t]) @ L)
+                      for t in range(t_count)])
         want_step = np.linalg.solve(A, system.KtV.T[:, :, None])[:, :, 0].T
         X = np.linalg.solve(A, np.broadcast_to(data.K.T, (t_count,) + data.K.T.shape))
         want_df = np.sum(data.K.T * X, axis=(1, 2))
         step, resid = _mm_step(system, J)
         assert resid is None
         assert np.array_equal(step, want_step)
-        assert np.array_equal(_df_columns(data, STEP_CASES[case](s), 1e-8, J), want_df)
+        assert np.array_equal(_df_columns(data, spec, 1e-8, J), want_df)
 
     def test_fusion_working_memory_does_not_grow_with_t(self):
         # a fusion step or df holds one block of (S, S) systems at a time:
@@ -365,6 +376,26 @@ class TestMMSolve:
         with pytest.raises(DomainError, match="L_operator"):
             PenaltySpec(kind="laplacian_ridge", lam=1.0)
 
+    @pytest.mark.parametrize("kind", [k for k in PENALTY_KINDS if k != "laplacian_ridge"])
+    def test_only_laplacian_ridge_takes_an_operator(self, kind):
+        # lasso and enet would ignore the operator, ridge with one would be
+        # laplacian_ridge again, and fusion is the ring's first difference
+        L = ring_laplacian(20)
+        mu_mix = 0.3 if kind == "enet" else None
+        with pytest.raises(DomainError, match=f"{kind} takes no L_operator"):
+            PenaltySpec(kind=kind, lam=1.0, mu_mix=mu_mix, L_operator=L)
+
+    @pytest.mark.parametrize("s", [1, 2])
+    def test_fusion_needs_a_ring_of_three(self, s):
+        # on one source the ring difference would be -J, a plain L1 penalty;
+        # on two, both rows difference the same pair
+        data = ProblemData(K=np.ones((3, s)), V=np.ones((3, 2)))
+        spec = PenaltySpec(kind="lasso_fusion", lam=1.0)
+        for call in (lambda: mm_solve(data, spec), lambda: gcv_select(data, spec, [1.0]),
+                     lambda: mm_objective(data, np.zeros((s, 2)), spec)):
+            with pytest.raises(DomainError, match="ring, which needs at least 3 sources"):
+                call()
+
 
 class TestGCV:
     def test_single_element_grid(self):
@@ -458,9 +489,7 @@ class TestGCV:
         PenaltySpec(kind="lasso", lam=1.0),
         PenaltySpec(kind="enet", lam=1.0, mu_mix=0.4),
         PenaltySpec(kind="lasso_fusion", lam=1.0),
-        PenaltySpec(kind="lasso_fusion", lam=1.0,
-                    L_operator=np.random.default_rng(15).standard_normal((22, 20))),
-    ], ids=["lasso", "enet", "fusion_ring", "fusion_dense"])
+    ], ids=["lasso", "enet", "fusion_ring"])
     def test_mm_df_matches_brute_force(self, spec):
         data = make_data(seed=16, t=4)
         grid = [0.05, 0.5, 5.0]

@@ -133,15 +133,16 @@ def test_mm_finite_map_or_numeric_exit(ring, name, which, scale):
         assert np.all(np.isfinite(mm_solve(data, MM_SPECS[name], max_iter=40)))
 
 
-#: the largest relative deviation a rotation may cause: rounding, except
-#: for fusion, whose (S, S) normal equations are badly conditioned (K'K has
-#: rank N < S, and the weights reach 1/eps_lqa)
+#: the largest relative deviation a rotation or a source permutation may
+#: cause: rounding, except for fusion, whose (S, S) normal equations are
+#: badly conditioned (K'K has rank N < S, and the weights reach 1/eps_lqa)
 ROTATION_RTOL = {"enet": 1e-12, "mxn": 1e-12, "lasso": 1e-12, "enet-mm": 1e-12,
                  "fusion": 1e-7}
 
 
 def _rotation_run(name, data):
-    """The map and the counts a rotation must leave unchanged."""
+    """The map and the counts a rotation or a source permutation must leave
+    unchanged."""
     if name in ("enet", "mxn"):
         sol = {"enet": solve_enet, "mxn": solve_mxn}[name](data)
         counts = (sol.iterations, sol.extras["stop_reason"],
@@ -163,3 +164,29 @@ def test_sensor_rotation_changes_nothing(ring, name, seed):
     got, got_counts = _rotation_run(name, ProblemData(K=Q @ K, V=Q @ V))
     assert got_counts == want_counts
     assert np.max(np.abs(got - want)) <= ROTATION_RTOL[name] * np.max(np.abs(want))
+
+
+#: the source orders each majorization arm's penalty is blind to: lasso and
+#: enet-mm act on every source alike, fusion on the ring's first difference,
+#: which a rotation of the ring moves and a reflection negates
+PERMUTATIONS = [("lasso", "any"), ("enet-mm", "any"), ("fusion", "rotation"),
+                ("fusion", "reflection")]
+
+
+@pytest.mark.parametrize("name, kind", PERMUTATIONS, ids=[f"{n}-{k}" for n, k in PERMUTATIONS])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_source_permutation_permutes_the_mm_maps(ring, name, kind, seed):
+    # K -> K[:, perm] leaves each arm's problem unchanged up to the order of
+    # the sources, so the map comes back permuted, with the same step count
+    # and the same zero pattern
+    K, V = ring
+    s = K.shape[1]
+    rng = np.random.default_rng(seed)
+    perm = {"any": lambda: rng.permutation(s),
+            "rotation": lambda: np.roll(np.arange(s), int(rng.integers(1, s))),
+            "reflection": lambda: np.arange(s)[::-1]}[kind]()
+    want, want_counts = _rotation_run(name, ProblemData(K=K, V=V))
+    got, got_counts = _rotation_run(name, ProblemData(K=K[:, perm], V=V))
+    assert got_counts == want_counts
+    assert np.array_equal(got == 0.0, want[perm] == 0.0)
+    assert np.max(np.abs(got - want[perm])) <= ROTATION_RTOL[name] * np.max(np.abs(want))

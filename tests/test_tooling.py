@@ -26,12 +26,14 @@ def test_per_layer_names_are_functions_of_their_module():
     assert not missing, f"per_layer names without a function: {missing}"
 
 
-def test_span_attributes_bind_to_arguments_that_exist(monkeypatch):
+@pytest.mark.parametrize("kind", ["lasso", "lasso_fusion"])
+def test_span_attributes_bind_to_arguments_that_exist(monkeypatch, kind):
     # perfbench/spans.py binds mm_solve's max_iter and tol and gcv_select's
     # lambda_grid by name, reads the selected lambda as gcv_select's first
     # result, and keeps argument 1 of each mm_objective call under mm_solve
     # as that step's map; a refactor of the classical core that renames or
-    # moves one of them fails here, not only in traced benchmark runs
+    # moves one of them, for the diagonal penalties or for fusion, fails
+    # here, not only in traced benchmark runs
     import numpy as np
 
     from rvmix import baselines
@@ -48,7 +50,7 @@ def test_span_attributes_bind_to_arguments_that_exist(monkeypatch):
     monkeypatch.setattr(baselines, "mm_objective", recording)
     rng = np.random.default_rng(0)
     data = ProblemData(K=rng.standard_normal((6, 15)), V=rng.standard_normal((6, 3)))
-    spec = baselines.PenaltySpec(kind="lasso", lam=1.0)
+    spec = baselines.PenaltySpec(kind=kind, lam=1.0)
     J, info = baselines.mm_solve(data, spec, max_iter=5, return_info=True)
     assert len(maps) == info.iterations + 1  # the start, then one per step
     assert all(m.shape == J.shape for m in maps)
