@@ -12,7 +12,12 @@ S >> N sources it lives in sensor space instead: by the Woodbury identity
     A     = K diag(lam) K^T + beta I
 
 so the only dense solve is an N x N SPD system, which beta I keeps
-positive definite whatever the rank of K.  Zero prior variances enter
+positive definite whatever the rank of K.  The two products per column,
+A and C^{-1} K with C the Cholesky factor of A, are taken in strips of
+STRIP_ROWS sensor rows, each only as far as its diagonal block: dpotrf
+reads no more than A's lower triangle, and C^{-1} is lower triangular.
+They cost about 2 N (N + STRIP_ROWS) S flops instead of 4 N^2 S, so
+2.5 N^2 S at N = 64 and 3 N^2 S at N = 31.  Zero prior variances enter
 multiplicatively, so pruned coordinates come out exactly zero instead of
 dividing by zero.  The SVD of K serves the ridge maps (svd_ridge).
 """
@@ -110,6 +115,8 @@ def svd_decompose(K):
 
 #: bytes of one column block's (B, N, S) work array
 BLOCK_BYTES = 1 << 20
+#: sensor rows per strip of the block's products A = K diag(lam) K' and Y = C^{-1} K
+STRIP_ROWS = 16
 
 
 def _rows(x):
@@ -147,8 +154,11 @@ def posterior_moments(K, lambda_col, beta, v_col):
     wherever lambda_col_i = 0.
 
     Columns are processed as rows, in blocks whose (B, N, S) work array
-    takes about BLOCK_BYTES, so a column's result is the same to the bit
-    alone or in any stack.  A system A that overflows or is not
+    takes about BLOCK_BYTES.  Per block, A and Y = C^{-1} K are formed in
+    strips of STRIP_ROWS sensor rows, rows r0:r1 of each from the first
+    r1 rows of K; every strip is one stacked product of identical
+    per-column calls, so a column's result is the same to the bit alone
+    or in any stack.  A system A that overflows or is not
     numerically SPD, or a variance or evidence that overflows (lam or v
     too large to square), raises NumericError with the column's index in
     ``column``.
@@ -173,17 +183,22 @@ def posterior_moments(K, lambda_col, beta, v_col):
     mu, sigma_diag = np.empty((t_count, s)), np.empty((t_count, s))
     evidence, resid_dof = np.empty(t_count), np.empty(t_count)
     block = max(1, BLOCK_BYTES // (8 * n * s))
+    strips = [(r0, min(r0 + STRIP_ROWS, n)) for r0 in range(0, n, STRIP_ROWS)]
     for lo in range(0, t_count, block):
         rows = slice(lo, lo + block)
         lam_b = lam[rows]
-        # A = K diag(lam) K' + beta I per column, beta added on a strided view of the diagonals
+        # A = K diag(lam) K' + beta I per column, beta added on a strided view
+        # of the diagonals; each strip of rows is formed up to the diagonal
+        # block only, since dpotrf reads no more than A's lower triangle
+        A = np.empty((len(lam_b), n, n))
         with np.errstate(over="ignore", invalid="ignore"):
             work = K * lam_b[:, None, :]  # the block's (B, N, S) array
-            A = np.matmul(work, K.T)
+            for r0, r1 in strips:
+                np.matmul(work[:, r0:r1], K[:r1].T, out=A[:, r0:r1, :r1])
         A.reshape(len(A), n * n)[:, :: n + 1] += beta[rows, None]
         # a.T is each matrix as a Fortran-ordered array, so LAPACK works on
         # it in place: dpotrf leaves the factor C in a's lower triangle with
-        # the upper one zeroed, and dtrtri turns C into C^{-1}
+        # the unformed upper one zeroed, and dtrtri turns C into C^{-1}
         c_diag = np.empty((len(A), n))
         for j, a in enumerate(A):
             info = lapack.dpotrf(a.T, lower=0, overwrite_a=1, clean=1)[1]
@@ -205,8 +220,11 @@ def posterior_moments(K, lambda_col, beta, v_col):
                                f"(max lam={lam_b[bad[0]].max():.3e})", column=lo + bad[0])
 
         # Y = C^{-1} K and z = C^{-1} v, so that mu = diag(lam) K' A^{-1} v
-        # = lam * (Y' z); Y takes the place of the block's work array
-        Y = np.matmul(A, K, out=work)
+        # = lam * (Y' z); Y takes the place of the block's work array, and a
+        # strip of C^{-1} is zero to the right of its diagonal block
+        for r0, r1 in strips:
+            np.matmul(A[:, r0:r1, :r1], K[:r1], out=work[:, r0:r1])
+        Y = work
         z = np.matmul(A, v[rows, :, None])
         mu[rows] = lam_b * np.matmul(z.transpose(0, 2, 1), Y)[:, 0]
 

@@ -535,7 +535,7 @@ class TestSolveEnet:
             sol_t = solve_enet(single)
             np.testing.assert_array_equal(sol_full.mu[:, t], sol_t.mu[:, 0])
 
-    @given(s=st.integers(20, 64), n=st.integers(4, 16), t=st.integers(2, 8),
+    @given(s=st.integers(20, 64), n=st.integers(4, 40), t=st.integers(2, 8),
            seed=st.integers(0, 2**32 - 1), draw=st.data())
     @settings(max_examples=25, deadline=None)
     def test_column_separability_is_exact(self, s, n, t, seed, draw):

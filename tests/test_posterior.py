@@ -268,6 +268,73 @@ class TestStackedPosterior:
                         (blocked.mu, blocked.sigma_diag, blocked.evidence, blocked.resid_dof)):
             np.testing.assert_array_equal(a, b)
 
+    @pytest.mark.parametrize("rows", [1, 2, 3, 5])
+    def test_strips_do_not_change_results(self, monkeypatch, rows):
+        # strips of a few sensor rows against one strip of all of them, and
+        # each column of the strip-wise stack against its one-column call
+        rng = np.random.default_rng(rows)
+        for n in range(9, 21):
+            s, t = int(rng.integers(n, 3 * n)), 4
+            K = rng.standard_normal((n, s))
+            lam = rng.uniform(0.05, 2.0, (s, t)) * (rng.random((s, t)) < 0.8)
+            beta = rng.uniform(0.3, 2.0, t)
+            V = rng.standard_normal((n, t))
+            monkeypatch.setattr(posterior, "STRIP_ROWS", n)
+            whole = posterior_moments(K, lam, beta, V)
+            monkeypatch.setattr(posterior, "STRIP_ROWS", rows)
+            strips = posterior_moments(K, lam, beta, V)
+            for a, b in zip((whole.mu, whole.sigma_diag, whole.evidence, whole.resid_dof),
+                            (strips.mu, strips.sigma_diag, strips.evidence, strips.resid_dof)):
+                assert rel_dev(a, b) <= 1e-13
+            for j in range(t):
+                one = posterior_moments(K, lam[:, j], beta[j], V[:, j])
+                np.testing.assert_array_equal(strips.mu[:, j], one.mu)
+                np.testing.assert_array_equal(strips.sigma_diag[:, j], one.sigma_diag)
+                assert strips.evidence[j] == one.evidence
+                assert strips.resid_dof[j] == one.resid_dof
+
+    @pytest.mark.parametrize("case", ["overflow", "not_spd"])
+    def test_error_in_a_later_strip_is_named(self, monkeypatch, case):
+        # sensor row 18 of 20 lies in the second strip.  dpotrf gets each A
+        # with its upper triangle, which the strips leave partly unformed,
+        # set to NaN: the failing column is still the one named, and the
+        # other columns still match the dense oracle
+        dpotrf = posterior.lapack.dpotrf
+
+        def poisoning(c, **kwargs):
+            # c is A as its Fortran-ordered transpose: A's upper triangle is c's lower
+            c[np.tril_indices(len(c), -1)] = np.nan
+            return dpotrf(c, **kwargs)
+
+        monkeypatch.setattr(posterior.lapack, "dpotrf", poisoning)
+        rng = np.random.default_rng(18)
+        n, s = 20, 30
+        K = rng.standard_normal((n, s))
+        K[:, 0] = 0.0
+        lam = rng.uniform(0.5, 2.0, (s, 3))
+        if case == "overflow":
+            # K diag(lam) K' overflows in row 18, for column 1 only
+            K[18, 0], lam[0] = 1e150, [0.0, 1e10, 0.0]
+            match = "overflows"
+        else:
+            # rows 17 and 18 see only source 0, whose variance 2**130 swamps
+            # beta = 1 in column 1: their 2 x 2 block of A is exactly singular
+            K[17:19] = 0.0
+            K[17:19, 0], lam[0] = 1.0, [0.0, 2.0**130, 0.0]
+            match = r"not numerically SPD \(LAPACK dpotrf info 19\)"
+        V = rng.standard_normal((n, 3))
+        with pytest.raises(posterior.NumericError, match=match) as info:
+            posterior_moments(K, lam, 1.0, V)
+        assert info.value.column == 1
+        # columns 0 and 2 give source 0 no variance, so the oracle drops it
+        good = posterior_moments(K, lam[:, [0, 2]], 1.0, V[:, [0, 2]])
+        assert np.all(good.mu[0] == 0.0) and np.all(good.sigma_diag[0] == 0.0)
+        for j, col in enumerate((0, 2)):
+            ref = posterior_direct(K[:, 1:], lam[1:, col], 1.0, V[:, col])
+            np.testing.assert_allclose(good.mu[1:, j], ref.mu, rtol=1e-8, atol=1e-10)
+            np.testing.assert_allclose(good.sigma_diag[1:, j], ref.sigma_diag, rtol=1e-8)
+            assert good.resid_dof[j] == pytest.approx(ref.resid_dof, rel=1e-10)
+
     def test_non_spd_column_is_named(self):
         # K diag(lam) K' + beta I overflows for column 1 only, as column 0's
         # lam vanishes on K's huge first source; LAPACK would factor the
