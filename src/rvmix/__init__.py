@@ -76,7 +76,6 @@ from .posterior import (
     svd_decompose,
 )
 from .special import (
-    QuadratureSpec,
     gamma_half_hazard,
     gamma_half_log_tail,
     gamma_half_tail,

@@ -123,7 +123,9 @@ def update_lambda_bar_enet(mu_i, sigma_ii, alpha1, k):
 
 def update_alpha1(mu_col, sigma_diag_col, lambda_bar_col):
     """Stationary variance scale (S/2) / sum((mu^2 + sigma)/lambda_bar), of
-    one column (S,) or of each row of a (T, S) stack of columns."""
+    one column (S,) or of each row of a (T, S) stack of columns.  Raises
+    DegenerateStateError when every coordinate of a column is pruned (the
+    scale is undefined), naming the row of a stack in ``column``."""
     mu = np.asarray(mu_col, dtype=float)
     lb = np.asarray(lambda_bar_col, dtype=float)
     m2s = mu * mu + np.asarray(sigma_diag_col, dtype=float)
@@ -131,8 +133,10 @@ def update_alpha1(mu_col, sigma_diag_col, lambda_bar_col):
     if np.any(~alive & (m2s > 0.0)):
         raise DomainError("zero lambda_bar with nonzero moments is inconsistent")
     denom = np.sum(np.divide(m2s, lb, out=np.zeros_like(m2s), where=alive), axis=-1)
-    if np.any(denom <= 0.0):
-        raise DegenerateStateError("every coordinate is pruned; variance scale undefined")
+    pruned = denom <= 0.0
+    if np.any(pruned):
+        raise DegenerateStateError("every coordinate is pruned; variance scale undefined",
+                                   column=int(np.flatnonzero(pruned)[0]) if pruned.ndim else None)
     out = 0.5 * lb.shape[-1] / denom
     return float(out) if out.ndim == 0 else out
 
@@ -203,12 +207,14 @@ def update_beta_enet(v_col, K, mu_col, resid_dof, mode="learned"):
 class _Iteration:
     """The iteration both Bayesian solvers share, on (T, S) state with one
     contiguous row per column.  A sweep computes the posterior moments and
-    objective of all live columns at once, then the model's refresh, the
-    stop test (per column, or for the whole map) and the model's step.
-    A model sets lam_bar (T, S), beta (T,) and zero_data (T,), the columns
-    that stop after one sweep, and provides scale (twice the variance
-    scale of given rows), objective (their per-column values, given their
-    PosteriorMoments), record and step, and names in unread the
+    objective of the columns still running (rows) at once, then the
+    model's refresh, the stop test (per column, or for the whole map),
+    which drops the columns that stop from rows, and the model's step on
+    the rest.  A model sets lam_bar (T, S), beta (T,) and zero_data (T,),
+    the columns that stop after one sweep, and provides scale (twice the
+    variance scale of given rows), objective (their per-column values,
+    given their PosteriorMoments), record and step (which updates the
+    hyperparameters of given rows in place), and names in unread the
     SolverConfig field it rejects when set.
     """
 
@@ -225,9 +231,24 @@ class _Iteration:
         self.K, self.V = data.K, np.ascontiguousarray(data.V.T)
 
     def ridge_start(self):
-        """(T, S) ridge means at lambda = 1e-2 mean(D**2), D the singular values of K."""
+        """(T, S) ridge means at lambda = 1e-2 mean(D**2), D the singular
+        values of K.  Raises NumericError naming the first column whose
+        means are not finite: where D**2 + lambda underflows to 0 (the ring
+        phantom's K scaled by 1e-165 or less), or where V is too large to
+        project."""
         svd = svd_decompose(self.K)
-        return svd_ridge(svd, 1e-2 * float(np.mean(svd.D**2)), self.V)
+        d2 = svd.D**2
+        lam = 1e-2 * float(np.mean(d2))
+        with np.errstate(all="ignore"):
+            start = svd_ridge(svd, lam, self.V)
+        bad = np.flatnonzero(~np.all(np.isfinite(start), axis=1))
+        if bad.size:
+            j = int(bad[0])
+            what = ("the squared singular values of K underflow to 0" if np.any(d2 + lam == 0.0)
+                    else "the projected data overflow")
+            raise NumericError(f"column {j}: ridge start: {what}; the data's scale is beyond the "
+                               f"float range", column=j)
+        return start
 
     def refresh(self, rows, mu, sigma, resid_dof):
         """Model state updated before the stop test: none by default."""
@@ -256,22 +277,19 @@ class _Iteration:
         beta_floor_columns, the columns whose final beta is BETA_FLOOR."""
         t_count, s = self.lam_bar.shape
         mu, sigma, objective = np.zeros((t_count, s)), np.zeros((t_count, s)), np.zeros(t_count)
-        resid_dof = np.zeros(t_count)
         iterations = np.zeros(t_count, dtype=int)
         stop_reason = np.full(t_count, "max_iter", dtype=object)
-        live = np.ones(t_count, dtype=bool)
+        rows = np.arange(t_count)
         trace = []
         for it in range(self.config.max_iter):
-            rows = np.flatnonzero(live)
             prev_mu, prev_obj = mu.copy(), objective.copy()
             try:
                 lam = self.lam_bar[rows] / self.scale(rows)[:, None]
                 post = posterior_moments(self.K, lam.T, self.beta[rows], self.V[rows].T)
                 mu[rows], sigma[rows] = post.mu.T, post.sigma_diag.T
-                resid_dof[rows] = post.resid_dof
                 objective[rows] = self.objective(rows, post)
                 iterations[rows] += 1
-                self.refresh(rows, mu[rows], sigma[rows], resid_dof[rows])
+                self.refresh(rows, mu[rows], sigma[rows], post.resid_dof)
                 trace.append(objective.copy())
                 self.record()
 
@@ -280,17 +298,13 @@ class _Iteration:
                 else:
                     stop, reason = self.stalled(rows, mu, prev_mu, objective, prev_obj), "tol"
                 stop_reason[rows[stop]] = reason
-                live[rows[stop]] = False
                 rows = rows[~stop]
                 if not rows.size:
                     break
-                collapsed = rows[self.step(rows, mu[rows], sigma[rows], resid_dof[rows])]
+                self.step(rows, mu[rows], sigma[rows], post.resid_dof[~stop])
             except NumericError as exc:
                 where = "" if exc.column is None else f"column {rows[exc.column]}: "
                 raise NumericError(f"{where}iteration {it + 1}, {exc}") from exc
-            mu[collapsed] = sigma[collapsed] = self.lam_bar[collapsed] = 0.0
-            stop_reason[collapsed] = "collapsed"
-            live[collapsed] = False
         stop_reason = list(stop_reason)
         extras = ({"stop_reason": stop_reason, "column_iterations": iterations}
                   if self.per_column else {"stop_reason": stop_reason[0]})
@@ -354,30 +368,15 @@ class _EnetIteration(_Iteration):
             trace.append(getattr(self, name).copy())
 
     def step(self, rows, mu, sigma, resid_dof):
-        """lambda_bar, then alpha1, k and beta of the given columns; returns
-        the mask of columns that collapsed (every coordinate pruned, so the
-        variance scale is undefined).  alpha1 and k are learned unless
-        fixed_hyper fixes them."""
-        learn = self.config.fixed_hyper is None
-        alpha1, k, beta = self.alpha1[rows], self.k[rows], self.beta[rows]
-        lam_bar = update_lambda_bar_enet(mu, sigma, alpha1[:, None], k[:, None])
-        collapsed = np.zeros(rows.size, dtype=bool)
-        if learn:
-            collapsed = ~np.any(lam_bar > 0.0, axis=1)
-            alpha1[~collapsed] = update_alpha1(mu[~collapsed], sigma[~collapsed],
-                                               lam_bar[~collapsed])
-        keep = np.flatnonzero(~collapsed)
-        try:
-            if learn:
-                k[keep] = update_k(lam_bar[keep], self.tau, self.nu, k[keep])
-            beta[keep] = update_beta_enet(self.V[rows[keep]], self.K, mu[keep], resid_dof[keep],
-                                          mode=self.config.beta_mode)
-        except NumericError as exc:
-            raise NumericError(str(exc), column=keep[exc.column]) from exc
-        kept = rows[keep]
-        self.lam_bar[kept] = lam_bar[keep]
-        self.alpha1[kept], self.k[kept], self.beta[kept] = alpha1[keep], k[keep], beta[keep]
-        return collapsed
+        """lambda_bar, then alpha1 and k (unless fixed_hyper fixes them),
+        then beta of the given columns."""
+        self.lam_bar[rows] = lam_bar = update_lambda_bar_enet(
+            mu, sigma, self.alpha1[rows, None], self.k[rows, None])
+        if self.config.fixed_hyper is None:
+            self.alpha1[rows] = update_alpha1(mu, sigma, lam_bar)
+            self.k[rows] = update_k(lam_bar, self.tau, self.nu, self.k[rows])
+        self.beta[rows] = update_beta_enet(self.V[rows], self.K, mu, resid_dof,
+                                           mode=self.config.beta_mode)
 
 
 def solve_enet(data, config=None):
@@ -387,9 +386,10 @@ def solve_enet(data, config=None):
     over columns (columns that finished early are held at their final
     value) and whose last hyper_trace rows hold the final alpha1, k and
     beta; extras holds each column's iteration count (column_iterations),
-    stop_reason ("tol", "max_iter", "collapsed": every coordinate pruned,
-    or "zero_data") and the prior's tau and nu.  Numeric errors name the
-    column and iteration.
+    stop_reason ("tol", "max_iter" or "zero_data") and the prior's tau and
+    nu.  Numeric errors name the column and iteration, among them
+    update_alpha1's DegenerateStateError for a column whose every
+    coordinate is pruned, which needs mu = sigma = 0 exactly throughout.
     """
     core = _EnetIteration(data, config)
     sol = core.run()

@@ -151,7 +151,6 @@ class _MxnIteration(_Iteration):
     def step(self, rows, mu, sigma, resid_dof):
         if self.learn_alpha:
             self.alpha = update_alpha_mxn(mu.T, sigma.T, self.lam_bar.T, self.delta.T, self.alpha)
-        return np.zeros(rows.size, dtype=bool)
 
 
 def solve_mxn(data, config=None):

@@ -151,7 +151,7 @@ def posterior_moments(K, lambda_col, beta, v_col):
     Returns
     -------
     PosteriorMoments shaped like lambda_col, with mu_i = sigma_diag_i = 0
-    wherever lambda_col_i = 0.
+    wherever lambda_col_i = 0, whatever column i of K.
 
     Columns are processed as rows, in blocks whose (B, N, S) work array
     takes about BLOCK_BYTES.  Per block, A and Y = C^{-1} K are formed in
@@ -221,18 +221,23 @@ def posterior_moments(K, lambda_col, beta, v_col):
 
         # Y = C^{-1} K and z = C^{-1} v, so that mu = diag(lam) K' A^{-1} v
         # = lam * (Y' z); Y takes the place of the block's work array, and a
-        # strip of C^{-1} is zero to the right of its diagonal block
-        for r0, r1 in strips:
-            np.matmul(A[:, r0:r1, :r1], K[:r1], out=work[:, r0:r1])
-        Y = work
+        # strip of C^{-1} is zero to the right of its diagonal block.
+        # sigma_diag = lam - lam^2 * columnwise ||Y||^2.  A column of Y is
+        # that of its source alone, so one too large to square is either a
+        # pruned source's (lam = 0), whose moments are 0 whatever its lead
+        # field, or the overflow raised below
         z = np.matmul(A, v[rows, :, None])
-        mu[rows] = lam_b * np.matmul(z.transpose(0, 2, 1), Y)[:, 0]
-
-        # sigma_diag = lam - lam^2 * columnwise ||Y||^2
-        q = np.square(Y, out=Y).sum(axis=1)
-        del Y, work  # so that it is gone before the next block allocates its own
+        pruned = lam_b == 0.0
         with np.errstate(over="ignore", invalid="ignore"):
+            for r0, r1 in strips:
+                np.matmul(A[:, r0:r1, :r1], K[:r1], out=work[:, r0:r1])
+            Y = work
+            mu_b = lam_b * np.matmul(z.transpose(0, 2, 1), Y)[:, 0]
+            q = np.square(Y, out=Y).sum(axis=1)
+            del Y, work  # so that it is gone before the next block allocates its own
             sig = lam_b - lam_b * lam_b * q
+        mu_b[pruned] = sig[pruned] = 0.0
+        mu[rows] = mu_b
         bad = np.flatnonzero(~np.all(np.isfinite(sig), axis=1))
         if bad.size:
             j = bad[0]

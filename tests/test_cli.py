@@ -19,7 +19,7 @@ from rvmix.baselines import PenaltySpec, mm_solve
 from rvmix.cli import CLASSICAL_METHODS, METHOD_KEYS, RVM_METHODS, SOLVE_KEYS, main
 from rvmix.enet import SolverConfig, solve_enet
 from rvmix.errors import ConfigError, ContainerError, DomainError
-from rvmix.mxio import MAGIC
+from rvmix.mxio import MAGIC, container_sha256
 from rvmix.mxio import parse_config_text, read_config_text, read_matrix, write_matrix
 from rvmix.mxn import solve_mxn
 from rvmix.posterior import ProblemData
@@ -68,6 +68,14 @@ class TestMatrixContainer:
         path.write_bytes(b"not a matrix at all")
         with pytest.raises(DomainError):
             read_matrix(path)
+
+    @pytest.mark.parametrize("entry", ["write_matrix", "container_sha256"])
+    def test_three_dimensional_array_rejected(self, tmp_path, entry):
+        arr = np.zeros((2, 3, 4))
+        with pytest.raises(DomainError, match="only 2-D matrices are supported"):
+            write_matrix(tmp_path / "m.mxio", arr) if entry == "write_matrix" \
+                else container_sha256(arr)
+        assert not (tmp_path / "m.mxio").exists()
 
 
 class TestConfigParsing:
@@ -1178,6 +1186,24 @@ class TestErrorExits:
         assert code == 4
         err = capsys.readouterr().err
         assert f"numeric failure: {where}" in err and "overflow" in err
+        assert not (tmp_path / "o" / "mu.mxio").exists()
+
+    @pytest.mark.parametrize("method", ["enet-rvm", "mxn-rvm"])
+    def test_underflowing_lead_field_exit_4(self, tmp_path, capsys, method):
+        # K x 1e-200 squares its singular values to 0 in the ridge start,
+        # which both solvers take; the mixed norm used to exit 2 with
+        # "mu must be finite" after two bare warnings
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text("s = 96\nn = 16\nt = 8\nseed = 0\nc_sigma_space = 2.0\n")
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "sim")]) == 0
+        tiny = tmp_path / "K_tiny.mxio"
+        write_matrix(tiny, read_matrix(tmp_path / "sim" / "K.mxio") * 1e-200)
+        capsys.readouterr()
+        code = main(["solve", "--method", method, "--K", str(tiny),
+                     "--V", str(tmp_path / "sim" / "V.mxio"), "--out", str(tmp_path / "o")])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert "numeric failure: column 0: ridge start: " in err and "underflow" in err
         assert not (tmp_path / "o" / "mu.mxio").exists()
 
 def fresh_python(*args):

@@ -22,7 +22,7 @@ from rvmix.enet import (
     update_lambda_bar_enet,
 )
 from rvmix.errors import DegenerateStateError, DomainError, NumericError, RootFindError
-from rvmix.mxn import _alpha_gradient_terms, alpha_gradient, update_alpha_mxn
+from rvmix.mxn import _alpha_gradient_terms, alpha_gradient, solve_mxn, update_alpha_mxn
 from rvmix.posterior import ProblemData
 from rvmix.rootfind import NOISE_BOUND, bracketed_root
 
@@ -182,11 +182,32 @@ class TestUpdateAlpha1:
             assert f(got) <= fstar + 1e-10 * max(abs(fstar), 1.0)
 
     def test_degenerate_state(self):
-        with pytest.raises(DegenerateStateError):
+        with pytest.raises(DegenerateStateError) as info:
             update_alpha1(np.zeros(3), np.zeros(3), np.zeros(3))
+        assert info.value.column is None
+
+    def test_degenerate_row_is_named(self):
+        # rows 1 and 3 of the stack are pruned in every coordinate; the
+        # first of them is named, as update_lambda_bar_enet names its rows
+        lb = np.full((4, 3), 0.5)
+        mu = np.ones((4, 3))
+        lb[[1, 3]] = mu[[1, 3]] = 0.0
+        with pytest.raises(DegenerateStateError, match="every coordinate is pruned") as info:
+            update_alpha1(mu, np.zeros((4, 3)), lb)
+        assert info.value.column == 1
+
+    def test_pruned_coordinate_with_moments_rejected(self):
+        with pytest.raises(DomainError, match="zero lambda_bar with nonzero moments "
+                                              "is inconsistent"):
+            update_alpha1(np.ones(3), np.zeros(3), [0.5, 0.0, 0.5])
 
 
 class TestUpdateK:
+    @pytest.mark.parametrize("lb", [-0.1, 1.0], ids=["negative", "one"])
+    def test_lambda_bar_outside_unit_interval_rejected(self, lb):
+        with pytest.raises(DomainError, match=r"lambda_bar must lie in \[0, 1\)"):
+            update_k(np.array([0.5, lb, 0.5]), 3.0, 0.03)
+
     def test_root_residual_contract(self):
         lb = np.full(10, 0.3)
         tau, nu = 10.0, 0.1
@@ -484,6 +505,10 @@ class TestSolveEnet:
             with pytest.raises(DomainError, match="epsilon_prior"):
                 SolverConfig(epsilon_prior=bad)
 
+    def test_data_must_be_problem_data(self):
+        with pytest.raises(DomainError, match="data must be a ProblemData"):
+            solve_enet((np.eye(3), np.ones((3, 1))))
+
     def test_zero_data(self):
         data = ProblemData(K=np.random.default_rng(0).standard_normal((4, 9)),
                            V=np.zeros((4, 3)))
@@ -620,6 +645,16 @@ class TestSolveEnet:
         with pytest.raises(NumericError, match=r"^column 0: starting variance scale: "
                                                r"the squared ridge means overflow") as info:
             solve_enet(ProblemData(K=ph.K, V=V * 1e200))
+        assert info.value.column == 0
+
+    @pytest.mark.parametrize("solve", [solve_enet, solve_mxn], ids=["enet", "mxn"])
+    def test_ridge_start_beyond_the_float_range_is_a_numeric_error(self, solve):
+        # data at the top of the float range overflow in the projection
+        # K's SVD makes of them, which both solvers' starts share
+        data, _ = ring_problem(t=3)
+        with pytest.raises(NumericError, match=r"^column 0: ridge start: the projected data "
+                                               r"overflow") as info:
+            solve(ProblemData(K=data.K, V=np.full(data.V.shape, 1.7e308)))
         assert info.value.column == 0
 
     def test_converged_state_is_coordinatewise_local_min(self):

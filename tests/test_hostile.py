@@ -13,16 +13,18 @@ from rvmix.mxn import solve_mxn
 from rvmix.phantom import NoiseSpec, SourceSpec, add_noise, make_phantom
 from rvmix.posterior import ProblemData
 
-CELLS = [("K", 1e-150), ("K", 1e-100), ("K", 1e-50),
+CELLS = [("K", 1e-300), ("K", 1e-200), ("K", 1e-150), ("K", 1e-100), ("K", 1e-50),
          ("V", 1e-300), ("V", 1e-200), ("V", 1e-150), ("V", 1e10), ("V", 1e15), ("V", 1e20),
          ("V", 1e40), ("V", 1e60), ("V", 1e70), ("V", 1e100), ("V", 1e150), ("V", 1e200)]
 #: the cells where a float range is exceeded: K x 1e-100 and below puts
 #: the posterior variances (enet) or, for mxn, alpha * delta**2 (1e-150)
 #: or the variance factor update (1e-100, test_alpha_search_finds_a_deep_root)
-#: out of range, V x 1e100 and above the variances or the truncations;
+#: out of range, and K x 1e-200 and below the squared singular values of
+#: the ridge start; V x 1e100 and above the variances or the truncations;
 #: V x 1e-200 and below makes alpha * delta**2 underflow in mxn's global
 #: scale search
-FAILING = {("K", 1e-150), ("K", 1e-100), ("V", 1e100), ("V", 1e150), ("V", 1e200)}
+FAILING = {("K", 1e-300), ("K", 1e-200), ("K", 1e-150), ("K", 1e-100),
+           ("V", 1e100), ("V", 1e150), ("V", 1e200)}
 FAILING_BY_SOLVER = {"enet": FAILING, "mxn": FAILING | {("V", 1e-300), ("V", 1e-200)}}
 
 MM_CELLS = CELLS + [("K", 1e50)]

@@ -201,6 +201,16 @@ class TestMixedNorm:
 
 
 class TestEvaluate:
+    @pytest.mark.parametrize("measure, against", [
+        (one_minus_corr, "truth"),
+        (lambda est, truth: sens_spec(est, truth != 0.0), "support"),
+        (lambda est, truth: roc_auc(est, truth != 0.0), "support"),
+    ], ids=["one_minus_corr", "sens_spec", "roc_auc"])
+    def test_shape_mismatch_rejected(self, measure, against):
+        est, truth = np.arange(15.0).reshape(5, 3), np.eye(5, 4)
+        with pytest.raises(DomainError, match=f"shape mismatch between estimate and {against}"):
+            measure(est, truth)
+
     def test_full_row(self):
         truth_support = np.zeros((5, 3), dtype=bool)
         truth_support[1, :] = True

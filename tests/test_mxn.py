@@ -58,6 +58,19 @@ class TestCouplingAlgebra:
             assert lhs == pytest.approx(rhs, rel=1e-12)
             assert mixed_norm(x.reshape(-1, 1), 1, 2) ** 2 == pytest.approx(lhs, rel=1e-12)
 
+    @pytest.mark.parametrize("call, message", [
+        (lambda: update_lambda_bar_mxn(np.ones(3), np.ones(3), 0.0, np.ones(3)),
+         "alpha must be positive"),
+        (lambda: update_lambda_bar_mxn(np.ones(3), np.ones(3), 1.0, [1.0, -1.0, 1.0]),
+         "delta must be nonnegative"),
+        (lambda: update_delta([1.0, np.nan, 2.0]), "mu must be finite"),
+        (lambda: update_alpha_mxn(np.ones(3), np.zeros(3), [0.5, 0.0, 0.5], np.ones(3)),
+         "zero lambda_bar with nonzero moments is inconsistent"),
+    ], ids=["lambda_bar_alpha", "lambda_bar_delta", "delta_mu", "alpha_pruned_moments"])
+    def test_out_of_domain_rejected(self, call, message):
+        with pytest.raises(DomainError, match=message):
+            call()
+
 
 class TestLambdaBarMxn:
     def test_zero_coupling_gives_cap(self):

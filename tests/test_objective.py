@@ -11,6 +11,8 @@ from rvmix.errors import DomainError
 from rvmix.objective import (
     _enet_hyperprior,
     _mxn_hyperprior,
+    neg_log_posterior_enet,
+    neg_log_posterior_mxn,
     w_inverse_apply,
 )
 from rvmix.posterior import ProblemData, _rows, posterior_moments
@@ -99,6 +101,19 @@ class TestEnetObjective:
         with pytest.raises(DomainError):
             objective_enet(data, np.ones((1, 1)), 1.0, 1.0, 1.0, 1.0, 1.0)
 
+    @pytest.mark.parametrize("lam_bar, k, message", [
+        (-0.5, 1.0, "lambda_bar must be finite and nonnegative"),
+        (0.5, [1.0, 1.0, 1.0], "k must be a scalar or a length-2 vector"),
+        (0.5, -1.0, "k must be nonnegative"),
+    ], ids=["negative_lambda_bar", "k_length", "negative_k"])
+    def test_out_of_domain_rejected(self, lam_bar, k, message):
+        rng = np.random.default_rng(3)
+        lb = np.full((4, 2), 0.5)
+        post = posterior_moments(rng.standard_normal((3, 4)), lb, 1.0, rng.standard_normal((3, 2)))
+        lb[1, 0] = lam_bar
+        with pytest.raises(DomainError, match=message):
+            neg_log_posterior_enet(post, lb, k, 4.0, 0.04)
+
 
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 8), s=st.integers(2, 14),
        t=st.integers(1, 5), branch=st.sampled_from(["enet", "mxn"]))
@@ -170,6 +185,18 @@ class TestMxnObjective:
         assert np.all(delta * delta == 0.0)
         want = np.sum(np.log(delta[:, 1:]) - 0.5 * np.log(1.0 - lb[:, 1:]), axis=1)
         np.testing.assert_allclose(_mxn_hyperprior(lb, delta, 0.7), want, rtol=1e-14)
+
+    @pytest.mark.parametrize("delta, alpha, message", [
+        (-1.0, 1.0, "delta must be nonnegative"),
+        (1.0, 0.0, "alpha must be positive"),
+    ], ids=["negative_delta", "zero_alpha"])
+    def test_out_of_domain_rejected(self, delta, alpha, message):
+        rng = np.random.default_rng(4)
+        lb, d = np.full((4, 2), 0.5), np.ones((4, 2))
+        post = posterior_moments(rng.standard_normal((3, 4)), lb, 1.0, rng.standard_normal((3, 2)))
+        d[2, 1] = delta
+        with pytest.raises(DomainError, match=message):
+            neg_log_posterior_mxn(post, lb, d, alpha)
 
 
 class TestAuxiliaryObjectives:

@@ -335,6 +335,33 @@ class TestStackedPosterior:
             np.testing.assert_allclose(good.sigma_diag[1:, j], ref.sigma_diag, rtol=1e-8)
             assert good.resid_dof[j] == pytest.approx(ref.resid_dof, rel=1e-10)
 
+    @pytest.mark.parametrize("lead", [1e200, 1e300])
+    def test_pruned_source_is_zero_whatever_its_lead_field(self, lead):
+        # source 0 has no variance in any column, and its lead field, in
+        # sensor row 18 of 20 (the second strip), squares beyond the float
+        # range in ||C^-1 K_0||**2: its moments are 0 without a warning,
+        # and the other sources match the dense oracle without it
+        rng = np.random.default_rng(18)
+        n, s = 20, 30
+        K = rng.standard_normal((n, s))
+        K[:, 0] = 0.0
+        K[18, 0] = lead
+        lam = rng.uniform(0.5, 2.0, (s, 3))
+        lam[0] = 0.0
+        V = rng.standard_normal((n, 3))
+        post = posterior_moments(K, lam, 1.0, V)
+        assert np.all(post.mu[0] == 0.0) and np.all(post.sigma_diag[0] == 0.0)
+        for j in range(3):
+            ref = posterior_direct(K[:, 1:], lam[1:, j], 1.0, V[:, j])
+            np.testing.assert_allclose(post.mu[1:, j], ref.mu, rtol=1e-8, atol=1e-10)
+            np.testing.assert_allclose(post.sigma_diag[1:, j], ref.sigma_diag, rtol=1e-8)
+            assert post.resid_dof[j] == pytest.approx(ref.resid_dof, rel=1e-10)
+        # a real overflow, lam**2 of column 1's live sources, is still named
+        lam[1:, 1] *= 1e160
+        with pytest.raises(posterior.NumericError, match="posterior variance overflows") as info:
+            posterior_moments(K, lam, 1.0, V)
+        assert info.value.column == 1
+
     def test_non_spd_column_is_named(self):
         # K diag(lam) K' + beta I overflows for column 1 only, as column 0's
         # lam vanishes on K's huge first source; LAPACK would factor the

@@ -14,7 +14,6 @@ from scipy import integrate
 
 from rvmix.errors import DomainError
 from rvmix.special import (
-    QuadratureSpec,
     gamma_half_hazard,
     gamma_half_tail,
     normal_laplace_log_z,
@@ -145,8 +144,7 @@ class TestScaleMixture:
     def test_untruncated_collapses_to_fixed_gaussian(self):
         # k = 0 makes the mixture variance constant 1/(2*alpha1); with
         # alpha1 = 1/2 that is the standard normal at every x.
-        spec = QuadratureSpec(node_count=200, domain_cap=60.0)
-        assert scale_mixture_density(0.0, 0.5, 0.0, spec) == pytest.approx(
+        assert scale_mixture_density(0.0, 0.5, 0.0) == pytest.approx(
             1 / np.sqrt(2 * np.pi), abs=1e-9
         )
 
@@ -156,8 +154,7 @@ class TestScaleMixture:
         k = truncation_coefficient(a1, a2)
         assert k == 1.0
         x = 0.7
-        spec = QuadratureSpec(node_count=200, domain_cap=k + 50.0)
-        lhs = scale_mixture_density(x, a1, k, spec)
+        lhs = scale_mixture_density(x, a1, k)
         rhs = np.exp(-a1 * x * x - a2 * abs(x) - normal_laplace_log_z(a1, a2))
         assert lhs == pytest.approx(rhs, abs=1e-6)
 
@@ -168,10 +165,9 @@ class TestScaleMixture:
         for a1 in (0.1, 1.0, 10.0):
             for a2 in (0.1, 1.0, 10.0):
                 k = truncation_coefficient(a1, a2)
-                spec = QuadratureSpec(node_count=200, domain_cap=k + 50.0)
                 lz = normal_laplace_log_z(a1, a2)
                 for x in xs:
-                    mix = scale_mixture_density(x, a1, k, spec)
+                    mix = scale_mixture_density(x, a1, k)
                     ref = np.exp(-a1 * x * x - a2 * abs(x) - lz)
                     worst = max(worst, abs(mix - ref))
         assert worst <= 1e-6
@@ -186,9 +182,8 @@ class TestScaleMixture:
     @settings(max_examples=20, deadline=None)
     def test_symmetry(self, x, a1, a2):
         k = truncation_coefficient(a1, a2)
-        spec = QuadratureSpec(node_count=100, domain_cap=k + 40.0)
-        assert scale_mixture_density(x, a1, k, spec) == pytest.approx(
-            scale_mixture_density(-x, a1, k, spec), rel=1e-9, abs=1e-12
+        assert scale_mixture_density(x, a1, k) == pytest.approx(
+            scale_mixture_density(-x, a1, k), rel=1e-9, abs=1e-12
         )
 
     @pytest.mark.filterwarnings("error::scipy.integrate.IntegrationWarning")
@@ -203,9 +198,8 @@ class TestScaleMixture:
         # reaches x**2; unsplit, the adaptive rule stalled on roundoff here
         # and was off by up to 1e-4 relative
         k = truncation_coefficient(a1, a2)
-        spec = QuadratureSpec(node_count=100, domain_cap=k + 40.0)
         ref = np.exp(-a1 * x * x - a2 * abs(x) - normal_laplace_log_z(a1, a2))
-        assert scale_mixture_density(x, a1, k, spec) == pytest.approx(ref, rel=1e-10)
+        assert scale_mixture_density(x, a1, k) == pytest.approx(ref, rel=1e-10)
 
     def test_truncation_point_consistency(self):
         # k from (alpha1, alpha2) is exactly where the truncated pdf support starts
@@ -214,8 +208,13 @@ class TestScaleMixture:
         assert tgamma_half_pdf(k * (1 - 1e-12), k) == 0.0
         assert tgamma_half_pdf(k * (1 + 1e-9), k) > 0.0
 
-    def test_quadrature_spec_validation(self):
-        with pytest.raises(DomainError):
-            QuadratureSpec(node_count=32)
-        with pytest.raises(DomainError):
-            QuadratureSpec(domain_cap=np.inf)
+    @pytest.mark.filterwarnings("error::scipy.integrate.IntegrationWarning")
+    @pytest.mark.parametrize("x", [0.0, 0.5, 1.0])
+    def test_truncation_beyond_fifty(self, x):
+        # alpha1 = 1, alpha2 = 20 -> k = 100: u = sqrt(gamma - k) runs over
+        # [0, sqrt(50)] whatever k, so a truncation beyond 50 is integrated too
+        a1, a2 = 1.0, 20.0
+        k = truncation_coefficient(a1, a2)
+        assert k == 100.0
+        ref = np.exp(-a1 * x * x - a2 * abs(x) - normal_laplace_log_z(a1, a2))
+        assert scale_mixture_density(x, a1, k) == pytest.approx(ref, rel=1e-12)
