@@ -25,8 +25,8 @@ from .baselines import (PenaltySpec, check_mm_settings, gcv_select, mm_solve, ri
 from .enet import SolverConfig, solve_enet
 from .errors import ConfigError, ContainerError, DomainError, NumericError, RvmixError
 from .metrics import MM_ZERO_TOL_REL, RVM_ZERO_TOL_REL, EvalReport, evaluate
-from .mxio import (coerce, config_entries, container_sha256, parse_config_file,
-                   read_config_text, read_matrix, write_matrix)
+from .mxio import (config_entries, container_sha256, parse_config_file, read_config_text,
+                   read_matrix, write_matrix)
 from .mxn import solve_mxn
 from .phantom import NoiseSpec, SourceSpec, add_noise, make_phantom
 from .posterior import ProblemData
@@ -95,14 +95,32 @@ METHOD_KEYS = {
 _JSON_TYPES = {int: (int,), float: (int, float), str: (str,), LambdaGrid: (str,)}
 
 
+def _typed_config(raw, schema, source, json=False):
+    """raw's values typed by schema, whose types turn text into a value or
+    raise ValueError (OverflowError for an integer beyond the float range);
+    a ConfigError names source and the key.  With json, each value must
+    first be of its type's JSON kind (_JSON_TYPES)."""
+    out = {}
+    for key, value in raw.items():
+        if key not in schema:
+            raise ConfigError(f"{source}: unknown key {key!r}")
+        kind = schema[key]
+        if json and (isinstance(value, bool) or not isinstance(value, _JSON_TYPES[kind])):
+            raise ConfigError(f"{source}: key {key!r} must be of type {kind.__name__}, "
+                              f"got {value!r}")
+        try:
+            out[key] = kind(value)
+        except (ValueError, OverflowError) as exc:
+            raise ConfigError(f"{source}: key {key!r}: {exc}") from exc
+    return out
+
+
 def solve_config(method, raw, source, json=False):
     """The typed settings of one solve, checked before anything is read or
     written; a ConfigError names source.  The method is known, it reads each
     key, and a classical method has exactly one of lam and lambda_grid.  raw
-    holds text (config lines, flags, arm tokens), which converts by coerce;
-    with json, a manifest's values, each of its key's type: an int (not a
-    bool) for an int key, any number for a float key, text for a text key,
-    which then converts as text does.  The values are then checked by the
+    holds text (config lines, flags, arm tokens) or, with json, a manifest's
+    values; _typed_config types both.  The values are then checked by the
     objects that own the rules: SolverConfig and the alpha1/alpha2 pair rule
     for a Bayesian method, PenaltySpec (whose rules do not depend on the
     number of sources) and check_mm_settings for a classical one."""
@@ -114,16 +132,7 @@ def solve_config(method, raw, source, json=False):
     if method in CLASSICAL_METHODS and ("lam" in raw) == ("lambda_grid" in raw):
         raise ConfigError(f"{source}: method {method!r} needs exactly one of 'lam' "
                           "and 'lambda_grid'")
-    cfg = {}
-    for key, value in raw.items():
-        kind = SOLVE_KEYS[key]
-        if json and (isinstance(value, bool) or not isinstance(value, _JSON_TYPES[kind])):
-            raise ConfigError(f"{source}: key {key!r} must be of type {kind.__name__}, "
-                              f"got {value!r}")
-        try:
-            cfg[key] = coerce(value, kind) if isinstance(value, str) else kind(value)
-        except ConfigError as exc:
-            raise ConfigError(f"{source}: key {key!r}: {exc}") from exc
+    cfg = _typed_config(raw, SOLVE_KEYS, source, json)
     try:
         if method in RVM_METHODS:
             _solver_config(cfg)
@@ -167,18 +176,6 @@ def _write_json(path, payload):
 
 def _write_manifest(out, payload):
     _write_json(out / "manifest.json", dict(payload, format_version=FORMAT_VERSION))
-
-
-def _typed_config(raw, schema, source):
-    out = {}
-    for key, value in raw.items():
-        if key not in schema:
-            raise ConfigError(f"{source}: unknown key {key!r}")
-        try:
-            out[key] = coerce(value, schema[key])
-        except ConfigError as exc:
-            raise ConfigError(f"{source}: key {key!r}: {exc}") from exc
-    return out
 
 
 def cmd_simulate(args):
@@ -401,8 +398,7 @@ def cmd_eval(args):
     support = read_matrix(args.support).astype(bool)
     if support.shape != J_est.shape:
         raise ConfigError(f"shape mismatch: support {support.shape} vs estimate {J_est.shape}")
-    rep = evaluate(args.method, J_est, J_true, support,
-                   zero_tol_rel=args.zero_tol, threshold_frac=args.threshold)
+    rep = evaluate(args.method, J_est, J_true, support, zero_tol_rel=args.zero_tol)
     writer_target = open(args.out, "w", newline="", encoding="utf-8") if args.out else sys.stdout
     try:
         writer = csv.writer(writer_target)
@@ -529,7 +525,6 @@ def build_parser():
     p.add_argument("--zero-tol", dest="zero_tol", type=float, default=RVM_ZERO_TOL_REL,
                    help="relative zero threshold in [0, 1); 0 counts only exact zeros "
                         "(majorization outputs)")
-    p.add_argument("--threshold", type=float, default=0.01)
     p.add_argument("--out")
     p.set_defaults(func=cmd_eval)
 

@@ -35,11 +35,13 @@ class SolverConfig:
         k = alpha2**2 / (4*alpha1).
     fixed_alpha : optional fixed global scale > 0 for the mixed-norm
         solver only; None (the default) learns alpha, starting from 1.
-        Each solver raises DomainError when the other's setting is given.
+        Each solver raises DomainError when a setting it does not read
+        differs from its default.
     beta_mode : "fixed_one" keeps the noise variance pinned at 1 (the
         default), "learned" enables the closed-form update.
     epsilon_prior : epsilon > 0 in nu = epsilon * S, the rate of the Gamma
-        prior of the truncation coefficient (tau is fixed at S).
+        prior of the truncation coefficient (tau is fixed at S), for the
+        elastic-net solver only.
     """
 
     max_iter: int = 100
@@ -215,7 +217,7 @@ class _Iteration:
     variance scale of given rows), objective (their per-column values,
     given their PosteriorMoments), record and step (which updates the
     hyperparameters of given rows in place), and names in unread the
-    SolverConfig field it rejects when set.
+    SolverConfig fields it rejects when they differ from their defaults.
     """
 
     per_column = True
@@ -224,8 +226,10 @@ class _Iteration:
         if not isinstance(data, ProblemData):
             raise DomainError("data must be a ProblemData")
         self.config = config = config or SolverConfig()
-        if getattr(config, self.unread) is not None:
-            raise DomainError(f"this solver does not read {self.unread}; the other one does")
+        for name in self.unread:
+            value, default = getattr(config, name), SolverConfig.__dataclass_fields__[name].default
+            if value is not default and (default is None or value != default):
+                raise DomainError(f"this solver does not read {name}; the other one does")
         self.tol_objective = (config.tol_objective if config.tol_objective is not None
                               else self.default_tol_objective)
         self.K, self.V = data.K, np.ascontiguousarray(data.V.T)
@@ -332,7 +336,7 @@ class _EnetIteration(_Iteration):
     on its own, and an all-zero column after one sweep."""
 
     default_tol_objective = ENET_TOL_OBJECTIVE
-    unread = "fixed_alpha"
+    unread = ("fixed_alpha",)
 
     def __init__(self, data, config):
         super().__init__(data, config)

@@ -128,10 +128,10 @@ def mixed_norm(J, p, q):
     return float(np.sum(col**q) ** (1.0 / q))
 
 
-def evaluate(method, J_est, J_true, support_true, zero_tol_rel=RVM_ZERO_TOL_REL,
-             threshold_frac=0.01):
-    """Assemble the full quality row for one solution."""
-    sens, spec = sens_spec(J_est, support_true, threshold_frac)
+def evaluate(method, J_est, J_true, support_true, zero_tol_rel=RVM_ZERO_TOL_REL):
+    """Assemble the full quality row for one solution; sensitivity and
+    specificity are at sens_spec's default threshold."""
+    sens, spec = sens_spec(J_est, support_true)
     return EvalReport(
         method=method,
         one_minus_corr=one_minus_corr(J_est, J_true),

@@ -108,14 +108,3 @@ def read_config_text(path):
 
 def parse_config_file(path):
     return parse_config_text(read_config_text(path), source=str(path))
-
-
-def coerce(value, kind):
-    """Convert a config string to kind (int, float, str, or any converter
-    that raises ValueError on bad text), with clear errors."""
-    try:
-        if kind is float and value.lower() in ("inf", "+inf", "infinity"):
-            return float("inf")
-        return kind(value)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc

@@ -114,7 +114,7 @@ class _MxnIteration(_Iteration):
 
     per_column = False
     default_tol_objective = MXN_TOL_OBJECTIVE
-    unread = "fixed_hyper"
+    unread = ("fixed_hyper", "epsilon_prior")
 
     def __init__(self, data, config):
         super().__init__(data, config)

@@ -104,12 +104,13 @@ def svd_decompose(K):
         U, s, Vt = np.linalg.svd(K, full_matrices=False)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure is rare
         raise NumericError(f"SVD of the lead field failed: {exc}") from exc
+    if not np.all(np.isfinite(s)):
+        # finite entries whose 2-norm is beyond the float range, e.g. 1e308 * ones((2, 2))
+        raise NumericError("SVD of the lead field is not finite: its norm overflows "
+                           "the float range")
     if s.size == 0 or s[0] <= 0.0:
         raise RankError("lead field has rank zero")
-    keep = s > 1e-12 * s[0]
-    r = int(np.count_nonzero(keep))
-    if r == 0:
-        raise RankError("lead field has rank zero after truncation")
+    r = int(np.count_nonzero(s > 1e-12 * s[0]))  # a finite s[0] > 0 keeps itself, so r >= 1
     return LeadFieldSVD(Lmat=U[:, :r].copy(), D=s[:r].copy(), R=Vt[:r].T.copy())
 
 

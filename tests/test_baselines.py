@@ -114,6 +114,16 @@ class TestRidge:
         oracle = np.linalg.solve(data.K.T @ data.K + 0.5 * L.T @ L, data.K.T @ data.V)
         np.testing.assert_allclose(J, oracle, atol=1e-9)
 
+    def test_zero_lambda_rejected(self):
+        with pytest.raises(DomainError, match="lam must be positive"):
+            ridge_solve(make_data(), 0.0)
+
+    def test_overflowing_lead_field_raises(self):
+        # no all-zero map with df = 0: the lead field's norm is inf
+        data = ProblemData(K=np.full((2, 2), 1e308), V=np.ones((2, 1)))
+        with pytest.raises(NumericError, match="its norm overflows the float range"):
+            ridge_solve(data, 1.0)
+
 
 class TestRingOperators:
     def test_laplacian_annihilates_constants(self):
@@ -141,6 +151,11 @@ class TestMMSolve:
         data = make_data()
         J = mm_solve(data, PenaltySpec(kind="lasso", lam=1e9))
         assert np.all(J == 0.0)
+
+    def test_quadratic_penalty_rejected(self):
+        # ridge has a closed form (ridge_solve); it carries no L1 term to majorize
+        with pytest.raises(DomainError, match="ridge is not a majorization penalty"):
+            mm_solve(make_data(), PenaltySpec(kind="ridge", lam=1.0))
 
     def test_one_dimensional_soft_threshold(self):
         # argmin (v - j)^2 + lam|j| = soft(v, lam/2); LQA approaches it as

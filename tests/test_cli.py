@@ -154,6 +154,9 @@ class TestSimulateCommand:
         ("c_sigma_space = -2", "c_sigma_space"),
         ("b_width = -1", "b_width"),
         ("c_truncate_frac = 1", "c_truncate_frac"),
+        # nothing to observe
+        ("a_amplitude = 0\nb_amplitude = 0\nc_amplitude = 0",
+         "all source amplitudes are zero; nothing to observe"),
     ])
     def test_bad_simulation_value_exit_2_before_any_matrix(self, tmp_path, capsys, line, key):
         cfg = tmp_path / "bad.cfg"
@@ -443,6 +446,20 @@ class TestSolveCommand:
         good = tmp_path / "good.json"
         good.write_text(json.dumps(manifest))
         assert main(["solve", "--replay", str(good), "--out", str(tmp_path / "o")]) == 0
+
+    def test_replay_integer_beyond_float_range_exit_2(self, sim_dir, tmp_path, capsys):
+        # a JSON integer is a float key's JSON kind, but float() of 10**400 overflows
+        out = tmp_path / "first"
+        assert main(["solve", "--method", "enet-rvm", "--K", str(sim_dir / "K.mxio"),
+                     "--V", str(sim_dir / "V.mxio"), "--max-iter", "3", "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        manifest["config"]["tol_mu"] = 10**400
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert main(["solve", "--replay", str(bad), "--out", str(tmp_path / "o")]) == 2
+        assert "key 'tol_mu': int too large to convert to float" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_enet_mm_without_mu_mix_exit_2(self, sim_dir, tmp_path, capsys):
         code = main(["solve", "--method", "enet-mm", "--K", str(sim_dir / "K.mxio"),

@@ -163,6 +163,11 @@ class TestAlphaUpdate:
         with pytest.raises(DomainError):
             update_alpha_mxn(one, one, one, one)
 
+    def test_overflowing_gradient_raises(self):
+        # an infinite frozen term makes the derivative infinite at any alpha
+        with pytest.raises(NumericError, match="the gradient overflows at alpha = 1.000e"):
+            alpha_gradient(1.0, (np.inf, 4, np.array([1.0])))
+
     def test_one_dimensional_input_is_one_column(self):
         rng = np.random.default_rng(5)
         s = 6
@@ -346,6 +351,17 @@ class TestSolveMxn:
         data, _ = small_ring()
         with pytest.raises(DomainError, match="fixed_hyper"):
             solve_mxn(data, SolverConfig(fixed_hyper=(1.0, 1.0)))
+
+    def test_epsilon_prior_is_not_read(self):
+        # epsilon_prior sets the rate of the elastic net's k prior; the mixed
+        # norm has no k, so a value other than the default is refused, and
+        # the default itself, given explicitly, is not
+        data, _ = small_ring()
+        with pytest.raises(DomainError, match="does not read epsilon_prior"):
+            solve_mxn(data, SolverConfig(epsilon_prior=100.0))
+        default = SolverConfig.__dataclass_fields__["epsilon_prior"].default
+        np.testing.assert_array_equal(solve_mxn(data, SolverConfig(epsilon_prior=default)).mu,
+                                      solve_mxn(data).mu)
 
     def test_solver_trace_matches_objective_module(self):
         # first recorded value equals the independent evaluator at the

@@ -98,6 +98,14 @@ class TestMakePhantom:
         d = np.sqrt(0.25 + 1.0)
         assert K[1, 0] == pytest.approx(-0.5 / d**3)
 
+    @pytest.mark.parametrize("gen, ele, message", [
+        ([[0.0, 0.0], [0.5, 0.0]], [[1.0, 0.0]], "generators must not sit at the origin"),
+        ([[0.5, 0.0]], [[0.5, 0.0], [1.0, 0.0]], "an electrode coincides with a generator"),
+    ], ids=["generator_at_origin", "electrode_on_generator"])
+    def test_degenerate_geometry_rejected(self, gen, ele, message):
+        with pytest.raises(DomainError, match=message):
+            dipole_lead_field(np.array(gen), np.array(ele))
+
 
 class TestAddNoise:
     def test_infinite_snr_sentinel(self):

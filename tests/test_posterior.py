@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rvmix import posterior
-from rvmix.errors import DomainError, RankError
+from rvmix.errors import DomainError, NumericError, RankError
 from rvmix.posterior import (
     ProblemData,
     posterior_moments,
@@ -31,6 +31,16 @@ class TestSvdDecompose:
     def test_zero_matrix_rejected(self):
         with pytest.raises(RankError):
             svd_decompose(np.zeros((3, 4)))
+
+    def test_non_finite_matrix_rejected(self):
+        with pytest.raises(DomainError, match="lead field must be finite"):
+            svd_decompose(np.array([[1.0, np.nan], [0.0, 1.0]]))
+
+    def test_overflowing_norm_raises(self):
+        # finite entries, but the largest singular value 2e308 is inf: every
+        # comparison with it is False, and a truncation would keep nothing
+        with pytest.raises(NumericError, match="its norm overflows the float range"):
+            svd_decompose(np.full((2, 2), 1e308))
 
     def test_reconstruction(self):
         rng = np.random.default_rng(7)
